@@ -1,21 +1,20 @@
 """Serving throughput: worker-pool scaling and request coalescing.
 
-Two questions about the :mod:`repro.serving` stack, answered end to end
+Requests/second of the supervised :mod:`repro.serving` pre-fork pool at
+1, 2, … N workers on identical single-query traffic, measured end to end
 over real HTTP with multi-process clients (separate processes so the
-*client* GIL never caps the measurement):
+*client* GIL never caps the measurement).  The kernel load-balances
+accepts across workers, so throughput should scale with worker count up
+to the machine's core count — ``cpu_count`` is recorded alongside the
+curve, because a 1-core box (some CI runners) physically cannot show a
+>1× speedup no matter how correct the pool is.
 
-* **scaling** — requests/second of the supervised pre-fork pool at 1, 2,
-  … N workers on identical mixed single/batch traffic.  The kernel
-  load-balances accepts across workers, so throughput should scale with
-  worker count up to the machine's core count — ``cpu_count`` is
-  recorded alongside the curve, because a 1-core box (some CI runners)
-  physically cannot show a >1× speedup no matter how correct the pool
-  is.
-* **coalescing** — single-worker throughput under concurrent
-  single-query clients, flush window on (2 ms) vs. off.  The coalescer
-  folds concurrent ``/v1/estimate`` misses into one ``predict_many``
-  kernel call; the /metrics counters in the report show how many flushes
-  actually folded how many queries.
+Each point also reports the coalescer's fold counts, scraped from the
+supervisor's aggregated ``/metrics`` (``repro_coalesced_batches_total`` and
+``repro_coalesced_queries_total``): how many ``predict_many`` calls
+answered how many queries.  An estimate folds only when it reaches the
+coalescer while another call is in flight, so the ratio shows how much
+folding the offered load actually produced.
 
 Results land in ``benchmarks/results/BENCH_serving.json``::
 
@@ -49,21 +48,17 @@ FULL = {
     "worker_counts": [1, 2, 4],
     "clients": 8,
     "duration_s": 4.0,
-    "coalesce_clients": 8,
-    "coalesce_duration_s": 4.0,
 }
 SMOKE = {
     "mode": "smoke",
     "worker_counts": [1, 2],
     "clients": 4,
     "duration_s": 1.5,
-    "coalesce_clients": 4,
-    "coalesce_duration_s": 1.5,
 }
 
 
 def _client_proc(base: str, payloads: list, duration_s: float, out) -> None:
-    """One load-generating process: mixed single/small-batch estimates."""
+    """One load-generating process: single-query estimates."""
     ok = 0
     failed = 0
     i = 0
@@ -109,45 +104,46 @@ def _drive(base: str, payloads: list, clients: int, duration_s: float) -> dict:
     return totals
 
 
-def _scrape_counter(base: str, name: str) -> float:
-    with urllib.request.urlopen(f"{base}/metrics", timeout=10) as response:
-        text = response.read().decode()
+def _counter_total(text: str, name: str) -> float:
     total = 0.0
     for match in re.finditer(rf"^{re.escape(name)}(?:\{{[^}}]*\}})? (\S+)$", text, re.M):
         total += float(match.group(1))
     return total
 
 
-def _pool_config(flush_ms: float) -> dict:
-    return dict(
-        max_concurrency=16,
-        queue_depth=128,
-        deadline_ms=30_000.0,
-        flush_ms=flush_ms,
-        stable_after_s=0.5,
-        drain_timeout_s=15.0,
-        reload_check_s=5.0,
-    )
+POOL_CONFIG = dict(
+    max_concurrency=16,
+    queue_depth=128,
+    deadline_ms=30_000.0,
+    stable_after_s=0.5,
+    drain_timeout_s=15.0,
+    reload_check_s=5.0,
+)
 
 
-def _run_pool(snapshot_dir, workers, flush_ms, clients, duration_s, payloads):
+def _run_pool(snapshot_dir, workers, clients, duration_s, payloads):
     def factory():
         return EstimatorService(
             lambda: QuadHist.from_config(QuadHistConfig(tau=0.01)),
             snapshot_dir=snapshot_dir,
         )
 
-    config = ServingConfig(workers=workers, **_pool_config(flush_ms))
+    # The ops endpoint serves the fleet-wide sums; a scrape through the
+    # traffic socket would read one arbitrary worker's counters.
+    config = ServingConfig(workers=workers, ops_port=0, **POOL_CONFIG)
     supervisor = Supervisor(factory, config=config, registry=MetricsRegistry())
     try:
         host, port = supervisor.start()
         base = f"http://{host}:{port}"
         _drive(base, payloads, clients=2, duration_s=0.5)  # warm-up
         totals = _drive(base, payloads, clients, duration_s)
-        coalesced = {
-            "batches": _scrape_counter(base, "repro_coalesced_batches_total"),
-            "queries": _scrape_counter(base, "repro_coalesced_queries_total"),
-        }
+        time.sleep(2 * config.heartbeat_interval_s)  # last snapshots land
+        ops_host, ops_port = supervisor.ops_address
+        url = f"http://{ops_host}:{ops_port}/metrics"
+        with urllib.request.urlopen(url, timeout=10) as response:
+            text = response.read().decode()
+        batches = _counter_total(text, "repro_coalesced_batches_total")
+        queries = _counter_total(text, "repro_coalesced_queries_total")
     finally:
         supervisor.stop(drain=True)
     qps = totals["ok"] / duration_s
@@ -158,7 +154,11 @@ def _run_pool(snapshot_dir, workers, flush_ms, clients, duration_s, payloads):
         "ok": totals["ok"],
         "failed": totals["failed"],
         "requests_per_second": round(qps, 1),
-        "coalesced": coalesced,
+        "coalesced": {
+            "batches": batches,
+            "queries": queries,
+            "queries_per_batch": round(queries / batches, 3) if batches else None,
+        },
     }
 
 
@@ -173,7 +173,6 @@ def run(config: dict) -> dict:
         point = _run_pool(
             tmp.name,
             workers,
-            flush_ms=2.0,
             clients=config["clients"],
             duration_s=config["duration_s"],
             payloads=payloads,
@@ -192,33 +191,13 @@ def run(config: dict) -> dict:
         scaling.append(point)
         speedup = point["speedup_vs_1_worker"]
         speedup_txt = "n/a (1 cpu)" if speedup is None else f"{speedup}x"
+        coalesced = point["coalesced"]
         print(
             f"workers={workers}: {point['requests_per_second']} req/s "
-            f"(speedup {speedup_txt}, failed {point['failed']})"
+            f"(speedup {speedup_txt}, failed {point['failed']}; "
+            f"{coalesced['batches']:.0f} batches folding "
+            f"{coalesced['queries']:.0f} queries)"
         )
-
-    coalesce = {}
-    for label, flush_ms in (("coalesced", 2.0), ("uncoalesced", 0.0)):
-        point = _run_pool(
-            tmp.name,
-            workers=1,
-            flush_ms=flush_ms,
-            clients=config["coalesce_clients"],
-            duration_s=config["coalesce_duration_s"],
-            payloads=payloads,
-        )
-        coalesce[label] = point
-        print(
-            f"{label} (flush={flush_ms}ms): "
-            f"{point['requests_per_second']} req/s, "
-            f"{point['coalesced']['batches']:.0f} batches folding "
-            f"{point['coalesced']['queries']:.0f} queries"
-        )
-    coalesce["speedup"] = round(
-        coalesce["coalesced"]["requests_per_second"]
-        / max(coalesce["uncoalesced"]["requests_per_second"], 1e-9),
-        2,
-    )
     tmp.cleanup()
 
     # cpu_count leads the report: every number below is conditioned on it.
@@ -226,7 +205,12 @@ def run(config: dict) -> dict:
         "cpu_count": cpu_count,
         "config": config,
         "scaling": scaling,
-        "coalescing": coalesce,
+        "coalescing": {
+            "queries_per_batch_by_workers": {
+                str(point["workers"]): point["coalesced"]["queries_per_batch"]
+                for point in scaling
+            },
+        },
     }
     if cpu_count == 1:
         result["scaling_note"] = (
@@ -260,7 +244,8 @@ def main() -> None:
         scaling_txt = f"{top['workers']}-worker speedup: {top['speedup_vs_1_worker']}x"
     print(
         f"cpu_count={result['cpu_count']}  {scaling_txt}  "
-        f"coalescing speedup: {result['coalescing']['speedup']}x"
+        f"queries per batch at {top['workers']} workers: "
+        f"{top['coalesced']['queries_per_batch']}"
     )
     print(f"wrote {args.output}")
 

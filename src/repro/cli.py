@@ -34,11 +34,12 @@ The subcommands cover the paper's workflow end to end:
     snapshot store behind a restart-storm breaker.  Both modes share the
     admission/deadline envelope — ``--max-concurrency``,
     ``--queue-depth`` (429 + ``Retry-After`` when full),
-    ``--deadline-ms`` (504 past budget), ``--flush-ms`` (request
-    coalescing window; 0 disables) — and both drain gracefully on
-    SIGTERM/SIGINT: stop accepting, flush in-flight requests, snapshot,
-    exit 0.  ``--log-json`` switches the structured logger to JSON lines
-    (and enables span-trace logging); ``--access-log`` emits one log
+    ``--deadline-ms`` (504 past budget) — plus request coalescing
+    (concurrent estimates fold into the next ``predict_many``), and
+    both drain gracefully on SIGTERM/SIGINT: stop accepting, flush
+    in-flight requests, snapshot, exit 0.  ``--log-json`` switches the
+    structured logger to JSON lines (and enables span-trace logging);
+    ``--access-log`` emits one log
     line per HTTP request.  With a pool, ``--ops-port`` additionally
     starts the supervisor's ops endpoint — aggregated fleet ``/metrics``
     (cross-worker counter sums with reset tracking), ``/workers``, and
@@ -73,7 +74,7 @@ Examples
     python -m repro.cli serve --method quadhist --port 8080 \\
         --sanitize drop --retrain-every 50 --snapshot-dir ./snapshots
     python -m repro.cli serve --workers 4 --snapshot-dir ./snapshots \\
-        --deadline-ms 250 --queue-depth 64 --flush-ms 2 --ops-port 9090
+        --deadline-ms 250 --queue-depth 64 --ops-port 9090
     python -m repro.cli metrics --port 8080
     python -m repro.cli metrics --aggregate --port 9090 --lint
     python -m repro.cli top --port 9090
@@ -283,13 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1000.0,
         help="default per-request deadline budget; expired requests get "
         "504 (clients override via X-Deadline-Ms; default: 1000)",
-    )
-    srv.add_argument(
-        "--flush-ms",
-        type=float,
-        default=2.0,
-        help="coalescing window folding concurrent estimates into one "
-        "predict_many (0 disables; default: 2)",
     )
     srv.add_argument(
         "--drain-timeout",
@@ -573,7 +567,6 @@ def _cmd_serve(args) -> int:
         max_concurrency=args.max_concurrency,
         queue_depth=args.queue_depth,
         deadline_ms=args.deadline_ms,
-        flush_ms=args.flush_ms,
         drain_timeout_s=args.drain_timeout,
         access_log=args.access_log,
         ops_port=args.ops_port,

@@ -3,7 +3,7 @@
 A deadline is the one robustness primitive every serving layer shares:
 the HTTP adapter stamps one on each request (``X-Deadline-Ms`` header or
 the server-wide default), the admission controller refuses to queue past
-it, and the coalescer caps its flush wait by it.  Work that cannot finish
+it, and the coalescer caps its batch wait by it.  Work that cannot finish
 inside the budget fails *fast* with
 :class:`~repro.robustness.errors.DeadlineExceededError` (HTTP 504)
 instead of making the caller — a query optimizer holding up a plan —
@@ -75,14 +75,6 @@ class Deadline:
             raise DeadlineExceededError(
                 f"{what} deadline exceeded by {-remaining:.3f}s"
             )
-
-    def wait_budget(self, cap: float) -> float:
-        """How long a wait may block: ``cap`` clipped to the remaining
-        budget (never negative)."""
-        remaining = self.remaining()
-        if remaining is None:
-            return cap
-        return max(0.0, min(cap, remaining))
 
     def __repr__(self) -> str:
         if self._expires_at is None:

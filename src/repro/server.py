@@ -716,6 +716,21 @@ class EstimatorService:
         return result
 
     def _update(self) -> dict:
+        # Snapshot through persist under _retrain_lock: an update started
+        # during another must see its generation and pending count, or it
+        # re-absorbs the same batch into the pre-update model.
+        with self._retrain_lock:
+            outcome = self._update_serialized()
+        if isinstance(outcome, str):
+            return self._fallback_retrain(outcome)
+        return outcome
+
+    def _update_serialized(self):
+        """Body of :meth:`_update`; caller holds ``_retrain_lock``.
+
+        Returns the new generation's result, or the reason to fall back
+        to a full retrain.
+        """
         metrics = self._metrics
         with self._lock:
             if not self._breaker.allow():
@@ -729,51 +744,46 @@ class EstimatorService:
             pending = self._since_train
             batch = self._buffer.recent(pending) if pending else ([], np.zeros(0))
         if model is None:
-            return self._fallback_retrain("no_model")
+            return "no_model"
         if not hasattr(model, "partial_fit"):
-            return self._fallback_retrain("unsupported")
+            return "unsupported"
         if pending == 0:
             raise ModelUnavailableError("no pending feedback to absorb")
         if batch is None:
             # The batch aged out of the recency ring into the downsampled
             # reservoir; the exact delta is gone, so refit on the union.
-            return self._fallback_retrain("batch_evicted")
+            return "batch_evicted"
         new_queries, new_labels = batch
-        fallback_reason: str | None = None
-        with self._retrain_lock:
-            start = time.monotonic()
-            try:
-                with span("service/update", feedback=pending) as update_span:
-                    working = copy.deepcopy(model)
-                    working.partial_fit(new_queries, new_labels, warm_start=True)
-                    report = getattr(working, "update_report_", None)
-                    update_span.annotate(
-                        rows_appended=pending, model_size=working.model_size
-                    )
-            except RuntimeError:
-                # partial_fit without fit-time state (e.g. the serving
-                # model was restored from a snapshot artifact).
-                fallback_reason = "no_fit_state"
-            except Exception as exc:
-                with self._lock:
-                    self._last_error = f"{type(exc).__name__}: {exc}"
-                log_event(
-                    get_logger("service"),
-                    "update_failed",
-                    level=logging.WARNING,
-                    error=f"{type(exc).__name__}: {exc}",
+        start = time.monotonic()
+        try:
+            with span("service/update", feedback=pending) as update_span:
+                working = copy.deepcopy(model)
+                working.partial_fit(new_queries, new_labels, warm_start=True)
+                report = getattr(working, "update_report_", None)
+                update_span.annotate(
+                    rows_appended=pending, model_size=working.model_size
                 )
-                fallback_reason = "error"
-            else:
-                if (
-                    self.update_residual_budget is not None
-                    and report is not None
-                    and report.residual > self.update_residual_budget
-                ):
-                    fallback_reason = "residual_budget"
-            elapsed = time.monotonic() - start
-        if fallback_reason is not None:
-            return self._fallback_retrain(fallback_reason)
+        except RuntimeError:
+            # partial_fit without fit-time state (e.g. the serving
+            # model was restored from a snapshot artifact).
+            return "no_fit_state"
+        except Exception as exc:
+            with self._lock:
+                self._last_error = f"{type(exc).__name__}: {exc}"
+            log_event(
+                get_logger("service"),
+                "update_failed",
+                level=logging.WARNING,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            return "error"
+        elapsed = time.monotonic() - start
+        if (
+            self.update_residual_budget is not None
+            and report is not None
+            and report.residual > self.update_residual_budget
+        ):
+            return "residual_budget"
         baseline = (
             working.predict_many(new_queries) - np.asarray(new_labels, dtype=float)
         ) ** 2
@@ -1330,20 +1340,20 @@ def _make_handler(
     service: EstimatorService,
     access_log: bool = False,
     *,
+    coalescer,
     admission=None,
-    coalescer=None,
     default_deadline_ms: float | None = None,
     draining: threading.Event | None = None,
 ):
     """Build the request handler class bound to one service.
 
-    The handler is *embeddable*: a plain single-process ``serve()`` wires
-    no extras, while each :mod:`repro.serving` worker injects its
-    admission controller (deadline budgets, bounded queue, load
-    shedding), its micro-batching coalescer for the estimate/predict
-    paths, and a ``draining`` event that turns new requests away with
-    503 during graceful shutdown.  All four extras are duck-typed so the
-    server layer stays importable without the serving package.
+    Every estimate/predict goes through ``coalescer`` (a
+    :class:`repro.serving.PredictCoalescer`).  The handler is
+    *embeddable*: a plain single-process ``serve()`` wires no other
+    extras, while each :mod:`repro.serving` worker injects its admission
+    controller (deadline budgets, bounded queue, load shedding) and a
+    ``draining`` event that turns new requests away with 503 during
+    graceful shutdown.  The extras are duck-typed.
     """
     registry = service.registry
     http_requests = registry.counter(
@@ -1359,7 +1369,8 @@ def _make_handler(
     stage_seconds = registry.histogram(
         "repro_request_stage_seconds",
         "Per-request latency breakdown: queue (admission wait), coalesce "
-        "(flush-window + sibling wait), kernel (estimate_many call), total",
+        "(wait behind the in-flight call + siblings), kernel (estimate_many "
+        "call), total",
         labels=("stage",),
     )
     access_logger = get_logger("http.access")
@@ -1447,7 +1458,7 @@ def _make_handler(
             the ``X-Request-Id`` (bound to the thread so every log line
             down-stack carries it) and collect the per-stage latency
             breakdown (queue wait here, coalesce/kernel from the
-            coalescer or the direct service call) into
+            coalescer) into
             ``repro_request_stage_seconds`` and the access line.
             """
             self._status_code = 0
@@ -1570,16 +1581,9 @@ def _make_handler(
                 if path == "/v1/estimate":
                     data = self._read_json()
                     query = range_from_dict(data["query"])
-                    if coalescer is not None:
-                        value = coalescer.submit(
-                            query, deadline=self._deadline, stages=self._stages
-                        )
-                    else:
-                        kernel_start = time.perf_counter()
-                        value = service.estimate(query)
-                        self._stages["kernel"] = (
-                            time.perf_counter() - kernel_start
-                        )
+                    value = coalescer.submit(
+                        query, deadline=self._deadline, stages=self._stages
+                    )
                     self._reply(200, {"selectivity": value})
                 elif path == "/v1/predict":
                     data = self._read_json()
@@ -1589,16 +1593,9 @@ def _make_handler(
                             f"'queries' must be a list, got {type(encoded).__name__}"
                         )
                     queries = [range_from_dict(item) for item in encoded]
-                    if coalescer is not None:
-                        estimates = coalescer.submit_many(
-                            queries, deadline=self._deadline, stages=self._stages
-                        )
-                    else:
-                        kernel_start = time.perf_counter()
-                        estimates = service.estimate_many(queries)
-                        self._stages["kernel"] = (
-                            time.perf_counter() - kernel_start
-                        )
+                    estimates = coalescer.submit_many(
+                        queries, deadline=self._deadline, stages=self._stages
+                    )
                     self._reply(
                         200, {"selectivities": estimates, "count": len(estimates)}
                     )
@@ -1652,13 +1649,19 @@ def make_server(
     accepts from the same shared listen queue, so a killed worker never
     strands connections that the kernel has not yet handed to it.  The
     remaining keyword extras are forwarded to the request handler (see
-    :func:`_make_handler`).
+    :func:`_make_handler`); without a ``coalescer`` one is built over
+    ``service.estimate_many``.
 
     The returned server is a stock ``ThreadingHTTPServer``; its
     ``server_close()`` joins in-flight request threads (stdlib
     ``block_on_close``), which is exactly the "stop accepting, flush
     in-flight" half of a graceful drain.
     """
+    if coalescer is None:
+        # Deferred: the repro.serving package imports this module.
+        from repro.serving.coalescer import PredictCoalescer
+
+        coalescer = PredictCoalescer(service.estimate_many, registry=service.registry)
     handler = _make_handler(
         service,
         access_log,

@@ -17,8 +17,9 @@ this package scales and hardens it into a supervised pre-fork pool:
   generation reloads, SIGTERM graceful drain;
 * :mod:`~repro.serving.admission` — bounded concurrency with a finite
   waiting room, deadline-aware queueing, 429 + ``Retry-After`` shedding;
-* :mod:`~repro.serving.coalescer` — micro-batching of concurrent
-  single-query requests into one ``predict_many`` per flush window;
+* :mod:`~repro.serving.coalescer` — natural batching: concurrent
+  single-query requests that queue behind an in-flight ``predict_many``
+  fold into the next one;
 * :mod:`~repro.serving.warmup` — pre-train a snapshot so pools boot
   warm; :mod:`~repro.serving.chaos` — SIGKILL-under-load scenario.
 

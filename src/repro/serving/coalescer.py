@@ -3,17 +3,20 @@
 ``predict_many`` is ~11× cheaper per query than scalar ``predict``
 (``BENCH_throughput.json``), but HTTP traffic from a query optimizer
 arrives as many concurrent *single* queries.  The coalescer recovers the
-batch win at the serving layer: concurrent ``/v1/estimate`` and
-``/v1/predict`` requests that land within one flush window are folded
-into a single ``estimate_many`` call (one cache pass, one vectorised
-kernel), and each caller gets back exactly its own slice.
+batch win at the serving layer by natural batching (group commit):
+``/v1/estimate`` and ``/v1/predict`` requests that arrive while an
+``estimate_many`` call is in flight are folded into the next one (one
+cache pass, one vectorised kernel), and each caller gets back exactly
+its own slice.  There is no timer, so an idle server never waits, and
+the fold size follows the load.
 
 Leader/follower scheme, no dedicated flusher thread:
 
-* the first request to arrive while no batch is forming becomes the
-  *leader*: it opens a batch, sleeps out the flush window (cut short
-  when the batch hits ``max_batch`` or the leader's own deadline is
-  tighter), detaches the batch, and runs the one ``estimate_many``;
+* the first request to arrive while no batch is pending becomes the
+  *leader*: it opens a batch, which is ready at once when no call is in
+  flight, else the moment the in-flight call returns or the batch
+  reaches ``max_batch``.  The leader runs the one ``estimate_many`` when
+  the batch is ready, or at its own deadline if that comes first;
 * later arrivals are *followers*: they append their queries and block on
   the batch's completion event, capped by their own deadline — a
   follower that times out raises
@@ -38,14 +41,14 @@ __all__ = ["PredictCoalescer"]
 
 
 class _Batch:
-    """One forming/flushing batch; immutable once detached."""
+    """One pending/running batch; immutable once detached."""
 
-    __slots__ = ("queries", "done", "full", "results", "error", "kernel_seconds")
+    __slots__ = ("queries", "done", "ready", "results", "error", "kernel_seconds")
 
     def __init__(self):
         self.queries: list = []
         self.done = threading.Event()
-        self.full = threading.Event()
+        self.ready = threading.Event()
         self.results: list | None = None
         self.error: BaseException | None = None
         self.kernel_seconds: float = 0.0
@@ -61,32 +64,29 @@ class PredictCoalescer:
         :meth:`repro.server.EstimatorService.estimate_many` (thread-safe,
         cache-fronted).  Any exception it raises is propagated to every
         caller in the batch.
-    flush_ms:
-        Window the leader holds a batch open for followers.  The knee of
-        the latency/throughput trade-off: see ``docs/serving.md``.
     max_batch:
-        Flush immediately once this many queries are pending.
+        A pending batch this large runs at once, without waiting for the
+        in-flight call to return.
     """
 
     def __init__(
         self,
         estimate_many,
-        flush_ms: float = 2.0,
         max_batch: int = 512,
         worker: str = "0",
         registry: MetricsRegistry | None = None,
         clock=time.monotonic,
     ):
-        if flush_ms < 0:
-            raise ValueError(f"flush_ms must be >= 0, got {flush_ms}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._estimate_many = estimate_many
-        self.flush_s = float(flush_ms) / 1000.0
         self.max_batch = int(max_batch)
         self.worker = str(worker)
         self._clock = clock
         self._lock = threading.Lock()
+        # Batches running or readied to run.  A pending batch only forms
+        # while this is positive, so a finishing call always readies it.
+        self._in_flight = 0
         self._pending: _Batch | None = None
         registry = registry if registry is not None else default_registry()
         self._batches_total = registry.counter(
@@ -112,7 +112,7 @@ class PredictCoalescer:
         deadline: Deadline | None = None,
         stages: dict | None = None,
     ) -> float:
-        """Answer one query through the current flush window."""
+        """Answer one query, folded into whatever batch it joins."""
         return self.submit_many([query], deadline=deadline, stages=stages)[0]
 
     def submit_many(
@@ -121,19 +121,20 @@ class PredictCoalescer:
         deadline: Deadline | None = None,
         stages: dict | None = None,
     ) -> list[float]:
-        """Answer a list of queries; blocks until the owning batch flushes.
+        """Answer a list of queries; blocks until the owning batch has run.
 
         Returns results in input order.  Raises
-        :class:`DeadlineExceededError` if ``deadline`` expires before the
-        flush completes, or whatever ``estimate_many`` raised for the
-        whole batch (e.g. ``ModelUnavailableError`` before first fit).
+        :class:`DeadlineExceededError` if ``deadline`` expires before a
+        follower's batch completes, or whatever ``estimate_many`` raised
+        for the whole batch (e.g. ``ModelUnavailableError`` before first
+        fit).
 
         ``stages``, when given, receives this caller's latency breakdown:
         ``stages["kernel"]`` is the batch's one ``estimate_many`` call and
         ``stages["coalesce"]`` is the time this caller spent waiting on
-        the flush window and its siblings (elapsed minus kernel) — the
-        attribution the per-request tracing exposes as
-        ``repro_request_stage_seconds``.
+        the in-flight call and its siblings (elapsed minus kernel; zero
+        when the server is idle) — the attribution the per-request
+        tracing exposes as ``repro_request_stage_seconds``.
         """
         queries = list(queries)
         if not queries:
@@ -147,8 +148,8 @@ class PredictCoalescer:
                 batch = self._pending = _Batch()
             start = len(batch.queries)
             batch.queries.extend(queries)
-            if len(batch.queries) >= self.max_batch:
-                batch.full.set()
+            if self._in_flight == 0 or len(batch.queries) >= self.max_batch:
+                self._detach(batch)
         try:
             if leader:
                 self._lead(batch, deadline)
@@ -165,15 +166,20 @@ class PredictCoalescer:
 
     # -- leader/follower ---------------------------------------------------
 
+    def _detach(self, batch: _Batch) -> None:
+        """Ready the pending ``batch`` to run; caller holds ``_lock``."""
+        self._pending = None
+        self._in_flight += 1
+        batch.ready.set()
+
     def _lead(self, batch: _Batch, deadline: Deadline) -> None:
-        # Hold the window open for followers — but never longer than the
-        # leader's own remaining budget, and not at all if already full.
-        wait = deadline.wait_budget(self.flush_s)
-        if wait > 0 and not batch.full.is_set():
-            batch.full.wait(wait)
+        # Wait for the in-flight call to return — but never past the
+        # leader's own deadline: then run beside the slow call.
+        remaining = deadline.remaining()
+        batch.ready.wait(None if remaining is None else max(0.0, remaining))
         with self._lock:
             if self._pending is batch:
-                self._pending = None
+                self._detach(batch)
         kernel_start = self._clock()
         try:
             batch.results = [float(v) for v in self._estimate_many(batch.queries)]
@@ -181,6 +187,10 @@ class PredictCoalescer:
             batch.error = exc
         finally:
             batch.kernel_seconds = self._clock() - kernel_start
+            with self._lock:
+                self._in_flight -= 1
+                if self._pending is not None:
+                    self._detach(self._pending)  # queued behind this call
             size = len(batch.queries)
             self._batches_total.inc(worker=self.worker)
             self._queries_total.inc(size, worker=self.worker)

@@ -4,10 +4,11 @@ One frozen dataclass shared by the supervisor, the workers, and the CLI,
 so a pool's whole operating envelope is a single picklable value.  The
 defaults favour a small sidecar next to a query optimizer: shallow
 queues (shed early, the planner can fall back to its native estimator),
-tight flush windows (coalescing must not add visible latency), and
-restart supervision that tolerates crashes but refuses to fork-bomb a
-box with a poisoned snapshot (the restart-storm breaker reuses
-:class:`repro.robustness.CircuitBreaker` semantics).
+coalescing that never holds an idle request back (batches form only
+behind an in-flight kernel call), and restart supervision that tolerates
+crashes but refuses to fork-bomb a box with a poisoned snapshot (the
+restart-storm breaker reuses :class:`repro.robustness.CircuitBreaker`
+semantics).
 
 See ``docs/serving.md`` for the tuning table.
 """
@@ -35,10 +36,8 @@ class ServingConfig:
     deadline_ms: float | None = 1000.0
     #: Advisory ``Retry-After`` (seconds) sent with shed responses.
     shed_retry_after_s: float = 1.0
-    #: Micro-batching flush window for concurrent estimate/predict
-    #: traffic, in milliseconds.  0 disables coalescing.
-    flush_ms: float = 2.0
-    #: Hard cap on one coalesced ``predict_many`` batch.
+    #: Size at which a coalesced batch runs without waiting for the
+    #: in-flight ``predict_many`` call to return.
     max_batch: int = 512
     #: Seconds between worker heartbeats to the supervisor.
     heartbeat_interval_s: float = 0.25
@@ -83,7 +82,6 @@ class ServingConfig:
         non_negative = {
             "queue_depth": self.queue_depth,
             "shed_retry_after_s": self.shed_retry_after_s,
-            "flush_ms": self.flush_ms,
             "restart_backoff_s": self.restart_backoff_s,
             "restart_backoff_max_s": self.restart_backoff_max_s,
             "restart_storm_cooldown_s": self.restart_storm_cooldown_s,
@@ -113,10 +111,6 @@ class ServingConfig:
                 "heartbeat_timeout_s must exceed heartbeat_interval_s "
                 f"({self.heartbeat_timeout_s} <= {self.heartbeat_interval_s})"
             )
-
-    @property
-    def coalesce(self) -> bool:
-        return self.flush_ms > 0
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

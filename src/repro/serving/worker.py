@@ -172,16 +172,11 @@ def worker_main(
         worker=label,
         registry=registry,
     )
-    coalescer = (
-        PredictCoalescer(
-            service.estimate_many,
-            flush_ms=config.flush_ms,
-            max_batch=config.max_batch,
-            worker=label,
-            registry=registry,
-        )
-        if config.coalesce
-        else None
+    coalescer = PredictCoalescer(
+        service.estimate_many,
+        max_batch=config.max_batch,
+        worker=label,
+        registry=registry,
     )
     draining = threading.Event()
     server = make_server(

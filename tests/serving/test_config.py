@@ -1,4 +1,4 @@
-"""ServingConfig: validation, coalesce switch, round-tripping."""
+"""ServingConfig: validation, round-tripping."""
 
 from __future__ import annotations
 
@@ -10,12 +10,8 @@ from repro.serving import ServingConfig
 def test_defaults_are_valid_and_coalescing():
     config = ServingConfig()
     assert config.workers == 2
-    assert config.coalesce is True
+    assert config.max_batch == 512  # coalescing is always on; this caps a fold
     assert config.to_dict()["queue_depth"] == 32
-
-
-def test_flush_ms_zero_disables_coalescing():
-    assert ServingConfig(flush_ms=0.0).coalesce is False
 
 
 def test_rejects_bad_values():

@@ -51,17 +51,6 @@ def test_after_ms_conversion():
     assert Deadline.after_ms(None).unlimited
 
 
-def test_wait_budget_clips_to_remaining():
-    clock = FakeClock()
-    deadline = Deadline(1.0, clock=clock)
-    assert deadline.wait_budget(0.2) == pytest.approx(0.2)
-    clock.now = 0.9
-    assert deadline.wait_budget(0.2) == pytest.approx(0.1)
-    clock.now = 2.0
-    assert deadline.wait_budget(0.2) == 0.0
-    assert Deadline(None).wait_budget(0.2) == pytest.approx(0.2)
-
-
 def test_invalid_budgets_rejected():
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(DataValidationError):

@@ -553,10 +553,10 @@ class TestRequestTracing:
         assert len(access) == 1
         assert access[0]["request_id"] == "staged-1"
         stages = access[0]["stages"]
-        # No admission controller here, so no queue stage; the kernel
-        # and total decomposition must still be present and ordered.
-        assert set(stages) == {"kernel", "total"}
-        assert 0.0 <= stages["kernel"] <= stages["total"]
+        # No admission controller here, so no queue stage; the coalesce,
+        # kernel and total decomposition must still be present and ordered.
+        assert set(stages) == {"coalesce", "kernel", "total"}
+        assert 0.0 <= stages["coalesce"] + stages["kernel"] <= stages["total"]
 
     def test_stage_histogram_skips_probes_and_stays_unlabelled(
         self, labeled_feedback
@@ -620,6 +620,54 @@ class TestIncrementalUpdate:
         status = service.status()
         assert status["feedback_pending"] == 0
         assert status["last_update"]["incremental"] is True
+
+    def test_racing_updates_absorb_each_row_once(self, labeled_feedback, monkeypatch):
+        """Regression: an update triggered while another is refining must
+        absorb only what arrived since, not re-absorb the first batch
+        into the pre-update model."""
+        import threading
+        import time
+
+        service, feedback = self._trained(labeled_feedback)
+        base_rows = service.status()["trained_on"]
+        entered, release = threading.Event(), threading.Event()
+        original = QuadHist.partial_fit
+
+        def _gated_partial_fit(model, *args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(10.0)
+            return original(model, *args, **kwargs)
+
+        monkeypatch.setattr(QuadHist, "partial_fit", _gated_partial_fit)
+        results, errors = [], []
+
+        def _update():
+            try:
+                results.append(service.update())
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        for query, label in feedback[60:80]:
+            service.feedback(query, label)
+        first = threading.Thread(target=_update)
+        first.start()
+        assert entered.wait(10.0)
+        for query, label in feedback[80:90]:  # arrives mid-update
+            service.feedback(query, label)
+        second = threading.Thread(target=_update)
+        second.start()
+        time.sleep(0.2)  # let the second update queue behind the first
+        release.set()
+        first.join(30.0)
+        second.join(30.0)
+
+        assert not errors
+        assert all(result["incremental"] for result in results)
+        assert sum(result["rows_appended"] for result in results) == 30
+        status = service.status()
+        assert status["trained_on"] == base_rows + 30
+        assert status["feedback_pending"] == 0
 
     def test_update_without_pending_raises(self, labeled_feedback):
         service, _ = self._trained(labeled_feedback)
