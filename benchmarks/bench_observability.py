@@ -10,11 +10,12 @@ micro-benchmarks of the individual primitives (counter inc, histogram
 observe, span open/close).
 
 Two prediction paths are priced: the dense kernels the configuration
-naturally selects, and the sparse spatial-index path (forced by raising
-the crossover to 1.0 and dropping the bucket floor) — the sparse kernels
-carry their own instrumentation (candidate counters, pruning gauges)
-whose cost the dense numbers would hide.  The ``repro_sparse_calls_total``
-dispatch counter is checked to prove the sparse path actually ran.
+naturally selects, and the sparse spatial-index path, on a workload of
+0.01-wide boxes around data rows that the sparse/dense cost rule sends
+to the sparse kernels — they carry their own instrumentation (candidate
+counters, pruning gauges) whose cost the dense numbers would hide.  The
+``repro_sparse_calls_total`` dispatch counter is checked to prove the
+sparse path actually ran.
 
 The fleet-aggregation layer is priced too: worker-side registry
 snapshots (piggybacked on every heartbeat), supervisor-side merge
@@ -46,7 +47,7 @@ from repro.core.quadhist import QuadHist
 from repro.data.selectivity import label_queries
 from repro.data.synthetic import power_like
 from repro.data.workloads import WorkloadSpec, generate_workload
-from repro.geometry.sparse import set_crossover_threshold, set_min_sparse_buckets
+from repro.geometry.ranges import Box
 from repro.observability import (
     Counter,
     FleetAggregator,
@@ -66,6 +67,7 @@ FULL = {
     "rows": 25_000,
     "train_queries": 400,
     "eval_queries": 5_000,
+    "sparse_queries": 5_000,
     "tau": 0.0004,
     "max_leaves": 1024,
     "repeats": 7,
@@ -77,6 +79,7 @@ SMOKE = {
     "rows": 4_000,
     "train_queries": 100,
     "eval_queries": 500,
+    "sparse_queries": 2_000,
     "tau": 0.004,
     "max_leaves": 256,
     "repeats": 5,
@@ -85,13 +88,23 @@ SMOKE = {
 }
 
 
-def _best_of(repeats: int, fn) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _best_of_each(repeats: int, fn) -> tuple[float, float]:
+    """Best times of ``fn`` with recording disabled and enabled.
+
+    The two settings alternate, so drift in the host's speed hits both.
+    """
+    best = {False: float("inf"), True: float("inf")}
+    previous = set_enabled(False)
+    try:
+        for _ in range(repeats):
+            for enabled in (False, True):
+                set_enabled(enabled)
+                start = time.perf_counter()
+                fn()
+                best[enabled] = min(best[enabled], time.perf_counter() - start)
+    finally:
+        set_enabled(previous)
+    return best[False], best[True]
 
 
 def _per_op_ns(count: int, fn) -> float:
@@ -201,19 +214,16 @@ def run(config: dict) -> dict:
     est.predict_many(queries)  # warm-up: touches every code path once
 
     repeats = config["repeats"]
-    previous = set_enabled(False)
-    try:
-        t_disabled = _best_of(repeats, lambda: est.predict_many(queries))
-        set_enabled(True)
-        t_enabled = _best_of(repeats, lambda: est.predict_many(queries))
-    finally:
-        set_enabled(previous)
+    t_disabled, t_enabled = _best_of_each(repeats, lambda: est.predict_many(queries))
 
-    # Same measurement on the sparse spatial-index path.  The natural
-    # configuration picks its own path per family group (high-density
-    # box workloads run dense), so the crossover is forced to 1.0 and
-    # the bucket floor dropped for this section only; the dispatch
-    # counter proves sparse kernels actually executed.
+    # Same measurement on the sparse spatial-index path: the paper boxes
+    # above are wide enough that the cost rule runs them dense, so this
+    # section uses 0.01-wide boxes around data rows, which it sends
+    # sparse; the dispatch counter proves sparse kernels actually ran.
+    small = [
+        Box(c - 0.005, c + 0.005)
+        for c in data.sample_rows(config["sparse_queries"], rng)
+    ]
     calls = default_registry().get("repro_sparse_calls_total")
 
     def _sparse_dispatches() -> float:
@@ -223,26 +233,15 @@ def run(config: dict) -> dict:
             value for key, value in calls.series() if key[-1] == "sparse"
         )
 
-    prev_crossover = set_crossover_threshold(1.0)
-    prev_floor = set_min_sparse_buckets(0)
-    try:
-        dispatches_before = _sparse_dispatches()
-        est.predict_many(queries)  # warm-up: builds the spatial index
-        sparse_exercised = _sparse_dispatches() > dispatches_before
-        previous = set_enabled(False)
-        try:
-            ts_disabled = _best_of(repeats, lambda: est.predict_many(queries))
-            set_enabled(True)
-            ts_enabled = _best_of(repeats, lambda: est.predict_many(queries))
-        finally:
-            set_enabled(previous)
-    finally:
-        set_crossover_threshold(prev_crossover)
-        set_min_sparse_buckets(prev_floor)
+    dispatches_before = _sparse_dispatches()
+    est.predict_many(small)  # warm-up
+    sparse_exercised = _sparse_dispatches() > dispatches_before
+    ts_disabled, ts_enabled = _best_of_each(repeats, lambda: est.predict_many(small))
 
     overhead = (t_enabled - t_disabled) / t_disabled
     sparse_overhead = (ts_enabled - ts_disabled) / ts_disabled
     n = len(queries)
+    n_small = len(small)
     return {
         "config": config,
         "buckets": est.model_size,
@@ -255,12 +254,12 @@ def run(config: dict) -> dict:
             "overhead_fraction": round(overhead, 5),
         },
         "predict_many_sparse": {
-            "queries": n,
+            "queries": n_small,
             "sparse_path_exercised": sparse_exercised,
             "enabled_seconds": round(ts_enabled, 5),
             "disabled_seconds": round(ts_disabled, 5),
-            "enabled_queries_per_second": round(n / ts_enabled, 1),
-            "disabled_queries_per_second": round(n / ts_disabled, 1),
+            "enabled_queries_per_second": round(n_small / ts_enabled, 1),
+            "disabled_queries_per_second": round(n_small / ts_disabled, 1),
             "overhead_fraction": round(sparse_overhead, 5),
         },
         "micro_ns_per_op": _micro(config),

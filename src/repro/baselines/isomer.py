@@ -31,11 +31,10 @@ from repro.core.config import IsomerConfig
 from repro.core.estimator import SelectivityEstimator
 from repro.core.workload import TrainingSet
 from repro.distributions.histogram import HistogramDistribution
-from repro.geometry.batch import coverage_dot
+from repro.geometry.batch import batch_intersection_volumes, coverage_dot
 from repro.geometry.index import BucketIndex, build_bucket_index
 from repro.geometry.sparse import sparse_coverage_dot, sparse_coverage_matrix
 from repro.geometry.ranges import Box, Range, unit_box
-from repro.geometry.volume import batch_intersection_volumes
 from repro.solvers.maxent import fit_maxent_weights
 
 __all__ = ["Isomer"]

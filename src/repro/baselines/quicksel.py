@@ -34,14 +34,17 @@ import numpy as np
 from repro.core.config import QuickSelConfig
 from repro.core.estimator import SelectivityEstimator
 from repro.core.workload import TrainingSet
-from repro.geometry.batch import coverage_dot, intersection_volume_matrix
+from repro.geometry.batch import (
+    batch_intersection_volumes,
+    coverage_dot,
+    intersection_volume_matrix,
+)
 from repro.geometry.index import BucketIndex, build_bucket_index
 from repro.geometry.sparse import (
     sparse_coverage_dot,
     sparse_intersection_volume_matrix,
 )
 from repro.geometry.ranges import Box, Range, unit_box
-from repro.geometry.volume import batch_intersection_volumes
 
 __all__ = ["QuickSel"]
 

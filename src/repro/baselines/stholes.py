@@ -426,7 +426,7 @@ class STHoles(SelectivityEstimator):
 
     def _region_fraction_row(self, query: Range) -> np.ndarray:
         """Per-region coverage fractions ``Vol(region_j ∩ R)/Vol(region_j)``."""
-        from repro.geometry.volume import batch_intersection_volumes
+        from repro.geometry.batch import batch_intersection_volumes
 
         box_overlaps = batch_intersection_volumes(self._box_lows, self._box_highs, query)
         region_overlaps = box_overlaps.copy()

@@ -83,7 +83,6 @@ Examples
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -291,15 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10.0,
         help="graceful-drain budget on SIGTERM before workers are "
         "killed (default: 10)",
-    )
-    srv.add_argument(
-        "--sparse-crossover",
-        type=float,
-        default=None,
-        metavar="DENSITY",
-        help="candidate-density threshold above which sparse coverage "
-        "kernels fall back to dense evaluation (0..1; default: "
-        "REPRO_SPARSE_CROSSOVER or 0.02)",
     )
     srv.add_argument(
         "--ops-port",
@@ -515,13 +505,6 @@ def _cmd_serve(args) -> int:
     configure_logging(json_mode=args.log_json)
     if args.log_json:
         set_trace_logging(True)
-    if args.sparse_crossover is not None:
-        from repro.geometry.sparse import set_crossover_threshold
-
-        set_crossover_threshold(args.sparse_crossover)
-        # Spawned workers re-import repro.geometry.sparse, which seeds the
-        # threshold from the environment — propagate the override to them.
-        os.environ["REPRO_SPARSE_CROSSOVER"] = repr(args.sparse_crossover)
     factories = estimator_factories()
     if args.method not in factories:
         print(

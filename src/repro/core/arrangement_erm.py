@@ -27,7 +27,7 @@ from repro.core.workload import TrainingSet
 from repro.distributions.discrete import DiscreteDistribution
 from repro.distributions.histogram import HistogramDistribution
 from repro.geometry.arrangement import box_arrangement_cells, sign_vector_cells
-from repro.geometry.batch import coverage_dot
+from repro.geometry.batch import batch_intersection_volumes, coverage_dot
 from repro.geometry.index import BucketIndex, build_bucket_index
 from repro.geometry.sparse import (
     sparse_containment_matrix,
@@ -35,7 +35,6 @@ from repro.geometry.sparse import (
     sparse_coverage_matrix,
 )
 from repro.geometry.ranges import Box, Range, unit_box
-from repro.geometry.volume import batch_intersection_volumes
 from repro.core._solve import solve_weights
 from repro.observability.tracing import span
 from repro.solvers.simplex_ls import SolveReport

@@ -30,16 +30,12 @@ from repro.core.estimator import SelectivityEstimator
 from repro.core.incremental import IncrementalTreeHistogram
 from repro.core.workload import TrainingSet
 from repro.distributions.histogram import HistogramDistribution
-from repro.geometry.batch import coverage_dot
+from repro.geometry.batch import batch_intersection_volumes, coverage_dot
 from repro.geometry.index import BucketIndex, build_bucket_index
 from repro.geometry.sparse import sparse_coverage_dot
 from repro.observability.tracing import span
 from repro.geometry.ranges import Box, Range, unit_box
-from repro.geometry.volume import (
-    batch_intersection_volumes,
-    intersection_volume,
-    range_volume,
-)
+from repro.geometry.volume import intersection_volume, range_volume
 from repro.solvers.simplex_ls import SolveReport
 
 __all__ = ["KdHist"]

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.geometry.batch import (
     CHUNK_ELEMENTS,
+    batch_intersection_volumes,
     containment_matrix,
     coverage_matrix,
 )
@@ -21,7 +22,6 @@ from repro.geometry.index import BucketIndex, build_bucket_index
 from repro.geometry.ranges import Box, Range
 from repro.geometry.sampling import sample_in_box
 from repro.geometry.sparse import sparse_coverage_dot
-from repro.geometry.volume import batch_intersection_volumes
 
 __all__ = ["HistogramDistribution"]
 

@@ -38,9 +38,6 @@ from repro.geometry.arrangement import (
     sign_vector_cells,
 )
 from repro.geometry.batch import (
-    box_ball_volume_matrix,
-    box_box_volume_matrix,
-    box_halfspace_volume_matrix,
     boxes_to_arrays,
     containment_matrix,
     coverage_matrix,
@@ -53,8 +50,6 @@ from repro.geometry.index import (
     build_bucket_index,
 )
 from repro.geometry.sparse import (
-    coverage_matrix_csr,
-    intersection_volume_matrix_csr,
     sparse_containment_dot,
     sparse_containment_matrix,
     sparse_coverage_dot,
@@ -84,9 +79,6 @@ __all__ = [
     "box_arrangement_cells",
     "sign_vector_cells",
     "boxes_to_arrays",
-    "box_box_volume_matrix",
-    "box_halfspace_volume_matrix",
-    "box_ball_volume_matrix",
     "intersection_volume_matrix",
     "coverage_matrix",
     "containment_matrix",
@@ -97,8 +89,6 @@ __all__ = [
     "sparse_coverage_dot",
     "sparse_coverage_matrix",
     "sparse_intersection_volume_matrix",
-    "coverage_matrix_csr",
-    "intersection_volume_matrix_csr",
     "sparse_containment_dot",
     "sparse_containment_matrix",
 ]

@@ -1,60 +1,66 @@
-"""Batch geometry kernels: full ``(n_queries × n_buckets)`` volume matrices.
+"""Intersection-volume and membership kernels: one per range family.
 
 Every hot path in the reproduction — the Eq. (8) design matrix, histogram
-prediction, and ground-truth labeling — reduces to ``Vol(B_j ∩ R_i)`` over
-*all* (bucket, query) pairs.  :mod:`repro.geometry.volume` vectorises one
-query against many boxes; this module vectorises over *both* axes so an
-entire workload is evaluated in a handful of NumPy broadcasts:
+prediction (Eq. 6) and ground-truth labeling (Eq. 7) — reduces to
+``Vol(B_j ∩ R_i)`` or ``1(p_k ∈ R_i)`` over (query, bucket) pairs.  Each
+range family's arithmetic is written **once** here, as a function over
+broadcastable operands, and every path calls it:
 
-* :func:`box_box_volume_matrix` — exact interval-overlap products, any d;
-* :func:`box_halfspace_volume_matrix` — the ``2^d`` inclusion–exclusion
-  identity evaluated for every (box, halfspace) pair at once;
-* :func:`box_ball_volume_matrix` — exact circular-segment areas for
-  d ≤ 2, chunked quasi-Monte-Carlo above (same fixed Sobol point set as
-  the scalar path, so results stay deterministic and identical);
-* :func:`intersection_volume_matrix` — mixed-workload dispatcher that
-  groups queries by range type and stitches the kernel outputs back into
-  workload order;
-* :func:`coverage_matrix` — the design matrix ``Vol(B_j ∩ R_i)/Vol(B_j)``
-  clipped to [0, 1];
-* :func:`containment_matrix` — batch membership ``1(p_k ∈ R_i)`` for the
-  point-support models and the labeling oracle.
+* the dense path passes a ``(c, 1)`` query block against ``(m,)`` bucket
+  rows (:func:`intersection_volume_matrix`, :func:`coverage_dot`,
+  :func:`containment_matrix`);
+* the sparse path (:mod:`repro.geometry.sparse`) passes gathered ``(P,)``
+  candidate pairs;
+* :func:`batch_intersection_volumes` passes a single query row.
 
-Each kernel mirrors the scalar kernel's arithmetic operation-for-operation,
-so a matrix row agrees with :func:`repro.geometry.volume
-.batch_intersection_volumes` to floating-point noise — the registry-wide
-equivalence property test (``tests/core/test_batch_predict.py``) pins this
-down to 1e-12.
+Operands are dimension-major: ``lows[k]`` holds coordinate ``k`` of every
+operand element.  The kernels use only elementwise operations in a fixed
+order — no BLAS product or axis reduction whose summation order could
+depend on the operand layout — so a pair gets bitwise the same value on
+every path.  The single-pair functions of :mod:`repro.geometry.volume`
+stay separate: tests use them as an independent oracle.
 
-Peak memory is bounded: kernels materialising an ``(n, m, ·)`` temporary
-process queries in chunks of at most :data:`CHUNK_ELEMENTS` float64
-elements (~32 MB per temporary by default).
+Families:
+
+* **box** — exact interval-overlap products, any d;
+* **halfspace** — the ``2^d`` inclusion–exclusion identity (closed
+  trapezoid form in 2-D), with (near-)zero normal components projected
+  out; queries are grouped by that active pattern;
+* **ball** — exact circular-segment areas for d ≤ 2, the fixed Sobol
+  point set of the scalar path above.
+
+Peak memory is bounded: the dense path processes queries in chunks whose
+temporaries hold at most :data:`CHUNK_ELEMENTS` float64 elements.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.geometry.ranges import _EPS, Ball, Box, Halfspace, Range
-from repro.observability.metrics import default_registry
 from repro.geometry.volume import (
     QMC_POINTS,
-    _disc_quadrant_area_vec,
     _qmc_unit_points,
     _unit_square_halfspace_fraction,
-    batch_intersection_volumes,
+    intersection_volume,
 )
+from repro.observability.metrics import default_registry
 
 __all__ = [
     "CHUNK_ELEMENTS",
     "boxes_to_arrays",
-    "box_box_volume_matrix",
-    "box_halfspace_volume_matrix",
-    "box_ball_volume_matrix",
+    "box_volume",
+    "halfspace_volume",
+    "ball_volume",
+    "box_contains",
+    "halfspace_contains",
+    "ball_contains",
     "intersection_volume_matrix",
+    "batch_intersection_volumes",
     "coverage_matrix",
     "coverage_dot",
     "containment_matrix",
@@ -85,10 +91,11 @@ _KERNEL_CHUNKS = default_registry().counter(
 
 
 def _query_chunks(
-    n: int, per_query_elements: int, kernel: str = "volume_matrix"
+    n: int, per_query_elements: int, kernel: str, budget: int | None = None
 ) -> Iterator[tuple[int, int]]:
     """Yield ``(start, stop)`` ranges keeping temporaries under budget."""
-    step = max(1, CHUNK_ELEMENTS // max(1, int(per_query_elements)))
+    budget = CHUNK_ELEMENTS if budget is None else budget
+    step = max(1, budget // max(1, int(per_query_elements)))
     if n > 0:
         _KERNEL_CHUNKS.inc(-(-n // step), kernel=kernel)
     for start in range(0, n, step):
@@ -105,261 +112,298 @@ def boxes_to_arrays(boxes: Sequence[Box]) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Pairwise kernels
+# The kernels.  Query operands ``q`` and bucket operands ``b`` broadcast
+# against each other; ``b`` is ``(lows, highs, volumes)`` for the volume
+# kernels and ``(points,)`` for the membership tests.
 # ---------------------------------------------------------------------------
 
 
-def box_box_volume_matrix(
-    q_lows: np.ndarray, q_highs: np.ndarray, b_lows: np.ndarray, b_highs: np.ndarray
-) -> np.ndarray:
-    """Exact ``Vol(B_j ∩ Q_i)`` for all pairs of axis-aligned boxes.
+def box_volume(q, b) -> np.ndarray:
+    """``Vol(B ∩ Q)`` for boxes ``q = (lows, highs)``.
 
-    Queries are rows: the result has shape ``(n_queries, n_boxes)``.
+    Widths are clamped at 0 and multiplied in dimension order, the same
+    operations as :func:`repro.geometry.volume.box_box_intersection_volume`.
     """
-    q_lows = np.asarray(q_lows, dtype=float)
-    q_highs = np.asarray(q_highs, dtype=float)
-    b_lows = np.asarray(b_lows, dtype=float)
-    b_highs = np.asarray(b_highs, dtype=float)
-    n, d = q_lows.shape
-    m = b_lows.shape[0]
-    out = np.empty((n, m))
-    # One (chunk, m) outer broadcast per dimension: 2-D contiguous inner
-    # loops vectorise far better than an (n, m, d) temporary whose tiny
-    # innermost axis defeats SIMD.  Widths multiply in dimension order, so
-    # the product matches the scalar kernel's prod() bit-for-bit.
-    for start, stop in _query_chunks(n, m * d):
-        volumes = out[start:stop]
-        scratch = np.empty((stop - start, m))
-        for k in range(d):
-            lo = np.maximum.outer(q_lows[start:stop, k], b_lows[:, k])
-            hi = np.minimum.outer(q_highs[start:stop, k], b_highs[:, k], out=scratch)
-            np.subtract(hi, lo, out=hi)
-            np.maximum(hi, 0.0, out=hi)
-            if k == 0:
-                volumes[...] = hi
-            else:
-                np.multiply(volumes, hi, out=volumes)
-    return out
+    q_lows, q_highs = q
+    b_lows, b_highs = b[0], b[1]
+    acc = None
+    for k in range(len(q_lows)):
+        width = np.minimum(q_highs[k], b_highs[k])
+        width -= np.maximum(q_lows[k], b_lows[k])
+        np.maximum(width, 0.0, out=width)
+        if acc is None:
+            acc = width
+        else:
+            acc *= width
+    return acc
 
 
-def box_halfspace_volume_matrix(
-    normals: np.ndarray,
-    offsets: np.ndarray,
-    b_lows: np.ndarray,
-    b_highs: np.ndarray,
-    b_volumes: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact ``Vol(B_j ∩ {a_i.x >= b_i})`` for all (box, halfspace) pairs.
+def halfspace_volume(q, b, active: tuple[int, ...]) -> np.ndarray:
+    """``Vol(B ∩ {a·x >= t})`` for halfspaces ``q = (normals, offsets)``.
 
-    The ``2^d`` inclusion–exclusion identity of
-    :func:`repro.geometry.volume.box_halfspace_intersection_volume` is
-    evaluated with one extra broadcast axis over queries:
-    ``O(n · m · 2^d · d)`` work with no Python loop over either axis.
-    ``b_volumes`` lets callers with cached box volumes skip the per-call
-    ``prod`` recomputation.
+    ``active`` lists the dimensions whose normal component is not
+    (near-)zero, shared by every query of the call.  The others are
+    unconstrained and projected out exactly: the inclusion–exclusion
+    identity is ill-conditioned in a tiny coefficient.  The box is mapped
+    onto the unit cube and negative coefficients are flipped, as in
+    :func:`repro.geometry.volume.box_halfspace_intersection_volume`.
     """
-    normals = np.asarray(normals, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
-    b_lows = np.asarray(b_lows, dtype=float)
-    b_highs = np.asarray(b_highs, dtype=float)
-    n = normals.shape[0]
-    m = b_lows.shape[0]
-    widths = b_highs - b_lows
-    if b_volumes is None:
-        box_volumes = np.prod(widths, axis=1)
+    normals, offsets = q
+    b_lows, b_highs, b_volumes = b
+    dot = normals[0] * b_lows[0]
+    for k in range(1, len(normals)):
+        dot = dot + normals[k] * b_lows[k]
+    threshold = offsets - dot
+    if not active:
+        return np.where(threshold <= 0.0, b_volumes, 0.0)
+    coeffs = [normals[k] * (b_highs[k] - b_lows[k]) for k in active]
+    flipped = np.minimum(coeffs[0], 0.0)
+    for c in coeffs[1:]:
+        flipped = flipped + np.minimum(c, 0.0)
+    threshold = threshold - flipped
+    coeffs = [np.abs(c) for c in coeffs]
+    if len(coeffs) == 2:
+        # Cancellation-free closed form, shared with the scalar kernel.
+        below = _unit_square_halfspace_fraction(coeffs[0], coeffs[1], threshold)
     else:
-        box_volumes = np.asarray(b_volumes, dtype=float)
-    thresholds_all = offsets[:, None] - normals @ b_lows.T  # (n, m)
-    # Mirror the per-query kernel: dimensions with a (near-)zero normal
-    # component are projected out exactly (the inclusion–exclusion identity
-    # is ill-conditioned in tiny coefficients).  The active pattern depends
-    # only on the query, so queries are grouped by pattern and each group
-    # runs the broadcast kernel in its reduced dimension.
-    scales = np.maximum(1.0, np.max(np.abs(normals), axis=1))
-    active = np.abs(normals) > 1e-15 * scales[:, None]  # (n, d)
-    out = np.empty((n, m))
-    patterns, inverse = np.unique(active, axis=0, return_inverse=True)
-    for p_idx in range(patterns.shape[0]):
-        q_idx = np.flatnonzero(inverse == p_idx)
-        mask = patterns[p_idx]
-        a_dim = int(mask.sum())
-        if a_dim == 0:
-            out[q_idx] = np.where(
-                thresholds_all[q_idx] <= 0.0, box_volumes[None, :], 0.0
-            )
-            continue
-        out[q_idx] = _halfspace_group_matrix(
-            normals[np.ix_(q_idx, np.flatnonzero(mask))],
-            thresholds_all[q_idx],
-            widths[:, mask],
-            box_volumes,
-        )
-    return out
+        below = _unit_cube_fraction(coeffs, threshold)
+    return np.maximum(b_volumes * (1.0 - below), 0.0)
 
 
-def _halfspace_group_matrix(
-    act_normals: np.ndarray,
-    thresholds: np.ndarray,
-    act_widths: np.ndarray,
-    box_volumes: np.ndarray,
-) -> np.ndarray:
-    """Inclusion–exclusion over one group of same-active-pattern halfspaces.
+def _unit_cube_fraction(coeffs: list, threshold) -> np.ndarray:
+    """Fraction of the unit cube with ``c·y <= t`` by inclusion–exclusion.
 
-    ``act_normals`` is ``(g, a)`` (active dimensions only), ``thresholds``
-    ``(g, m)``, ``act_widths`` ``(m, a)``; returns ``(g, m)`` volumes.
+    ``sum_v (-1)^|v| max(0, t - c·v)^a / (a! prod c)`` over the cube's
+    vertices ``v``; each vertex sum extends a smaller one by its highest
+    coordinate, so it is a left-to-right sum of its coefficients.
     """
-    g, a_dim = act_normals.shape
-    m = act_widths.shape[0]
-    masks = np.arange(1 << a_dim, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(a_dim)) & 1).astype(float)  # (2^a, a)
-    signs = np.where((np.sum(bits, axis=1) % 2) == 0, 1.0, -1.0)
-    factorial = math.factorial(a_dim)
-    out = np.empty((g, m))
-    for start, stop in _query_chunks(g, m * (1 << a_dim)):
-        coeffs = act_normals[start:stop, None, :] * act_widths[None, :, :]  # (c, m, a)
-        th = thresholds[start:stop]
-        negative = coeffs < 0
-        th = th - np.sum(np.where(negative, coeffs, 0.0), axis=2)
-        coeffs = np.abs(coeffs)
-        if a_dim == 2:
-            # Cancellation-free closed form, bitwise-identical to the
-            # scalar kernel's 2-D branch.
-            fraction_below = _unit_square_halfspace_fraction(
-                coeffs[..., 0], coeffs[..., 1], th
-            )
-            out[start:stop] = np.maximum(
-                box_volumes[None, :] * (1.0 - fraction_below), 0.0
-            )
-            continue
-        # Residual zeros only come from zero-width boxes (volume factor 0).
-        eps = 1e-12 * np.maximum(1.0, np.max(coeffs, axis=2, keepdims=True))
-        coeffs = np.maximum(coeffs, eps)
-        dots = coeffs @ bits.T  # (c, m, 2^a)
-        terms = np.maximum(0.0, th[..., None] - dots) ** a_dim
-        raw = terms @ signs  # (c, m)
-        denom = factorial * np.prod(coeffs, axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fraction_below = np.where(denom > 0, raw / denom, 0.0)
-        fraction_below = np.clip(fraction_below, 0.0, 1.0)
-        totals = np.sum(coeffs, axis=2)
-        fraction_below = np.where(th <= 0.0, 0.0, fraction_below)
-        fraction_below = np.where(th >= totals, 1.0, fraction_below)
-        out[start:stop] = np.maximum(box_volumes[None, :] * (1.0 - fraction_below), 0.0)
-    return out
+    a_dim = len(coeffs)
+    largest = coeffs[0]
+    for c in coeffs[1:]:
+        largest = np.maximum(largest, c)
+    # Residual zeros only come from zero-width boxes (volume factor 0).
+    eps = 1e-12 * np.maximum(1.0, largest)
+    coeffs = [np.maximum(c, eps) for c in coeffs]
+    sums = [0.0]
+    raw = np.maximum(0.0, threshold) ** a_dim
+    for vertex in range(1, 1 << a_dim):
+        top = vertex.bit_length() - 1
+        sums.append(sums[vertex ^ (1 << top)] + coeffs[top])
+        term = np.maximum(0.0, threshold - sums[vertex]) ** a_dim
+        raw = raw - term if bin(vertex).count("1") % 2 else raw + term
+    product = coeffs[0]
+    total = coeffs[0]
+    for c in coeffs[1:]:
+        product = product * c
+        total = total + c
+    denom = math.factorial(a_dim) * product
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below = np.where(denom > 0, raw / denom, 0.0)
+    below = np.clip(below, 0.0, 1.0)
+    below = np.where(threshold <= 0.0, 0.0, below)
+    return np.where(threshold >= total, 1.0, below)
 
 
-def box_ball_volume_matrix(
-    centers: np.ndarray,
-    radii: np.ndarray,
-    b_lows: np.ndarray,
-    b_highs: np.ndarray,
-    b_volumes: np.ndarray | None = None,
-) -> np.ndarray:
-    """``Vol(B_j ∩ ball_i)`` for all pairs: exact for d ≤ 2, chunked QMC above.
+def ball_volume(q, b) -> np.ndarray:
+    """``Vol(B ∩ ball)`` for balls ``q = (centers, radii)``.
 
-    ``b_volumes`` (cached box volumes) only matters for the d > 2 QMC path,
-    which needs them for its full-containment shortcut.
+    Exact for d ≤ 2 (interval overlap; quadrant decomposition of the
+    disc); above, the decision tree of
+    :func:`repro.geometry.volume.box_ball_intersection_volume`: empty
+    overlap, full containment, else the fixed Sobol point set scaled into
+    the box clipped to the ball's bounding box.
     """
-    centers = np.asarray(centers, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    b_lows = np.asarray(b_lows, dtype=float)
-    b_highs = np.asarray(b_highs, dtype=float)
-    d = centers.shape[1]
+    centers, radii = q
+    b_lows, b_highs, b_volumes = b
+    d = len(centers)
     if d == 1:
-        lo = np.maximum(b_lows[None, :, 0], (centers[:, 0] - radii)[:, None])
-        hi = np.minimum(b_highs[None, :, 0], (centers[:, 0] + radii)[:, None])
+        lo = np.maximum(b_lows[0], centers[0] - radii)
+        hi = np.minimum(b_highs[0], centers[0] + radii)
         return np.maximum(hi - lo, 0.0)
+    clip_lows = [np.maximum(b_lows[k], centers[k] - radii) for k in range(d)]
+    clip_highs = [np.minimum(b_highs[k], centers[k] + radii) for k in range(d)]
+    # Boxes off the ball's bounding box are exactly 0, as pruned pairs are.
+    empty = clip_lows[0] > clip_highs[0]
+    for k in range(1, d):
+        empty = empty | (clip_lows[k] > clip_highs[k])
     if d == 2:
-        n = centers.shape[0]
-        m = b_lows.shape[0]
-        out = np.empty((n, m))
-        # ~6 (c, m) temporaries per quadrant call; chunk accordingly.
-        for start, stop in _query_chunks(n, 8 * m):
-            cx = centers[start:stop, 0][:, None]
-            cy = centers[start:stop, 1][:, None]
-            r = radii[start:stop][:, None]
-            x0 = b_lows[None, :, 0] - cx
-            y0 = b_lows[None, :, 1] - cy
-            x1 = b_highs[None, :, 0] - cx
-            y1 = b_highs[None, :, 1] - cy
-            area = (
-                _disc_quadrant_area_vec(x1, y1, r)
-                - _disc_quadrant_area_vec(x0, y1, r)
-                - _disc_quadrant_area_vec(x1, y0, r)
-                + _disc_quadrant_area_vec(x0, y0, r)
-            )
-            out[start:stop] = np.maximum(area, 0.0)
-        return out
-    n = centers.shape[0]
-    m = b_lows.shape[0]
-    out = np.empty((n, m))
-    # The QMC path materialises several (c, m, d) temporaries up front.
-    for start, stop in _query_chunks(n, m * d):
-        out[start:stop] = _box_ball_qmc_matrix(
-            centers[start:stop], radii[start:stop], b_lows, b_highs, b_volumes
+        x0 = b_lows[0] - centers[0]
+        y0 = b_lows[1] - centers[1]
+        x1 = b_highs[0] - centers[0]
+        y1 = b_highs[1] - centers[1]
+        area = (
+            _disc_quadrant_area(x1, y1, radii)
+            - _disc_quadrant_area(x0, y1, radii)
+            - _disc_quadrant_area(x1, y0, radii)
+            + _disc_quadrant_area(x0, y0, radii)
+        )
+        return np.where(empty, 0.0, np.maximum(area, 0.0))
+    corner = None
+    for k in range(d):
+        reach = np.maximum(np.abs(b_lows[k] - centers[k]), np.abs(b_highs[k] - centers[k]))
+        corner = reach**2 if corner is None else corner + reach**2
+    contained = corner <= radii**2 + 1e-15
+    out = np.where(~empty & contained, b_volumes, 0.0)
+    pending = np.flatnonzero(~empty & ~contained)
+    if pending.size:
+
+        def flat(values):
+            return np.broadcast_to(values, out.shape).ravel()[pending]
+
+        np.put(
+            out,
+            pending,
+            _qmc_volumes(
+                [flat(v) for v in clip_lows],
+                [flat(v) for v in clip_highs],
+                [flat(centers[k]) for k in range(d)],
+                flat(radii),
+            ),
         )
     return out
 
 
-def _box_ball_qmc_matrix(
-    centers: np.ndarray,
-    radii: np.ndarray,
-    b_lows: np.ndarray,
-    b_highs: np.ndarray,
-    b_volumes: np.ndarray | None = None,
-) -> np.ndarray:
-    """Quasi-MC ball kernel for d > 2, mirroring the scalar decision tree.
-
-    Per pair: empty-overlap rejection, full-containment shortcut, otherwise
-    the fixed Sobol point set scaled into the *clipped* box — identical
-    points and arithmetic to
-    :func:`repro.geometry.volume.box_ball_intersection_volume`, evaluated
-    for all surviving pairs in memory-bounded chunks.
-    """
-    n, d = centers.shape
-    m = b_lows.shape[0]
-    if b_volumes is None:
-        box_volumes = np.prod(b_highs - b_lows, axis=1)
-    else:
-        box_volumes = np.asarray(b_volumes, dtype=float)
-    ball_lows = centers - radii[:, None]
-    ball_highs = centers + radii[:, None]
-    clip_lows = np.maximum(b_lows[None, :, :], ball_lows[:, None, :])  # (n, m, d)
-    clip_highs = np.minimum(b_highs[None, :, :], ball_highs[:, None, :])
-    empty = np.any(clip_lows > clip_highs, axis=2)
-    corners = np.maximum(
-        np.abs(b_lows[None, :, :] - centers[:, None, :]),
-        np.abs(b_highs[None, :, :] - centers[:, None, :]),
-    )
-    contained = np.sum(corners**2, axis=2) <= (radii[:, None] ** 2 + 1e-15)
-    out = np.where(~empty & contained, box_volumes[None, :], 0.0)
-
-    pending_q, pending_b = np.nonzero(~empty & ~contained)
-    if pending_q.size == 0:
-        return out
+def _qmc_volumes(lows: list, highs: list, centers: list, radii) -> np.ndarray:
+    """Quasi-MC ``Vol(box ∩ ball)`` for flat arrays of pending pairs."""
+    d = len(lows)
     unit = _qmc_unit_points(d, QMC_POINTS)  # the scalar path's point set
     points = unit.shape[0]
+    out = np.empty(radii.shape[0])
     step = max(1, CHUNK_ELEMENTS // (points * d))
-    for start in range(0, pending_q.size, step):
-        qi = pending_q[start : start + step]
-        bi = pending_b[start : start + step]
-        lows = clip_lows[qi, bi]  # (c, d)
-        widths = clip_highs[qi, bi] - lows
-        clip_volumes = np.prod(widths, axis=1)
-        scaled = lows[:, None, :] + unit[None, :, :] * widths[:, None, :]  # (c, P, d)
-        sq_dist = np.sum((scaled - centers[qi][:, None, :]) ** 2, axis=2)
-        inside = sq_dist <= (radii[qi, None] ** 2 + _EPS)
-        out[qi, bi] = clip_volumes * np.mean(inside, axis=1)
+    for start in range(0, out.shape[0], step):
+        part = slice(start, start + step)
+        volume = None
+        sq_dist = None
+        for k in range(d):
+            width = highs[k][part] - lows[k][part]
+            volume = width if volume is None else volume * width
+            diff = (lows[k][part, None] + unit[:, k] * width[:, None]) - centers[k][part, None]
+            sq_dist = diff**2 if sq_dist is None else sq_dist + diff**2
+        inside = sq_dist <= radii[part, None] ** 2 + _EPS
+        out[part] = volume * np.mean(inside, axis=1)
     return out
 
 
+def _disc_quadrant_area(x, y, radius) -> np.ndarray:
+    """Area of ``{(X, Y): X^2+Y^2 <= r^2, X <= x, Y <= y}`` elementwise.
+
+    Vectorised form of :func:`repro.geometry.volume._disc_quadrant_area`
+    over broadcastable ``x``, ``y`` and ``radius``.
+    """
+    x, y, r = np.broadcast_arrays(
+        np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(radius, dtype=float)
+    )
+    r_safe = np.where(r > 0.0, r, 1.0)
+    xc = np.minimum(x, r)
+
+    def g_anti(t: np.ndarray) -> np.ndarray:
+        t = np.clip(t, -r, r)
+        return 0.5 * (t * np.sqrt(np.maximum(r * r - t * t, 0.0)) + r * r * np.arcsin(t / r_safe))
+
+    def g_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.where(b > a, g_anti(b) - g_anti(a), 0.0)
+
+    a = -r
+    b = xc
+    # Branch 1: y >= r -> full vertical extent.
+    full = 2.0 * g_int(a, b)
+    # Branch 2: y in (-r, r).
+    y_clip = np.clip(y, -r, r)
+    x_star = np.sqrt(np.maximum(r * r - y_clip * y_clip, 0.0))
+    lo = np.minimum(np.maximum(a, -x_star), b)
+    hi = np.maximum(np.minimum(b, x_star), a)
+    has_band = hi > lo
+    pos_area = g_int(a, b) + np.where(
+        has_band,
+        y_clip * (hi - lo) + g_int(a, lo) + g_int(hi, b),
+        g_int(a, b),
+    )
+    neg_area = np.where(has_band, y_clip * (hi - lo) + g_int(lo, hi), 0.0)
+    partial_area = np.where(y_clip >= 0.0, pos_area, neg_area)
+    area = np.where(y >= r, full, partial_area)
+    dead = (x <= -r) | (y <= -r) | (r <= 0.0)
+    return np.where(dead, 0.0, np.maximum(area, 0.0))
+
+
+def box_contains(q, b) -> np.ndarray:
+    """``1(p ∈ Q)`` for boxes, with ``Box.contains``'s closure epsilon."""
+    q_lows, q_highs = q
+    points = b[0]
+    inside = None
+    for k in range(len(q_lows)):
+        hit = (points[k] >= q_lows[k] - _EPS) & (points[k] <= q_highs[k] + _EPS)
+        inside = hit if inside is None else inside & hit
+    return inside
+
+
+def halfspace_contains(q, b) -> np.ndarray:
+    """``1(a·p >= t)`` for halfspaces, with ``Halfspace.contains``'s epsilon."""
+    normals, offsets = q
+    points = b[0]
+    dot = normals[0] * points[0]
+    for k in range(1, len(normals)):
+        dot = dot + normals[k] * points[k]
+    return dot >= offsets - _EPS
+
+
+def ball_contains(q, b) -> np.ndarray:
+    """``1(|p - c| <= r)`` for balls, with ``Ball.contains``'s epsilon."""
+    centers, radii = q
+    points = b[0]
+    sq_dist = None
+    for k in range(len(centers)):
+        diff = points[k] - centers[k]
+        sq_dist = diff**2 if sq_dist is None else sq_dist + diff**2
+    return sq_dist <= radii**2 + _EPS
+
+
 # ---------------------------------------------------------------------------
-# Mixed-workload dispatch
+# Workload grouping: which kernel runs which query rows
 # ---------------------------------------------------------------------------
 
 
-def _group_by_kind(queries: Sequence[Range]):
-    """Partition query indices by range type (boxes / halfspaces / balls / other)."""
+class KernelGroup(NamedTuple):
+    """Query rows of one workload that share a kernel."""
+
+    kind: str  # range family: "box", "halfspace" or "ball"
+    idx: np.ndarray  # positions of the rows in the workload
+    ops: tuple  # dimension-major query operands
+    volume: Callable  # (ops, bucket operands) -> Vol(B ∩ R)
+    contains: Callable  # (ops, (points,)) -> 1(p ∈ R)
+    width: int  # float64 temporaries per pair, for chunking
+
+
+class GroupedQueries(list):
+    """A query list that carries its :func:`kernel_groups` split.
+
+    The dense entry points accept it in place of a plain list, so a
+    caller that has already grouped a workload does not group it twice.
+    """
+
+    def __init__(self, queries, groups: list[KernelGroup], other: list[int]):
+        super().__init__(queries)
+        self.groups = groups
+        self.other = other
+
+
+def _workload(queries) -> list:
+    return queries if isinstance(queries, GroupedQueries) else list(queries)
+
+
+def _dim_major(rows: list) -> np.ndarray:
+    # One concatenate is ~3x cheaper than np.stack on many small rows.
+    return np.ascontiguousarray(np.concatenate(rows).reshape(len(rows), -1).T)
+
+
+def kernel_groups(queries: Sequence[Range]) -> tuple[list[KernelGroup], list[int]]:
+    """Split a workload into kernel groups plus the rows without a kernel.
+
+    Halfspaces are grouped by their active pattern (see
+    :func:`halfspace_volume`); unions and semi-algebraic ranges have no
+    batch kernel and are returned as plain positions.
+    """
+    if isinstance(queries, GroupedQueries):
+        return queries.groups, queries.other
     boxes: list[int] = []
     halfspaces: list[int] = []
     balls: list[int] = []
@@ -373,7 +417,74 @@ def _group_by_kind(queries: Sequence[Range]):
             balls.append(i)
         else:
             other.append(i)
-    return boxes, halfspaces, balls, other
+    groups = []
+    if boxes:
+        ops = (
+            _dim_major([queries[i].lows for i in boxes]),
+            _dim_major([queries[i].highs for i in boxes]),
+        )
+        width = 2 + ops[0].shape[0]
+        groups.append(KernelGroup("box", np.asarray(boxes), ops, box_volume, box_contains, width))
+    if halfspaces:
+        normals = np.stack([queries[i].normal for i in halfspaces])
+        offsets = np.array([queries[i].offset for i in halfspaces])
+        scales = np.maximum(1.0, np.max(np.abs(normals), axis=1))
+        active = np.abs(normals) > 1e-15 * scales[:, None]
+        patterns, inverse = np.unique(active, axis=0, return_inverse=True)
+        inverse = np.ravel(inverse)
+        for p_idx, pattern in enumerate(patterns):
+            sel = np.flatnonzero(inverse == p_idx)
+            dims = tuple(int(k) for k in np.flatnonzero(pattern))
+            groups.append(
+                KernelGroup(
+                    "halfspace",
+                    np.asarray(halfspaces)[sel],
+                    (np.ascontiguousarray(normals[sel].T), offsets[sel]),
+                    partial(halfspace_volume, active=dims),
+                    halfspace_contains,
+                    (1 << len(dims)) + 2 * len(dims) + 4,
+                )
+            )
+    if balls:
+        ops = (
+            _dim_major([queries[i].ball_center for i in balls]),
+            np.array([queries[i].radius for i in balls]),
+        )
+        width = 8 + 3 * ops[0].shape[0]
+        groups.append(KernelGroup("ball", np.asarray(balls), ops, ball_volume, ball_contains, width))
+    return groups, other
+
+
+def bucket_operands(b_lows, b_highs, b_volumes=None) -> tuple:
+    """Dimension-major ``(lows, highs, volumes)`` for the volume kernels."""
+    b_lows = np.asarray(b_lows, dtype=float)
+    b_highs = np.asarray(b_highs, dtype=float)
+    if b_volumes is None:
+        b_volumes = np.prod(b_highs - b_lows, axis=1)
+    return (
+        np.ascontiguousarray(b_lows.T),
+        np.ascontiguousarray(b_highs.T),
+        np.asarray(b_volumes, dtype=float),
+    )
+
+
+def _dense_rows(fn, group: KernelGroup, b, m: int, kernel: str, budget=None):
+    """Yield ``(start, stop, values)`` for query-row blocks of one group."""
+    for start, stop in _query_chunks(group.idx.size, m * group.width, kernel, budget):
+        block = tuple(a[..., start:stop, None] for a in group.ops)
+        yield start, stop, fn(block, b)
+
+
+def _other_volumes(query: Range, b) -> np.ndarray:
+    """Per-bucket volumes for a range family without a batch kernel."""
+    return np.array(
+        [intersection_volume(Box(lo, hi), query) for lo, hi in zip(b[0].T, b[1].T)]
+    )
+
+
+# ---------------------------------------------------------------------------
+# Dense entry points
+# ---------------------------------------------------------------------------
 
 
 def intersection_volume_matrix(
@@ -384,37 +495,28 @@ def intersection_volume_matrix(
 ) -> np.ndarray:
     """``Vol(B_j ∩ R_i)`` for a mixed workload against one bucket set.
 
-    Queries are grouped by range type, each group runs through its batch
-    kernel, and rows are stitched back into workload order.  Range types
-    without a batch kernel (unions, semi-algebraic sets) fall back to the
-    per-query vectorised path, so any workload is accepted.  ``b_volumes``
-    (cached box volumes) is forwarded to the kernels that would otherwise
-    recompute it per call.
+    Rows come back in workload order.  Range types without a batch kernel
+    (unions, semi-algebraic sets) fall back to the single-pair functions,
+    so any workload is accepted.  ``b_volumes`` (cached box volumes) saves
+    recomputing them per call.
     """
-    queries = list(queries)
-    b_lows = np.asarray(b_lows, dtype=float)
-    b_highs = np.asarray(b_highs, dtype=float)
-    n = len(queries)
-    m = b_lows.shape[0]
+    queries = _workload(queries)
+    b = bucket_operands(b_lows, b_highs, b_volumes)
+    n, m = len(queries), b[2].shape[0]
     _KERNEL_QUERIES.inc(n, kernel="volume_matrix")
     out = np.empty((n, m))
-    boxes, halfspaces, balls, other = _group_by_kind(queries)
-    if boxes:
-        q_lows, q_highs = boxes_to_arrays([queries[i] for i in boxes])
-        out[boxes] = box_box_volume_matrix(q_lows, q_highs, b_lows, b_highs)
-    if halfspaces:
-        normals = np.stack([queries[i].normal for i in halfspaces])
-        offsets = np.array([queries[i].offset for i in halfspaces])
-        out[halfspaces] = box_halfspace_volume_matrix(
-            normals, offsets, b_lows, b_highs, b_volumes
-        )
-    if balls:
-        centers = np.stack([queries[i].ball_center for i in balls])
-        radii = np.array([queries[i].radius for i in balls])
-        out[balls] = box_ball_volume_matrix(centers, radii, b_lows, b_highs, b_volumes)
+    groups, other = kernel_groups(queries)
+    for group in groups:
+        for start, stop, values in _dense_rows(group.volume, group, b, m, "volume_matrix"):
+            out[group.idx[start:stop]] = values
     for i in other:
-        out[i] = batch_intersection_volumes(b_lows, b_highs, queries[i])
+        out[i] = _other_volumes(queries[i], b)
     return out
+
+
+def batch_intersection_volumes(lows: np.ndarray, highs: np.ndarray, range_: Range) -> np.ndarray:
+    """``Vol(B_j ∩ range)`` for many boxes: one query row of the dense path."""
+    return intersection_volume_matrix([range_], lows, highs)[0]
 
 
 def coverage_matrix(
@@ -435,9 +537,14 @@ def coverage_matrix(
     else:
         b_volumes = np.asarray(b_volumes, dtype=float)
     overlaps = intersection_volume_matrix(queries, b_lows, b_highs, b_volumes)
+    return fractions(overlaps, b_volumes)
+
+
+def fractions(overlaps: np.ndarray, b_volumes: np.ndarray) -> np.ndarray:
+    """``overlaps / Vol(B)`` clipped to [0, 1]; zero-volume buckets give 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        fractions = np.where(b_volumes[None, :] > 0, overlaps / b_volumes[None, :], 0.0)
-    return np.clip(fractions, 0.0, 1.0)
+        out = np.where(b_volumes > 0, overlaps / b_volumes, 0.0)
+    return np.clip(out, 0.0, 1.0)
 
 
 def coverage_dot(
@@ -454,92 +561,36 @@ def coverage_dot(
     ``(n, m)`` matrix is pure intermediate state.  Computing it in
     cache-sized query blocks (``CACHE_ELEMENTS``) keeps every temporary
     resident in cache — the dominant cost of the matrix path is DRAM
-    traffic, not arithmetic.  All-box workloads (the common case) take a
-    fused fast path: the bucket normalisation folds into the weights once
-    (a box overlap never exceeds the bucket volume, by monotonicity of
-    floating-point min/sub/mul, so the matrix path's divide + clip is a
-    per-entry no-op) and the reduction becomes a single einsum
-    contraction per block.
+    traffic, not arithmetic.  Box rows fold the bucket normalisation into
+    the weights once: a box overlap never exceeds the bucket volume, by
+    monotonicity of floating-point min/sub/mul, so the divide + clip is a
+    per-entry no-op for them.
     """
-    queries = list(queries)
-    b_lows = np.asarray(b_lows, dtype=float)
-    b_highs = np.asarray(b_highs, dtype=float)
-    if b_volumes is None:
-        b_volumes = np.prod(b_highs - b_lows, axis=1)
-    else:
-        b_volumes = np.asarray(b_volumes, dtype=float)
+    queries = _workload(queries)
+    b = bucket_operands(b_lows, b_highs, b_volumes)
+    volumes = b[2]
     weights = np.asarray(weights, dtype=float)
-    n = len(queries)
-    m = b_lows.shape[0]
-    out = np.empty(n)
+    n, m = len(queries), volumes.shape[0]
     _KERNEL_QUERIES.inc(n, kernel="coverage_dot")
-    if n and all(isinstance(q, Box) for q in queries):
-        return _box_coverage_dot(queries, b_lows, b_highs, b_volumes, weights, out)
-    zero = b_volumes <= 0
-    any_zero = bool(zero.any())
-    step = max(1, CACHE_ELEMENTS // max(1, m))
-    _KERNEL_CHUNKS.inc(-(-n // step) if n else 0, kernel="coverage_dot")
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        overlaps = intersection_volume_matrix(
-            queries[start:stop], b_lows, b_highs, b_volumes
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(overlaps, b_volumes[None, :], out=overlaps)
-        if any_zero:
-            overlaps[:, zero] = 0.0
-        np.clip(overlaps, 0.0, 1.0, out=overlaps)
-        out[start:stop] = overlaps @ weights
-    return out
-
-
-def _box_coverage_dot(
-    queries: Sequence[Box],
-    b_lows: np.ndarray,
-    b_highs: np.ndarray,
-    b_volumes: np.ndarray,
-    weights: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """All-box fused coverage dot: per-dimension widths + one contraction.
-
-    Uses small L1/L2-resident blocks (a quarter of ``CACHE_ELEMENTS`` per
-    buffer), preallocated buffers reused across blocks, and contiguous
-    per-dimension coordinate rows — strided column reads defeat SIMD in
-    the broadcast kernels.
-    """
-    q_lows, q_highs = boxes_to_arrays(queries)
-    n, d = q_lows.shape
-    m = b_lows.shape[0]
+    out = np.empty(n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(b_volumes > 0.0, weights / b_volumes, 0.0)
-    ql = np.ascontiguousarray(q_lows.T)
-    qh = np.ascontiguousarray(q_highs.T)
-    bl = np.ascontiguousarray(b_lows.T)
-    bh = np.ascontiguousarray(b_highs.T)
-    step = int(max(8, min(n, CACHE_ELEMENTS // (4 * max(1, m)))))
-    _KERNEL_CHUNKS.inc(-(-n // step), kernel="coverage_dot")
-    acc_buf = np.empty((step, m))
-    cur_buf = np.empty((step, m))
-    lo_buf = np.empty((step, m))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        c = stop - start
-        acc = acc_buf[:c]
-        cur = cur_buf[:c]
-        lo = lo_buf[:c]
-        for k in range(d):
-            dest = acc if k == 0 else cur
-            np.maximum.outer(ql[k][start:stop], bl[k], out=lo)
-            np.minimum.outer(qh[k][start:stop], bh[k], out=dest)
-            np.subtract(dest, lo, out=dest)
-            np.maximum(dest, 0.0, out=dest)
-            if 0 < k < d - 1:
-                np.multiply(acc, cur, out=acc)
-        if d == 1:
-            out[start:stop] = acc @ scaled
-        else:
-            out[start:stop] = np.einsum("ij,ij,j->i", acc, cur, scaled)
+        folded = np.where(volumes > 0.0, weights / volumes, 0.0)
+    groups, other = kernel_groups(queries)
+    for group in groups:
+        for start, stop, values in _dense_rows(
+            group.volume, group, b, m, "coverage_dot", CACHE_ELEMENTS
+        ):
+            if group.kind == "box" and len(group.ops[0]) == 1:
+                out[group.idx[start:stop]] = values @ folded
+            elif group.kind == "box":
+                # The ones operand keeps einsum's three-operand summation
+                # order, which saved models' predictions are pinned to.
+                ones = np.broadcast_to(1.0, values.shape)
+                out[group.idx[start:stop]] = np.einsum("ij,ij,j->i", values, ones, folded)
+            else:
+                out[group.idx[start:stop]] = fractions(values, volumes) @ weights
+    for i in other:
+        out[i] = fractions(_other_volumes(queries[i], b), volumes) @ weights
     return out
 
 
@@ -547,41 +598,19 @@ def containment_matrix(queries: Sequence[Range], points: np.ndarray) -> np.ndarr
     """Batch membership ``1(p_k ∈ R_i)`` as an ``(n, p)`` float matrix.
 
     Boxes, halfspaces and balls are evaluated with the same comparisons as
-    their ``contains`` methods (including the ``±1e-12`` closure epsilon),
-    broadcast over all queries at once; other range types fall back to
-    their own vectorised ``contains``.
+    their ``contains`` methods (including the ``±1e-12`` closure epsilon);
+    other range types fall back to their own vectorised ``contains``.
     """
-    queries = list(queries)
+    queries = _workload(queries)
     pts = np.asarray(points, dtype=float)
-    n = len(queries)
-    p, d = pts.shape
+    n, p = len(queries), pts.shape[0]
     _KERNEL_QUERIES.inc(n, kernel="containment")
     out = np.empty((n, p))
-    boxes, halfspaces, balls, other = _group_by_kind(queries)
-    if boxes:
-        q_lows, q_highs = boxes_to_arrays([queries[i] for i in boxes])
-        idx = np.asarray(boxes)
-        for start, stop in _query_chunks(len(boxes), p * d, kernel="containment"):
-            inside = np.ones((stop - start, p), dtype=bool)
-            for k in range(d):
-                coords = pts[None, :, k]
-                inside &= coords >= q_lows[start:stop, k, None] - _EPS
-                inside &= coords <= q_highs[start:stop, k, None] + _EPS
-            out[idx[start:stop]] = inside
-    if halfspaces:
-        normals = np.stack([queries[i].normal for i in halfspaces])
-        offsets = np.array([queries[i].offset for i in halfspaces])
-        out[halfspaces] = (pts @ normals.T >= offsets[None, :] - _EPS).T
-    if balls:
-        centers = np.stack([queries[i].ball_center for i in balls])
-        radii = np.array([queries[i].radius for i in balls])
-        idx = np.asarray(balls)
-        for start, stop in _query_chunks(len(balls), p * d, kernel="containment"):
-            sq_dist = np.zeros((stop - start, p))
-            for k in range(d):
-                diff = pts[None, :, k] - centers[start:stop, k, None]
-                sq_dist += diff * diff
-            out[idx[start:stop]] = sq_dist <= (radii[start:stop, None] ** 2 + _EPS)
+    b = (np.ascontiguousarray(pts.T),)
+    groups, other = kernel_groups(queries)
+    for group in groups:
+        for start, stop, inside in _dense_rows(group.contains, group, b, p, "containment"):
+            out[group.idx[start:stop]] = inside
     for i in other:
         out[i] = np.asarray(queries[i].contains(pts), dtype=float)
     return out

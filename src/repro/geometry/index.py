@@ -29,7 +29,9 @@ Both expose the same query API:
 * :meth:`~BucketIndex.candidates_for_boxes` — CSR ``(indptr, indices)``
   candidate sets for a batch of query boxes, fully vectorised (no Python
   loop over queries), ids strictly ascending within each row;
-* :meth:`~BucketIndex.candidates` — convenience single-query form;
+* :meth:`~BucketIndex.lookup_estimate` — the O(n·d) estimate of what
+  that lookup would cost per query (cells or nodes visited, bucket
+  entries gathered), which the sparse/dense rule reads before any lookup;
 * :meth:`~BucketIndex.halfspace_candidates` — boolean keep-mask per
   (halfspace, bucket) from the corner-support test ``max_{x∈B} a·x ≥ b``
   (no spatial traversal needed, just cached centers/half-widths).
@@ -38,8 +40,7 @@ Correctness contract: the candidate set is a **superset** of the buckets
 whose boxes intersect the (finite) query box, so every pruned pair has
 exactly zero intersection volume in the dense kernels — pruning never
 changes a prediction, it only skips work.  Queries with non-finite bounds
-get an empty candidate set; callers that must mirror dense NaN semantics
-route those rows to the dense kernels instead.
+get an empty candidate set.
 
 The index is a fit-time structure: estimators build it once after bucket
 design and rebuild it (deterministically, from the persisted bucket
@@ -117,35 +118,34 @@ class BucketIndex:
         self.b_lows = b_lows
         self.b_highs = b_highs
         self.m, self.dim = b_lows.shape
+        #: Joint bounding box of the buckets.
+        self.lo = np.min(b_lows, axis=0)
+        self.hi = np.max(b_highs, axis=0)
         # Corner-support precomputation for the halfspace prune:
         # max_{x in B} a.x = a . center + |a| . half_widths.
         self._centers = 0.5 * (b_lows + b_highs)
         self._half_widths = 0.5 * (b_highs - b_lows)
 
     def candidates_for_boxes(
-        self, q_lows: np.ndarray, q_highs: np.ndarray, max_pairs: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray] | None:
+        self, q_lows: np.ndarray, q_highs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """CSR candidate sets for ``n`` query boxes.
 
         Returns ``(indptr, indices)`` with ``indptr`` of shape ``(n+1,)``
         and ``indices[indptr[i]:indptr[i+1]]`` the ascending candidate
         bucket ids of query ``i``.
-
-        ``max_pairs`` is the high-density escape hatch: when a cheap
-        mid-lookup estimate (which may count duplicates, so it can
-        overshoot the deduped total) exceeds it, the lookup returns
-        ``None`` *before* paying for the full gather/sort — the caller is
-        expected to fall back to the dense kernel, which is faster in
-        that regime anyway.
         """
         raise NotImplementedError
 
-    def candidates(self, q_low: np.ndarray, q_high: np.ndarray) -> np.ndarray:
-        """Ascending ids of buckets whose boxes may intersect one query box."""
-        q_low = np.asarray(q_low, dtype=float)
-        q_high = np.asarray(q_high, dtype=float)
-        _, ids = self.candidates_for_boxes(q_low[None, :], q_high[None, :])
-        return ids
+    def lookup_estimate(
+        self, q_lows: np.ndarray, q_highs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per query box: ``(visits, entries)`` the lookup would touch.
+
+        ``visits`` counts grid cells or tree nodes, ``entries`` the bucket
+        ids gathered before deduplication.  O(n·d); no lookup runs.
+        """
+        raise NotImplementedError
 
     def halfspace_candidates(
         self, normals: np.ndarray, offsets: np.ndarray
@@ -178,9 +178,7 @@ class UniformGridIndex(BucketIndex):
     ):
         super().__init__(b_lows, b_highs)
         m, d = self.m, self.dim
-        self.lo = np.min(self.b_lows, axis=0)
-        self.hi = hi = np.max(self.b_highs, axis=0)
-        span = hi - self.lo
+        span = self.hi - self.lo
         if cells_per_dim is None:
             # ~m cells total so the expected occupancy is O(1) per cell.
             cells_per_dim = max(1, int(round(m ** (1.0 / d))))
@@ -224,8 +222,8 @@ class UniformGridIndex(BucketIndex):
         owners, ranks = _ranks(counts)
         cells = np.zeros(owners.size, dtype=np.int64)
         for k in range(self.dim - 1, -1, -1):
-            s = spans[owners, k]
-            cells += (c0[owners, k] + ranks % s) * self.strides[k]
+            s = spans[:, k][owners]
+            cells += (c0[:, k][owners] + ranks % s) * self.strides[k]
             ranks //= s
         return owners, cells
 
@@ -240,9 +238,17 @@ class UniformGridIndex(BucketIndex):
             np.bincount(cells, minlength=self.n_cells), out=self.cell_indptr[1:]
         )
 
+    def lookup_estimate(
+        self, q_lows: np.ndarray, q_highs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        c0, c1, empty = self._cell_ranges(q_lows, q_highs)
+        visits = np.where(empty, 0, np.prod(c1 - c0 + 1, axis=1))
+        # Entries per visited cell: the mean cell list length.
+        return visits, visits * (self.cell_buckets.size / self.n_cells)
+
     def candidates_for_boxes(
-        self, q_lows: np.ndarray, q_highs: np.ndarray, max_pairs: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray] | None:
+        self, q_lows: np.ndarray, q_highs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         q_lows = np.asarray(q_lows, dtype=float)
         q_highs = np.asarray(q_highs, dtype=float)
         n = q_lows.shape[0]
@@ -251,8 +257,6 @@ class UniformGridIndex(BucketIndex):
         # Gather every visited cell's bucket list with a second expansion.
         starts = self.cell_indptr[cells]
         hit_counts = self.cell_indptr[cells + 1] - starts
-        if max_pairs is not None and int(hit_counts.sum()) > max_pairs:
-            return None
         entry_owner, entry_rank = _ranks(hit_counts)
         ids = self.cell_buckets[starts[entry_owner] + entry_rank]
         qidx = owners[entry_owner]
@@ -289,6 +293,9 @@ class PackedRTreeIndex(BucketIndex):
                 break
             lows, highs = node_lows, node_highs
         self.levels.reverse()  # root level first
+        leaf_lows, leaf_highs = self.levels[-1][0], self.levels[-1][1]
+        self._leaf_nodes = leaf_lows.shape[0]
+        self._leaf_extent = np.mean(leaf_highs - leaf_lows, axis=0)
 
     def _str_sort(self, seg: np.ndarray, axis: int) -> None:
         """Sort-Tile-Recursive ordering: sort a segment by one center
@@ -305,9 +312,28 @@ class PackedRTreeIndex(BucketIndex):
         for start in range(0, seg.size, slab):
             self._str_sort(seg[start : start + slab], axis + 1)
 
+    def lookup_estimate(
+        self, q_lows: np.ndarray, q_highs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Leaf-level nodes a box meets if nodes were spread uniformly over
+        # the bucket region (a Minkowski-sum estimate); each visit tests
+        # its whole level's fanout, at every level.
+        q_lows = np.asarray(q_lows, dtype=float)
+        q_highs = np.asarray(q_highs, dtype=float)
+        span = self.hi - self.lo
+        reach = np.where(
+            span > 0.0,
+            (q_highs - q_lows + self._leaf_extent) / np.where(span > 0.0, span, 1.0),
+            1.0,
+        )
+        nodes = self._leaf_nodes * np.prod(np.clip(reach, 0.0, 1.0), axis=1)
+        outside = np.any(q_highs < self.lo, axis=1) | np.any(q_lows > self.hi, axis=1)
+        nodes = np.where(outside, 0.0, nodes)
+        return nodes * len(self.levels), nodes * self.fanout
+
     def candidates_for_boxes(
-        self, q_lows: np.ndarray, q_highs: np.ndarray, max_pairs: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray] | None:
+        self, q_lows: np.ndarray, q_highs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         q_lows = np.asarray(q_lows, dtype=float)
         q_highs = np.asarray(q_highs, dtype=float)
         n = q_lows.shape[0]
@@ -328,8 +354,6 @@ class PackedRTreeIndex(BucketIndex):
             owners, ranks = _ranks(stops[nodes] - starts[nodes])
             child = starts[nodes][owners] + ranks
             quer = quer[owners]
-            if max_pairs is not None and child.size > max_pairs:
-                return None
             if level + 1 < len(self.levels):
                 lows, highs = self.levels[level + 1][0], self.levels[level + 1][1]
                 ok = np.all(lows[child] <= q_highs[quer], axis=1) & np.all(

@@ -38,6 +38,13 @@ __all__ = [
 _EPS = 1e-12
 
 
+def _as_finite_float(value, name: str) -> float:
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number}")
+    return number
+
+
 def _as_float_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
@@ -261,7 +268,7 @@ class Halfspace(Range):
         if np.allclose(normal_arr, 0.0):
             raise ValueError("halfspace normal must be non-zero")
         self.normal = normal_arr
-        self.offset = float(offset)
+        self.offset = _as_finite_float(offset, "offset")
 
     @property
     def dim(self) -> int:
@@ -300,10 +307,11 @@ class Ball(Range):
 
     def __init__(self, center: Sequence[float], radius: float):
         center_arr = _as_float_array(center, "center")
+        radius = _as_finite_float(radius, "radius")
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
         self.ball_center = center_arr
-        self.radius = float(radius)
+        self.radius = radius
 
     @property
     def dim(self) -> int:

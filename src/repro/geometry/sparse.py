@@ -1,10 +1,10 @@
 """Sparse coverage kernels: evaluate Eq. (8) only on candidate pairs.
 
-The dense kernels in :mod:`repro.geometry.batch` compute every entry of
-the ``(n_queries × n_buckets)`` volume matrix even though most entries of
-a typical workload are exactly zero.  Given a
+The dense path of :mod:`repro.geometry.batch` computes every entry of the
+``(n_queries × n_buckets)`` volume matrix even though most entries of a
+typical workload are exactly zero.  Given a
 :class:`~repro.geometry.index.BucketIndex` over the bucket bounding
-boxes, this module evaluates the box/halfspace/ball kernels **only on the
+boxes, this module runs the same per-family kernels **only on the
 candidate (query, bucket) pairs** the index reports, and scatters (or
 reduces) the results:
 
@@ -13,98 +13,78 @@ reduces) the results:
 * :func:`sparse_coverage_matrix` / :func:`sparse_intersection_volume_matrix`
   — dense ``ndarray`` outputs for the design-matrix builders (pruned
   entries are exact zeros, so the solvers see the same matrix);
-* :func:`coverage_matrix_csr` / :func:`intersection_volume_matrix_csr` —
-  the same matrices in SciPy CSR form for sparsity-aware consumers;
 * :func:`sparse_containment_dot` / :func:`sparse_containment_matrix` —
   the Eq. (7) membership analogues for point-support models.
 
-Numerical contract: candidate pairs run the *same arithmetic per pair* as
-the dense kernels, and pruned pairs are pairs the dense kernels evaluate
-to exactly ``0.0`` (bounding boxes disjoint, or a halfspace that misses
-the bucket's supporting corner).  Predictions therefore agree with the
-dense path to ≤1e-12 — pinned registry-wide by
-``tests/core/test_sparse_predict.py``.
+Numerical contract: a candidate pair goes through the dense path's own
+kernel, and pruned pairs are pairs that kernel evaluates to exactly
+``0.0`` (bounding boxes disjoint, or a halfspace that misses the bucket's
+supporting corner).  The volume and membership matrices are therefore
+bitwise equal to the dense ones; a fused dot differs only in summation
+order.
 
-Dense fallbacks (auto-selected per call, per range family):
-
-* range families without a bounding box (semi-algebraic, unions) always
-  take the dense per-query kernel;
-* queries with non-finite bounds take the dense kernel so NaN propagation
-  matches (`predict_many` maps non-finite estimates to 0.5);
-* workloads whose **measured candidate density** (candidate pairs divided
-  by ``n·m``) exceeds the crossover threshold take the dense kernel — at
-  high density the dense kernels' contiguous broadcasts beat gathered
-  pair evaluation;
-* bucket sets smaller than the minimum-bucket floor skip the index
-  entirely — below a few thousand buckets the dense kernels win outright.
-
-Both knobs are configurable (:func:`set_crossover_threshold`,
-:func:`set_min_sparse_buckets`; env ``REPRO_SPARSE_CROSSOVER`` /
-``REPRO_SPARSE_MIN_BUCKETS`` at import) and observable: the
-``repro_sparse_candidates`` / ``repro_sparse_pruned_frac`` series expose
-per-kernel candidate volume and pruning ratio on ``/metrics``, and
-``repro_sparse_crossover`` the active threshold, so the crossover can be
-tuned from production traffic.
+Which rows run sparse is one cost comparison per query row, made before
+any lookup.  Dense work is ``m`` kernel entries.  Sparse work is the
+index's O(n·d) estimate of the cells it would visit and the bucket
+entries it would gather (:meth:`~repro.geometry.index.BucketIndex
+.lookup_estimate`), each gathered entry then evaluated as a pair; for a
+halfspace it is one corner test per bucket plus the candidates, estimated
+from the share of the bucket region the halfspace keeps.  A call pays a
+fixed cost on top, so rows go sparse only when their summed saving beats
+it.  Range families without a kernel (unions, semi-algebraic sets) always
+run dense.  The per-unit costs are constants, measured as described
+below; ``repro_sparse_calls_total{kernel,path}`` counts every row's
+outcome and ``repro_sparse_candidates`` / ``repro_sparse_pruned_frac``
+the pairs the index emitted.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from typing import Sequence
 
 import numpy as np
 
 from repro.geometry.batch import (
     CHUNK_ELEMENTS,
-    _group_by_kind,
-    boxes_to_arrays,
+    GroupedQueries,
+    KernelGroup,
+    bucket_operands,
     containment_matrix,
     coverage_dot,
-    coverage_matrix,
+    fractions,
     intersection_volume_matrix,
+    kernel_groups,
 )
 from repro.geometry.index import BucketIndex
 from repro.geometry.ranges import _EPS
-from repro.geometry.volume import (
-    QMC_POINTS,
-    _disc_quadrant_area_vec,
-    _qmc_unit_points,
-    _unit_square_halfspace_fraction,
-)
 from repro.observability.metrics import default_registry
 
 __all__ = [
-    "DEFAULT_CROSSOVER",
-    "DEFAULT_MIN_SPARSE_BUCKETS",
-    "get_crossover_threshold",
-    "set_crossover_threshold",
-    "get_min_sparse_buckets",
-    "set_min_sparse_buckets",
     "sparse_coverage_dot",
     "sparse_coverage_matrix",
     "sparse_intersection_volume_matrix",
-    "coverage_matrix_csr",
-    "intersection_volume_matrix_csr",
     "sparse_containment_dot",
     "sparse_containment_matrix",
 ]
 
-#: Base candidate-density (candidate pairs / (n·m)) crossover.  A family
-#: group falls back to the dense kernel above ``DEFAULT_CROSSOVER ×
-#: _KERNEL_COST_SCALE[kernel]``: the box kernel's dense form is a handful
-#: of contiguous ufunc passes (cheap per entry, so sparse only wins when
-#: pruning is strong), while the dense halfspace (2^d inclusion–exclusion)
-#: and ball (QMC) kernels cost enough per entry that sparse stays ahead at
-#: much higher densities.  Calibrated on the committed BENCH_sparse run.
-DEFAULT_CROSSOVER = 0.02
+# Per-unit costs of the rule, in nanoseconds, measured by
+# ``python benchmarks/bench_sparse.py`` on a 2-core host (Python 3.11,
+# NumPy 2.4).  Its "calibration" section in
+# benchmarks/results/BENCH_sparse.json records the values in use next to
+# a fresh measurement.  Only their ratios matter.
 
-#: Relative per-entry cost of each family's dense kernel vs the box kernel.
-_KERNEL_COST_SCALE = {"box": 1.0, "halfspace": 4.0, "ball": 16.0}
-
-#: Below this bucket count the sparse entry points delegate straight to
-#: the dense kernels — index lookup overhead beats the savings.
-DEFAULT_MIN_SPARSE_BUCKETS = 1024
+#: One (query, bucket) entry of a dense kernel, per family; "contains"
+#: is a membership test of any family.
+DENSE_NS = {"box": 4.5, "halfspace": 29.0, "ball": 760.0, "contains": 9.0}
+#: One estimated bucket entry through a pair kernel and the scatter.
+PAIR_NS = {"box": 33.0, "halfspace": 205.0, "ball": 250.0, "contains": 47.0}
+#: One grid cell or tree node visited, or one bucket entry gathered and
+#: sorted, by a box lookup.
+VISIT_NS = 46.0
+#: One bucket of the halfspace corner test.
+CORNER_NS = 28.0
+#: Fixed cost of one sparse call per family: lookup set-up and scatter.
+CALL_NS = 200_000.0
 
 _SPARSE_CANDIDATES = default_registry().counter(
     "repro_sparse_candidates",
@@ -118,384 +98,136 @@ _SPARSE_PRUNED_FRAC = default_registry().gauge(
 )
 _SPARSE_CALLS = default_registry().counter(
     "repro_sparse_calls_total",
-    "Sparse kernel dispatch decisions by family and chosen path",
+    "Sparse/dense dispatch decisions, one per query row, by family and chosen path",
     labels=("kernel", "path"),
 )
-_SPARSE_CROSSOVER = default_registry().gauge(
-    "repro_sparse_crossover",
-    "Candidate-density threshold above which sparse kernels fall back to dense",
-)
+
+#: Bounding-box padding for candidate lookups feeding containment tests:
+#: ``contains`` uses a ``±1e-12`` closure epsilon (and ``sqrt`` of it for
+#: squared ball distances), so candidate boxes grow by sqrt(_EPS).
+_CONTAIN_PAD = float(np.sqrt(_EPS))
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
+def _sparse_rows(n: int, dense_ns: float, sparse_ns) -> np.ndarray:
+    """The cost rule: which of ``n`` rows run sparse.
 
-
-_crossover = min(max(_env_float("REPRO_SPARSE_CROSSOVER", DEFAULT_CROSSOVER), 0.0), 1.0)
-_min_buckets = max(
-    0, int(_env_float("REPRO_SPARSE_MIN_BUCKETS", DEFAULT_MIN_SPARSE_BUCKETS))
-)
-_SPARSE_CROSSOVER.set(_crossover)
-
-
-def get_crossover_threshold() -> float:
-    """Candidate density above which a family group runs dense."""
-    return _crossover
-
-
-def set_crossover_threshold(value: float) -> float:
-    """Set the dense-fallback density threshold; returns the previous value.
-
-    ``1.0`` effectively forces the sparse path (density never exceeds 1),
-    ``0.0`` forces dense for every indexed family.
+    ``dense_ns`` is one row's dense cost; ``sparse_ns()`` returns each
+    row's estimated sparse cost and is not called when even a free
+    sparse path could not save the fixed per-call cost.
     """
-    global _crossover
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"crossover threshold must be in [0, 1], got {value}")
-    previous = _crossover
-    _crossover = value
-    _SPARSE_CROSSOVER.set(value)
-    return previous
+    if dense_ns * n <= CALL_NS:
+        return np.zeros(n, dtype=bool)
+    saving = np.maximum(dense_ns - sparse_ns(), 0.0)
+    if saving.sum() <= CALL_NS:
+        return np.zeros(n, dtype=bool)
+    return saving > 0.0
 
 
-def get_min_sparse_buckets() -> int:
-    """Bucket-count floor below which sparse entry points run dense."""
-    return _min_buckets
-
-
-def set_min_sparse_buckets(value: int) -> int:
-    """Set the bucket-count floor; returns the previous value."""
-    global _min_buckets
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"min sparse buckets must be >= 0, got {value}")
-    previous = _min_buckets
-    _min_buckets = value
-    return previous
-
-
-def _effective_crossover(kernel: str) -> float:
-    """Per-kernel density threshold: base knob × dense-kernel cost scale."""
-    return min(1.0, _crossover * _KERNEL_COST_SCALE.get(kernel, 1.0))
-
-
-def _record(kernel: str, n: int, m: int, pairs: int, path: str) -> None:
-    _SPARSE_CANDIDATES.inc(int(pairs), kernel=kernel)
-    total = n * m
-    if total:
-        _SPARSE_PRUNED_FRAC.set(1.0 - pairs / total, kernel=kernel)
-    _SPARSE_CALLS.inc(1, kernel=kernel, path=path)
-
-
-def _pair_chunks(total: int, per_pair_elements: int):
-    step = max(1, CHUNK_ELEMENTS // max(1, int(per_pair_elements)))
-    for start in range(0, total, step):
-        yield start, min(start + step, total)
-
-
-# ---------------------------------------------------------------------------
-# Per-pair kernels (arithmetic mirrors of the dense broadcast kernels)
-# ---------------------------------------------------------------------------
-
-
-def _box_pair_volumes(
-    q_lows: np.ndarray,
-    q_highs: np.ndarray,
-    b_lows: np.ndarray,
-    b_highs: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-) -> np.ndarray:
-    """Exact box∩box volumes for candidate pairs.
-
-    Per-dimension max/min/sub/clamp with widths multiplied in dimension
-    order — entry-for-entry the same operations as
-    :func:`~repro.geometry.batch.box_box_volume_matrix`.
-    """
-    d = q_lows.shape[1]
-    vals = np.empty(rows.size)
-    for start, stop in _pair_chunks(rows.size, 4 * d):
-        r = rows[start:stop]
-        c = cols[start:stop]
-        acc = None
-        for k in range(d):
-            lo = np.maximum(q_lows[r, k], b_lows[c, k])
-            hi = np.minimum(q_highs[r, k], b_highs[c, k])
-            np.subtract(hi, lo, out=hi)
-            np.maximum(hi, 0.0, out=hi)
-            acc = hi if k == 0 else acc * hi
-        vals[start:stop] = acc
-    return vals
-
-
-def _halfspace_pair_volumes(
-    normals: np.ndarray,
-    offsets: np.ndarray,
-    b_lows: np.ndarray,
-    b_highs: np.ndarray,
-    b_volumes: np.ndarray | None,
-    rows: np.ndarray,
-    cols: np.ndarray,
-) -> np.ndarray:
-    """Halfspace∩box volumes for candidate pairs.
-
-    Pairwise transcription of
-    :func:`~repro.geometry.batch.box_halfspace_volume_matrix`: the same
-    active-pattern grouping, threshold adjustment, 2-D closed form, and
-    inclusion–exclusion identity, evaluated on flat pair arrays instead of
-    a broadcast grid.
-    """
-    widths = b_highs - b_lows
-    if b_volumes is None:
-        b_volumes = np.prod(widths, axis=1)
-    thresholds = offsets[rows] - np.einsum("pd,pd->p", normals[rows], b_lows[cols])
-    scales = np.maximum(1.0, np.max(np.abs(normals), axis=1))
-    active = np.abs(normals) > 1e-15 * scales[:, None]
-    patterns, inverse = np.unique(active, axis=0, return_inverse=True)
-    pair_pattern = np.ravel(inverse)[rows]
-    vals = np.empty(rows.size)
-    for p_idx in range(patterns.shape[0]):
-        sel = np.flatnonzero(pair_pattern == p_idx)
-        if sel.size == 0:
-            continue
-        mask = patterns[p_idx]
-        a_dim = int(mask.sum())
-        if a_dim == 0:
-            vals[sel] = np.where(thresholds[sel] <= 0.0, b_volumes[cols[sel]], 0.0)
-            continue
-        act = np.flatnonzero(mask)
-        for start, stop in _pair_chunks(sel.size, (1 << a_dim) + 4 * a_dim):
-            part = sel[start:stop]
-            bv = b_volumes[cols[part]]
-            coeffs = normals[rows[part]][:, act] * widths[cols[part]][:, act]
-            th = thresholds[part] - np.sum(np.where(coeffs < 0, coeffs, 0.0), axis=1)
-            coeffs = np.abs(coeffs)
-            if a_dim == 2:
-                fraction = _unit_square_halfspace_fraction(
-                    coeffs[:, 0], coeffs[:, 1], th
-                )
-                vals[part] = np.maximum(bv * (1.0 - fraction), 0.0)
-                continue
-            eps = 1e-12 * np.maximum(1.0, np.max(coeffs, axis=1, keepdims=True))
-            coeffs = np.maximum(coeffs, eps)
-            bits_masks = np.arange(1 << a_dim, dtype=np.int64)
-            bits = ((bits_masks[:, None] >> np.arange(a_dim)) & 1).astype(float)
-            signs = np.where((np.sum(bits, axis=1) % 2) == 0, 1.0, -1.0)
-            dots = coeffs @ bits.T
-            terms = np.maximum(0.0, th[:, None] - dots) ** a_dim
-            raw = terms @ signs
-            denom = math.factorial(a_dim) * np.prod(coeffs, axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                fraction = np.where(denom > 0, raw / denom, 0.0)
-            fraction = np.clip(fraction, 0.0, 1.0)
-            totals = np.sum(coeffs, axis=1)
-            fraction = np.where(th <= 0.0, 0.0, fraction)
-            fraction = np.where(th >= totals, 1.0, fraction)
-            vals[part] = np.maximum(bv * (1.0 - fraction), 0.0)
-    return vals
-
-
-def _ball_pair_volumes(
-    centers: np.ndarray,
-    radii: np.ndarray,
-    b_lows: np.ndarray,
-    b_highs: np.ndarray,
-    b_volumes: np.ndarray | None,
-    rows: np.ndarray,
-    cols: np.ndarray,
-) -> np.ndarray:
-    """Ball∩box volumes for candidate pairs.
-
-    Pairwise transcription of
-    :func:`~repro.geometry.batch.box_ball_volume_matrix`: exact interval
-    overlap in 1-D, quadrant decomposition in 2-D, and the same fixed
-    Sobol point set above.
-    """
-    d = centers.shape[1]
-    if d == 1:
-        lo = np.maximum(b_lows[cols, 0], centers[rows, 0] - radii[rows])
-        hi = np.minimum(b_highs[cols, 0], centers[rows, 0] + radii[rows])
-        return np.maximum(hi - lo, 0.0)
-    if d == 2:
-        vals = np.empty(rows.size)
-        for start, stop in _pair_chunks(rows.size, 10):
-            r = rows[start:stop]
-            c = cols[start:stop]
-            cx = centers[r, 0]
-            cy = centers[r, 1]
-            rad = radii[r]
-            x0 = b_lows[c, 0] - cx
-            y0 = b_lows[c, 1] - cy
-            x1 = b_highs[c, 0] - cx
-            y1 = b_highs[c, 1] - cy
-            area = (
-                _disc_quadrant_area_vec(x1, y1, rad)
-                - _disc_quadrant_area_vec(x0, y1, rad)
-                - _disc_quadrant_area_vec(x1, y0, rad)
-                + _disc_quadrant_area_vec(x0, y0, rad)
-            )
-            vals[start:stop] = np.maximum(area, 0.0)
-        return vals
-    if b_volumes is None:
-        b_volumes = np.prod(b_highs - b_lows, axis=1)
-    vals = np.empty(rows.size)
-    unit = _qmc_unit_points(d, QMC_POINTS)  # the scalar path's point set
-    points = unit.shape[0]
-    for start, stop in _pair_chunks(rows.size, 6 * d):
-        r = rows[start:stop]
-        c = cols[start:stop]
-        ctr = centers[r]
-        rad = radii[r]
-        bl = b_lows[c]
-        bh = b_highs[c]
-        clip_lows = np.maximum(bl, ctr - rad[:, None])
-        clip_highs = np.minimum(bh, ctr + rad[:, None])
-        empty = np.any(clip_lows > clip_highs, axis=1)
-        corners = np.maximum(np.abs(bl - ctr), np.abs(bh - ctr))
-        contained = np.sum(corners**2, axis=1) <= (rad**2 + 1e-15)
-        out = np.where(~empty & contained, b_volumes[c], 0.0)
-        pending = np.flatnonzero(~empty & ~contained)
-        step = max(1, CHUNK_ELEMENTS // (points * d))
-        for p_start in range(0, pending.size, step):
-            sel = pending[p_start : p_start + step]
-            lows = clip_lows[sel]
-            widths = clip_highs[sel] - lows
-            clip_volumes = np.prod(widths, axis=1)
-            scaled = lows[:, None, :] + unit[None, :, :] * widths[:, None, :]
-            sq_dist = np.sum((scaled - ctr[sel][:, None, :]) ** 2, axis=2)
-            inside = sq_dist <= (rad[sel][:, None] ** 2 + _EPS)
-            out[sel] = clip_volumes * np.mean(inside, axis=1)
-        vals[start:stop] = out
-    return vals
-
-
-# ---------------------------------------------------------------------------
-# Workload segmentation: candidate pairs + per-family dense fallbacks
-# ---------------------------------------------------------------------------
-
-
-def _finite_rows(*arrays: np.ndarray) -> np.ndarray:
-    mask = np.ones(arrays[0].shape[0], dtype=bool)
-    for arr in arrays:
-        flat = np.isfinite(arr)
-        mask &= flat if flat.ndim == 1 else flat.all(axis=1)
-    return mask
-
-
-def _overlap_segments(queries: list, index: BucketIndex, b_volumes: np.ndarray | None):
-    """Split a mixed workload into sparse pair segments and dense rows.
-
-    Yields ``("pairs", idx, rows, cols, vals)`` — ``idx`` global query
-    positions, ``rows`` local into ``idx`` — or ``("dense", idx)``, which
-    routes those query rows back to the caller's dense kernel.  Dense
-    segments carry *indices only*: the consumers run the appropriate
-    chunked dense kernel (``coverage_dot`` for the fused dot,
-    ``intersection_volume_matrix`` for matrix outputs), so a dense
-    fallback never materialises an un-chunked ``(n, m)`` block — and is
-    bitwise-identical to the pure dense path for those rows.
-    Concatenating segments reproduces
-    :func:`~repro.geometry.batch.intersection_volume_matrix`
-    entry-for-entry (pruned pairs are exact dense zeros).
-    """
-    b_lows, b_highs = index.b_lows, index.b_highs
+def _route(group: KernelGroup, index: BucketIndex, contains: bool):
+    """Sparse-row mask of one group, and its candidate lookup."""
+    cost = "contains" if contains else group.kind
+    pad = _CONTAIN_PAD if contains else 0.0
     m = index.m
-    boxes, halfspaces, balls, other = _group_by_kind(queries)
+    if group.kind == "halfspace":
+        normals, offsets = group.ops
 
-    if boxes:
-        q_lows, q_highs = boxes_to_arrays([queries[i] for i in boxes])
-        yield from _box_like_segments(
-            "box",
-            np.asarray(boxes),
-            q_lows,
-            q_highs,
-            index,
-            lambda rows, cols: _box_pair_volumes(
-                q_lows, q_highs, b_lows, b_highs, rows, cols
-            ),
-        )
+        def estimate():
+            # Candidates ~ m × the share of the bucket region kept.
+            region = float(np.prod(index.hi - index.lo))
+            kept = group.volume(group.ops, (index.lo, index.hi, region))
+            share = kept / region if region > 0.0 else 1.0
+            return CORNER_NS * m + PAIR_NS[cost] * m * share
 
-    if halfspaces:
-        normals = np.stack([queries[i].normal for i in halfspaces])
-        offsets = np.array([queries[i].offset for i in halfspaces])
-        idx = np.asarray(halfspaces)
-        finite = _finite_rows(normals, offsets)
-        if not finite.all():
-            yield ("dense", idx[~finite])
-            idx, normals, offsets = idx[finite], normals[finite], offsets[finite]
-        if idx.size:
-            keep = index.halfspace_candidates(normals, offsets)
-            pairs = int(keep.sum())
-            if pairs > _effective_crossover("halfspace") * idx.size * m:
-                _record("halfspace", idx.size, m, pairs, "dense")
-                yield ("dense", idx)
-            else:
-                _record("halfspace", idx.size, m, pairs, "sparse")
-                rows, cols = np.nonzero(keep)
-                vals = _halfspace_pair_volumes(
-                    normals, offsets, b_lows, b_highs, b_volumes, rows, cols
-                )
-                yield ("pairs", idx, rows, cols, vals)
+        def lookup(sel):
+            keep = index.halfspace_candidates(normals[:, sel].T, offsets[sel])
+            return np.nonzero(keep)
 
-    if balls:
-        centers = np.stack([queries[i].ball_center for i in balls])
-        radii = np.array([queries[i].radius for i in balls])
-        idx = np.asarray(balls)
-        # Ball bounding boxes computed directly from center ± radius:
-        # Ball.bounding_box() clips to the unit domain, which would prune
-        # wrongly for buckets outside it.
-        yield from _box_like_segments(
-            "ball",
-            idx,
-            centers - radii[:, None],
-            centers + radii[:, None],
-            index,
-            lambda rows, cols: _ball_pair_volumes(
-                centers, radii, b_lows, b_highs, b_volumes, rows, cols
-            ),
-        )
+    else:
+        if group.kind == "box":
+            lows, highs = group.ops[0].T - pad, group.ops[1].T + pad
+        else:
+            centers, radii = group.ops
+            lows, highs = (centers - (radii + pad)).T, (centers + (radii + pad)).T
 
+        def estimate():
+            visits, entries = index.lookup_estimate(lows, highs)
+            return VISIT_NS * (visits + entries) + PAIR_NS[cost] * entries
+
+        def lookup(sel):
+            indptr, cols = index.candidates_for_boxes(lows[sel], highs[sel])
+            return np.repeat(np.arange(sel.size), np.diff(indptr)), cols
+
+    return _sparse_rows(group.idx.size, DENSE_NS[cost] * m, estimate), lookup
+
+
+def _split(queries: list, index: BucketIndex, b_volumes, contains: bool):
+    """Route every row of a workload to the dense or the sparse path.
+
+    Returns the workload positions of the dense rows, those rows as
+    :class:`~repro.geometry.batch.GroupedQueries` for the dense entry
+    points, and one ``(positions, rows, cols, values)`` entry per group
+    with sparse rows: ``rows`` index ``positions``, ``cols`` the buckets,
+    ``values`` the group's kernel on those pairs.
+    """
+    groups, other = kernel_groups(queries)
     if other:
         _SPARSE_CALLS.inc(len(other), kernel="other", path="dense")
-        yield ("dense", np.asarray(other))
-
-
-def _box_like_segments(kernel, idx, q_lows, q_highs, index, pair_fn):
-    """Shared box/ball flow: finite split, candidate lookup, crossover."""
-    m = index.m
-    finite = _finite_rows(q_lows, q_highs)
-    if not finite.all():
-        yield ("dense", idx[~finite])
-        keep = np.flatnonzero(finite)
-        idx = idx[keep]
-        if idx.size == 0:
-            return
-        lookup_lows, lookup_highs = q_lows[keep], q_highs[keep]
+    dense_groups = []
+    pairs = []
+    b = None
+    for group in groups:
+        sparse, lookup = _route(group, index, contains)
+        n_sparse = int(sparse.sum())
+        n_dense = group.idx.size - n_sparse
+        if n_dense:
+            _SPARSE_CALLS.inc(n_dense, kernel=group.kind, path="dense")
+            if n_sparse:
+                keep = ~sparse
+                group_ops = tuple(a[..., keep] for a in group.ops)
+                dense_groups.append(group._replace(idx=group.idx[keep], ops=group_ops))
+            else:
+                dense_groups.append(group)
+        if not n_sparse:
+            continue
+        _SPARSE_CALLS.inc(n_sparse, kernel=group.kind, path="sparse")
+        sel = np.flatnonzero(sparse)
+        rows, cols = lookup(sel)
+        _SPARSE_CANDIDATES.inc(rows.size, kernel=group.kind)
+        _SPARSE_PRUNED_FRAC.set(1.0 - rows.size / (n_sparse * index.m), kernel=group.kind)
+        if b is None:
+            b = (
+                (np.ascontiguousarray(index.b_lows.T),)
+                if contains
+                else bucket_operands(index.b_lows, index.b_highs, b_volumes)
+            )
+        fn = group.contains if contains else group.volume
+        values = _pair_values(fn, group, sel[rows], cols, b)
+        pairs.append((group.idx[sel], rows, cols, values))
+    positions = np.sort(
+        np.concatenate([np.asarray(other, dtype=np.int64)] + [g.idx for g in dense_groups])
+    )
+    if positions.size == len(queries):
+        dense = GroupedQueries(queries, dense_groups, other)
     else:
-        keep = None
-        lookup_lows, lookup_highs = q_lows, q_highs
-    eff = _effective_crossover(kernel)
-    max_pairs = None if eff >= 1.0 else int(eff * idx.size * m)
-    found = index.candidates_for_boxes(lookup_lows, lookup_highs, max_pairs)
-    if found is None or int(found[0][-1]) > eff * idx.size * m:
-        pairs = int(found[0][-1]) if found is not None else idx.size * m
-        _record(kernel, idx.size, m, pairs, "dense")
-        yield ("dense", idx)
-        return
-    indptr, cols = found
-    pairs = int(indptr[-1])
-    _record(kernel, idx.size, m, pairs, "sparse")
-    rows = np.repeat(np.arange(idx.size, dtype=np.int64), np.diff(indptr))
-    # pair_fn indexes the *family* arrays — map local rows back when
-    # non-finite rows were split off above.
-    fam_rows = rows if keep is None else keep[rows]
-    yield ("pairs", idx, rows, cols, pair_fn(fam_rows, cols))
+        dense = GroupedQueries(
+            [queries[i] for i in positions],
+            [g._replace(idx=np.searchsorted(positions, g.idx)) for g in dense_groups],
+            np.searchsorted(positions, other).tolist(),
+        )
+    return positions, dense, pairs
+
+
+def _pair_values(fn, group: KernelGroup, rows, cols, b) -> np.ndarray:
+    """``fn`` on gathered (query row, bucket) pairs, in memory-bounded chunks."""
+    out = np.empty(rows.size)
+    step = max(1, CHUNK_ELEMENTS // group.width)
+    for start in range(0, rows.size, step):
+        r = rows[start : start + step]
+        c = cols[start : start + step]
+        out[start : start + step] = fn(
+            tuple(a[..., r] for a in group.ops), tuple(a[..., c] for a in b)
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -508,18 +240,14 @@ def sparse_intersection_volume_matrix(
 ) -> np.ndarray:
     """``Vol(B_j ∩ R_i)`` as a dense array, computed only on candidate pairs."""
     queries = list(queries)
-    if index.m < _min_buckets:
-        return intersection_volume_matrix(queries, index.b_lows, index.b_highs, b_volumes)
+    positions, dense, pairs = _split(queries, index, b_volumes, contains=False)
     out = np.zeros((len(queries), index.m))
-    for seg in _overlap_segments(queries, index, b_volumes):
-        if seg[0] == "dense":
-            _, idx = seg
-            out[idx] = intersection_volume_matrix(
-                [queries[i] for i in idx], index.b_lows, index.b_highs, b_volumes
-            )
-        else:
-            _, idx, rows, cols, vals = seg
-            out[idx[rows], cols] = vals
+    if positions.size:
+        out[positions] = intersection_volume_matrix(
+            dense, index.b_lows, index.b_highs, b_volumes
+        )
+    for idx, rows, cols, vals in pairs:
+        out[idx[rows], cols] = vals
     return out
 
 
@@ -531,17 +259,10 @@ def sparse_coverage_matrix(
     Identical values to :func:`~repro.geometry.batch.coverage_matrix` —
     solvers can consume it unchanged.
     """
-    queries = list(queries)
-    if index.m < _min_buckets:
-        return coverage_matrix(queries, index.b_lows, index.b_highs, b_volumes)
     if b_volumes is None:
         b_volumes = np.prod(index.b_highs - index.b_lows, axis=1)
-    else:
-        b_volumes = np.asarray(b_volumes, dtype=float)
-    overlaps = sparse_intersection_volume_matrix(queries, index, b_volumes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fractions = np.where(b_volumes[None, :] > 0, overlaps / b_volumes[None, :], 0.0)
-    return np.clip(fractions, 0.0, 1.0)
+    b_volumes = np.asarray(b_volumes, dtype=float)
+    return fractions(sparse_intersection_volume_matrix(queries, index, b_volumes), b_volumes)
 
 
 def sparse_coverage_dot(
@@ -552,210 +273,38 @@ def sparse_coverage_dot(
 ) -> np.ndarray:
     """Fused sparse prediction kernel: ``coverage_matrix(...) @ weights``.
 
-    The sparse analogue of :func:`~repro.geometry.batch.coverage_dot`:
-    candidate pair volumes are normalised, clipped, weighted and reduced
-    per query with one ``bincount`` — pruned pairs contribute exactly 0.
+    Dense rows run the chunked dense dot; candidate pair volumes are
+    normalised, clipped, weighted and reduced per query with one
+    ``bincount`` — pruned pairs contribute exactly 0.
     """
     queries = list(queries)
     weights = np.asarray(weights, dtype=float)
-    if index.m < _min_buckets:
-        return coverage_dot(queries, index.b_lows, index.b_highs, b_volumes, weights)
-    if b_volumes is None:
-        b_volumes = np.prod(index.b_highs - index.b_lows, axis=1)
-    else:
-        b_volumes = np.asarray(b_volumes, dtype=float)
+    positions, dense, pairs = _split(queries, index, b_volumes, contains=False)
     out = np.zeros(len(queries))
-    for seg in _overlap_segments(queries, index, b_volumes):
-        if seg[0] == "dense":
-            _, idx = seg
-            # The chunked dense dot — bitwise-identical to the pure dense
-            # predict path for these rows.
-            out[idx] = coverage_dot(
-                [queries[i] for i in idx],
-                index.b_lows,
-                index.b_highs,
-                b_volumes,
-                weights,
-            )
-        else:
-            _, idx, rows, cols, vals = seg
-            bv = b_volumes[cols]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                frac = np.where(bv > 0, vals / bv, 0.0)
-            np.clip(frac, 0.0, 1.0, out=frac)
-            out[idx] = np.bincount(rows, weights=frac * weights[cols], minlength=idx.size)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Public entry points — CSR outputs
-# ---------------------------------------------------------------------------
-
-
-def _csr_parts(queries: list, index: BucketIndex, b_volumes: np.ndarray | None):
-    rows_parts: list[np.ndarray] = []
-    cols_parts: list[np.ndarray] = []
-    vals_parts: list[np.ndarray] = []
-    for seg in _overlap_segments(queries, index, b_volumes):
-        if seg[0] == "dense":
-            _, idx = seg
-            block = intersection_volume_matrix(
-                [queries[i] for i in idx], index.b_lows, index.b_highs, b_volumes
-            )
-            r, c = np.nonzero(block)
-            rows_parts.append(idx[r])
-            cols_parts.append(c)
-            vals_parts.append(block[r, c])
-        else:
-            _, idx, rows, cols, vals = seg
-            rows_parts.append(idx[rows])
-            cols_parts.append(cols)
-            vals_parts.append(vals)
-    if rows_parts:
-        return (
-            np.concatenate(rows_parts),
-            np.concatenate(cols_parts),
-            np.concatenate(vals_parts),
-        )
-    empty_i = np.empty(0, dtype=np.int64)
-    return empty_i, empty_i, np.empty(0)
-
-
-def intersection_volume_matrix_csr(
-    queries: Sequence, index: BucketIndex, b_volumes: np.ndarray | None = None
-):
-    """``Vol(B_j ∩ R_i)`` as a SciPy CSR matrix (explicit entries only)."""
-    from scipy.sparse import csr_matrix
-
-    queries = list(queries)
-    rows, cols, vals = _csr_parts(queries, index, b_volumes)
-    return csr_matrix((vals, (rows, cols)), shape=(len(queries), index.m))
-
-
-def coverage_matrix_csr(
-    queries: Sequence, index: BucketIndex, b_volumes: np.ndarray | None = None
-):
-    """Eq. (8) design matrix as a SciPy CSR matrix."""
-    from scipy.sparse import csr_matrix
-
-    queries = list(queries)
-    if b_volumes is None:
+    if positions.size:
+        out[positions] = coverage_dot(dense, index.b_lows, index.b_highs, b_volumes, weights)
+    if pairs and b_volumes is None:
         b_volumes = np.prod(index.b_highs - index.b_lows, axis=1)
-    else:
-        b_volumes = np.asarray(b_volumes, dtype=float)
-    rows, cols, vals = _csr_parts(queries, index, b_volumes)
-    bv = b_volumes[cols]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(bv > 0, vals / bv, 0.0)
-    np.clip(frac, 0.0, 1.0, out=frac)
-    return csr_matrix((frac, (rows, cols)), shape=(len(queries), index.m))
+    for idx, rows, cols, vals in pairs:
+        frac = fractions(vals, b_volumes[cols])
+        out[idx] = np.bincount(rows, weights=frac * weights[cols], minlength=idx.size)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Public entry points — containment (Eq. 7, point-support models)
 # ---------------------------------------------------------------------------
 
-#: Bounding-box padding for candidate lookups feeding containment tests:
-#: ``contains`` uses a ``±1e-12`` closure epsilon (and ``sqrt`` of it for
-#: squared ball distances), so candidate boxes grow by sqrt(_EPS).
-_CONTAIN_PAD = float(np.sqrt(_EPS))
-
-
-def _containment_segments(queries: list, index: BucketIndex):
-    """Per-family membership pairs against a *point* index.
-
-    Yields the same segment shapes as :func:`_overlap_segments`, with
-    0/1 membership values mirroring
-    :func:`~repro.geometry.batch.containment_matrix` per pair.
-    """
-    points = index.b_lows  # point support: lows == highs == points
-    m = index.m
-    boxes, halfspaces, balls, other = _group_by_kind(queries)
-
-    # Membership tests are a few comparisons per pair for every family, so
-    # the base (box) crossover applies throughout.
-    eff = _effective_crossover("box")
-
-    if boxes:
-        q_lows, q_highs = boxes_to_arrays([queries[i] for i in boxes])
-        idx = np.asarray(boxes)
-        max_pairs = None if eff >= 1.0 else int(eff * idx.size * m)
-        found = index.candidates_for_boxes(
-            q_lows - _CONTAIN_PAD, q_highs + _CONTAIN_PAD, max_pairs
-        )
-        if found is None or int(found[0][-1]) > eff * idx.size * m:
-            pairs = int(found[0][-1]) if found is not None else idx.size * m
-            _record("box", idx.size, m, pairs, "dense")
-            yield ("dense", idx)
-        else:
-            indptr, cols = found
-            pairs = int(indptr[-1])
-            _record("box", idx.size, m, pairs, "sparse")
-            rows = np.repeat(np.arange(idx.size, dtype=np.int64), np.diff(indptr))
-            inside = np.ones(rows.size, dtype=bool)
-            for k in range(q_lows.shape[1]):
-                coords = points[cols, k]
-                inside &= coords >= q_lows[rows, k] - _EPS
-                inside &= coords <= q_highs[rows, k] + _EPS
-            yield ("pairs", idx, rows, cols, inside.astype(float))
-
-    if halfspaces:
-        normals = np.stack([queries[i].normal for i in halfspaces])
-        offsets = np.array([queries[i].offset for i in halfspaces])
-        idx = np.asarray(halfspaces)
-        keep = index.halfspace_candidates(normals, offsets)
-        pairs = int(keep.sum())
-        if pairs > eff * idx.size * m:
-            _record("halfspace", idx.size, m, pairs, "dense")
-            yield ("dense", idx)
-        else:
-            _record("halfspace", idx.size, m, pairs, "sparse")
-            rows, cols = np.nonzero(keep)
-            dots = np.einsum("pd,pd->p", normals[rows], points[cols])
-            inside = dots >= offsets[rows] - _EPS
-            yield ("pairs", idx, rows, cols, inside.astype(float))
-
-    if balls:
-        centers = np.stack([queries[i].ball_center for i in balls])
-        radii = np.array([queries[i].radius for i in balls])
-        idx = np.asarray(balls)
-        pad = radii[:, None] + _CONTAIN_PAD
-        max_pairs = None if eff >= 1.0 else int(eff * idx.size * m)
-        found = index.candidates_for_boxes(centers - pad, centers + pad, max_pairs)
-        if found is None or int(found[0][-1]) > eff * idx.size * m:
-            pairs = int(found[0][-1]) if found is not None else idx.size * m
-            _record("ball", idx.size, m, pairs, "dense")
-            yield ("dense", idx)
-        else:
-            indptr, cols = found
-            pairs = int(indptr[-1])
-            _record("ball", idx.size, m, pairs, "sparse")
-            rows = np.repeat(np.arange(idx.size, dtype=np.int64), np.diff(indptr))
-            sq_dist = np.zeros(rows.size)
-            for k in range(centers.shape[1]):
-                diff = points[cols, k] - centers[rows, k]
-                sq_dist += diff * diff
-            inside = sq_dist <= (radii[rows] ** 2 + _EPS)
-            yield ("pairs", idx, rows, cols, inside.astype(float))
-
-    if other:
-        _SPARSE_CALLS.inc(len(other), kernel="other", path="dense")
-        yield ("dense", np.asarray(other))
-
 
 def sparse_containment_matrix(queries: Sequence, index: BucketIndex) -> np.ndarray:
-    """Eq. (7) membership matrix via the spatial index (dense out)."""
+    """Eq. (7) membership matrix via a point index (dense out)."""
     queries = list(queries)
-    if index.m < _min_buckets:
-        return containment_matrix(queries, index.b_lows)
+    positions, dense, pairs = _split(queries, index, None, contains=True)
     out = np.zeros((len(queries), index.m))
-    for seg in _containment_segments(queries, index):
-        if seg[0] == "dense":
-            _, idx = seg
-            out[idx] = containment_matrix([queries[i] for i in idx], index.b_lows)
-        else:
-            _, idx, rows, cols, vals = seg
-            out[idx[rows], cols] = vals
+    if positions.size:
+        out[positions] = containment_matrix(dense, index.b_lows)
+    for idx, rows, cols, vals in pairs:
+        out[idx[rows], cols] = vals
     return out
 
 
@@ -765,16 +314,10 @@ def sparse_containment_dot(
     """Fused sparse membership prediction: ``containment_matrix @ weights``."""
     queries = list(queries)
     weights = np.asarray(weights, dtype=float)
-    if index.m < _min_buckets:
-        return containment_matrix(queries, index.b_lows) @ weights
+    positions, dense, pairs = _split(queries, index, None, contains=True)
     out = np.zeros(len(queries))
-    for seg in _containment_segments(queries, index):
-        if seg[0] == "dense":
-            _, idx = seg
-            out[idx] = (
-                containment_matrix([queries[i] for i in idx], index.b_lows) @ weights
-            )
-        else:
-            _, idx, rows, cols, vals = seg
-            out[idx] = np.bincount(rows, weights=vals * weights[cols], minlength=idx.size)
+    if positions.size:
+        out[positions] = containment_matrix(dense, index.b_lows) @ weights
+    for idx, rows, cols, vals in pairs:
+        out[idx] = np.bincount(rows, weights=vals * weights[cols], minlength=idx.size)
     return out

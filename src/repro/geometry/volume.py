@@ -77,8 +77,7 @@ def _unit_square_halfspace_fraction(c1, c2, t):
     loses ``~eps * max(c)/min(c)`` of accuracy when the coefficients are
     orders of magnitude apart; every branch here is cancellation-free.
     Assumes ``c1, c2 >= 0``; accepts scalars or broadcastable arrays.
-    The batch halfspace kernels evaluate the same arithmetic, so scalar and
-    matrix results agree bitwise.
+    The batch halfspace kernel (:mod:`repro.geometry.batch`) shares it.
     """
     lo = np.minimum(c1, c2)
     hi = np.maximum(c1, c2)
@@ -286,158 +285,3 @@ def range_volume(range_: Range, domain: Box) -> float:
     QuadHist's splitting rule (Algorithm 2) normalises by this quantity.
     """
     return intersection_volume(domain, range_)
-
-
-# ---------------------------------------------------------------------------
-# Batched variants: intersection volumes of MANY boxes against ONE range.
-# These feed the design matrix of the weight-estimation phase (Eq. 8), where
-# every (bucket, training query) pair needs Vol(B_j ∩ R_i).
-# ---------------------------------------------------------------------------
-
-
-def batch_box_box_volumes(lows: np.ndarray, highs: np.ndarray, query: Box) -> np.ndarray:
-    """``Vol(B_j ∩ query)`` for boxes given as ``(m, d)`` low/high arrays."""
-    clip_lows = np.maximum(lows, query.lows)
-    clip_highs = np.minimum(highs, query.highs)
-    widths = clip_highs - clip_lows
-    volumes = np.prod(np.maximum(widths, 0.0), axis=1)
-    volumes[np.any(widths < 0, axis=1)] = 0.0
-    return volumes
-
-
-def batch_box_halfspace_volumes(
-    lows: np.ndarray, highs: np.ndarray, halfspace: Halfspace
-) -> np.ndarray:
-    """``Vol(B_j ∩ {a.x >= b})`` for many boxes, vectorised over boxes.
-
-    Same inclusion–exclusion identity as the scalar version, evaluated for
-    all boxes at once: ``O(m * 2^d * d)``.
-    """
-    lows = np.asarray(lows, dtype=float)
-    highs = np.asarray(highs, dtype=float)
-    m, d = lows.shape
-    widths = highs - lows
-    box_volumes = np.prod(widths, axis=1)
-    normal = halfspace.normal
-    thresholds = halfspace.offset - lows @ normal  # (m,)
-    # Dimensions with a (near-)zero normal component are unconstrained for
-    # *every* box: project them out exactly, as the scalar kernel does.
-    # The inclusion–exclusion identity is catastrophically ill-conditioned
-    # in a coefficient that is tiny relative to the others, so an epsilon
-    # guard there costs ~1e-5 of accuracy; exact projection costs nothing.
-    active = np.abs(normal) > 1e-15 * max(1.0, float(np.max(np.abs(normal), initial=0.0)))
-    a_dim = int(active.sum())
-    if a_dim == 0:
-        return np.where(thresholds <= 0.0, box_volumes, 0.0)
-    coeffs = normal[active][None, :] * widths[:, active]  # (m, a_dim)
-    negative = coeffs < 0
-    thresholds = thresholds - np.sum(np.where(negative, coeffs, 0.0), axis=1)
-    coeffs = np.abs(coeffs)
-    if a_dim == 2:
-        # Cancellation-free closed form, bitwise-identical to the scalar
-        # kernel's 2-D branch (tiny coefficient ratios stay exact).
-        fraction_below = _unit_square_halfspace_fraction(
-            coeffs[:, 0], coeffs[:, 1], thresholds
-        )
-        return np.maximum(box_volumes * (1.0 - fraction_below), 0.0)
-    # Residual zero coefficients only come from zero-width boxes, whose
-    # volume factor forces the result to 0 anyway; the epsilon guard just
-    # keeps the arithmetic finite.
-    eps = 1e-12 * np.maximum(1.0, np.max(coeffs, axis=1, keepdims=True))
-    coeffs = np.maximum(coeffs, eps)
-    masks = np.arange(1 << a_dim, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(a_dim)) & 1).astype(float)  # (2^a, a)
-    signs = np.where((np.sum(bits, axis=1) % 2) == 0, 1.0, -1.0)  # (2^a,)
-    dots = coeffs @ bits.T  # (m, 2^a)
-    terms = np.maximum(0.0, thresholds[:, None] - dots) ** a_dim
-    raw = terms @ signs  # (m,)
-    denom = math.factorial(a_dim) * np.prod(coeffs, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fraction_below = np.where(denom > 0, raw / denom, 0.0)
-    fraction_below = np.clip(fraction_below, 0.0, 1.0)
-    totals = np.sum(coeffs, axis=1)
-    fraction_below = np.where(thresholds <= 0.0, 0.0, fraction_below)
-    fraction_below = np.where(thresholds >= totals, 1.0, fraction_below)
-    return np.maximum(box_volumes * (1.0 - fraction_below), 0.0)
-
-
-def _disc_quadrant_area_vec(x: np.ndarray, y: np.ndarray, radius) -> np.ndarray:
-    """Vectorised :func:`_disc_quadrant_area` over coordinate arrays.
-
-    ``radius`` may be a scalar or any array broadcastable against ``x`` and
-    ``y`` (the batch kernels pass one radius per query row).
-    """
-    x, y, r = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(radius, dtype=float)
-    )
-    r_safe = np.where(r > 0.0, r, 1.0)
-    xc = np.minimum(x, r)
-
-    def g_anti(t: np.ndarray) -> np.ndarray:
-        t = np.clip(t, -r, r)
-        return 0.5 * (t * np.sqrt(np.maximum(r * r - t * t, 0.0)) + r * r * np.arcsin(t / r_safe))
-
-    def g_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.where(b > a, g_anti(b) - g_anti(a), 0.0)
-
-    a = -r
-    b = xc
-    # Branch 1: y >= r -> full vertical extent.
-    full = 2.0 * g_int(a, b)
-    # Branch 2: y in (-r, r).
-    y_clip = np.clip(y, -r, r)
-    x_star = np.sqrt(np.maximum(r * r - y_clip * y_clip, 0.0))
-    lo = np.minimum(np.maximum(a, -x_star), b)
-    hi = np.maximum(np.minimum(b, x_star), a)
-    has_band = hi > lo
-    pos_area = g_int(a, b) + np.where(
-        has_band,
-        y_clip * (hi - lo) + g_int(a, lo) + g_int(hi, b),
-        g_int(a, b),
-    )
-    neg_area = np.where(has_band, y_clip * (hi - lo) + g_int(lo, hi), 0.0)
-    partial = np.where(y_clip >= 0.0, pos_area, neg_area)
-    area = np.where(y >= r, full, partial)
-    dead = (x <= -r) | (y <= -r) | (r <= 0.0)
-    return np.where(dead, 0.0, np.maximum(area, 0.0))
-
-
-def batch_box_ball_volumes(lows: np.ndarray, highs: np.ndarray, ball: Ball) -> np.ndarray:
-    """``Vol(B_j ∩ ball)`` for many boxes: exact for d <= 2, quasi-MC above."""
-    lows = np.asarray(lows, dtype=float)
-    highs = np.asarray(highs, dtype=float)
-    m, d = lows.shape
-    if d == 1:
-        lo = np.maximum(lows[:, 0], ball.ball_center[0] - ball.radius)
-        hi = np.minimum(highs[:, 0], ball.ball_center[0] + ball.radius)
-        return np.maximum(hi - lo, 0.0)
-    if d == 2:
-        cx, cy = ball.ball_center
-        r = ball.radius
-        x0 = lows[:, 0] - cx
-        y0 = lows[:, 1] - cy
-        x1 = highs[:, 0] - cx
-        y1 = highs[:, 1] - cy
-        area = (
-            _disc_quadrant_area_vec(x1, y1, r)
-            - _disc_quadrant_area_vec(x0, y1, r)
-            - _disc_quadrant_area_vec(x1, y0, r)
-            + _disc_quadrant_area_vec(x0, y0, r)
-        )
-        return np.maximum(area, 0.0)
-    return np.array(
-        [box_ball_intersection_volume(Box(lo, hi), ball) for lo, hi in zip(lows, highs)]
-    )
-
-
-def batch_intersection_volumes(lows: np.ndarray, highs: np.ndarray, range_: Range) -> np.ndarray:
-    """``Vol(B_j ∩ range)`` for many boxes, dispatching on the range type."""
-    if isinstance(range_, Box):
-        return batch_box_box_volumes(lows, highs, range_)
-    if isinstance(range_, Halfspace):
-        return batch_box_halfspace_volumes(lows, highs, range_)
-    if isinstance(range_, Ball):
-        return batch_box_ball_volumes(lows, highs, range_)
-    return np.array(
-        [intersection_volume(Box(lo, hi), range_) for lo, hi in zip(lows, highs)]
-    )

@@ -66,7 +66,6 @@ GAUGE_MAX_REDUCTIONS = frozenset(
         "repro_snapshot_timestamp_seconds",
         "repro_breaker_state",
         "repro_drift_statistic",
-        "repro_sparse_crossover",
     }
 )
 

@@ -24,13 +24,11 @@ N_TRAIN = 60
 
 
 @pytest.fixture(autouse=True)
-def force_sparse():
-    """Small test models would short-circuit to dense without this."""
-    prev_min = sparse_mod.set_min_sparse_buckets(0)
-    prev_cross = sparse_mod.set_crossover_threshold(1.0)
-    yield
-    sparse_mod.set_min_sparse_buckets(prev_min)
-    sparse_mod.set_crossover_threshold(prev_cross)
+def force_sparse(monkeypatch):
+    """Small test models would run dense under the cost rule without this."""
+    monkeypatch.setattr(
+        sparse_mod, "_sparse_rows", lambda n, dense_ns, sparse_ns: np.ones(n, dtype=bool)
+    )
 
 
 def _box_training(rng, n=N_TRAIN, d=2):

@@ -1,8 +1,9 @@
-"""Batch volume-matrix kernels agree with the per-query kernels.
+"""Batch volume-matrix kernels agree with the single-pair oracle.
 
-Every matrix row must reproduce :func:`repro.geometry.volume
-.batch_intersection_volumes` (one query × many boxes) to floating-point
-noise, for every query class, under any chunking configuration.
+Every matrix entry must reproduce the single-pair functions of
+:mod:`repro.geometry.volume` (an implementation independent of the
+kernels) to floating-point noise, for every query class, under any
+chunking configuration.
 """
 
 import numpy as np
@@ -11,9 +12,6 @@ import pytest
 import repro.geometry.batch as batch
 from repro.geometry import Ball, Box, Halfspace, unit_box
 from repro.geometry.batch import (
-    box_ball_volume_matrix,
-    box_box_volume_matrix,
-    box_halfspace_volume_matrix,
     boxes_to_arrays,
     containment_matrix,
     coverage_dot,
@@ -21,8 +19,8 @@ from repro.geometry.batch import (
     intersection_volume_matrix,
 )
 from repro.geometry.volume import (
-    batch_intersection_volumes,
     box_halfspace_intersection_volume,
+    intersection_volume,
 )
 
 
@@ -34,7 +32,7 @@ def _random_buckets(rng, m, d):
 
 def _assert_rows_match(queries, b_lows, b_highs, matrix, atol=1e-12):
     for i, query in enumerate(queries):
-        expected = batch_intersection_volumes(b_lows, b_highs, query)
+        expected = [intersection_volume(Box(lo, hi), query) for lo, hi in zip(b_lows, b_highs)]
         np.testing.assert_allclose(matrix[i], expected, atol=atol, rtol=0)
 
 
@@ -46,14 +44,12 @@ class TestBoxKernel:
             Box(lo, lo + w)
             for lo, w in zip(rng.random((25, d)) * 0.7, rng.random((25, d)) * 0.3)
         ]
-        q_lows, q_highs = boxes_to_arrays(queries)
-        matrix = box_box_volume_matrix(q_lows, q_highs, b_lows, b_highs)
+        matrix = intersection_volume_matrix(queries, b_lows, b_highs)
         _assert_rows_match(queries, b_lows, b_highs, matrix, atol=0)
 
     def test_disjoint_pairs_are_zero(self):
         b_lows, b_highs = boxes_to_arrays([Box([0.0, 0.0], [0.2, 0.2])])
-        q_lows, q_highs = boxes_to_arrays([Box([0.5, 0.5], [0.9, 0.9])])
-        matrix = box_box_volume_matrix(q_lows, q_highs, b_lows, b_highs)
+        matrix = intersection_volume_matrix([Box([0.5, 0.5], [0.9, 0.9])], b_lows, b_highs)
         assert matrix[0, 0] == 0.0
 
 
@@ -64,9 +60,7 @@ class TestHalfspaceKernel:
             Halfspace(normal, float(rng.normal()))
             for normal in rng.normal(size=(20, 2))
         ]
-        normals = np.stack([q.normal for q in queries])
-        offsets = np.array([q.offset for q in queries])
-        matrix = box_halfspace_volume_matrix(normals, offsets, b_lows, b_highs)
+        matrix = intersection_volume_matrix(queries, b_lows, b_highs)
         _assert_rows_match(queries, b_lows, b_highs, matrix)
 
     def test_axis_aligned_zero_components(self, rng):
@@ -80,9 +74,7 @@ class TestHalfspaceKernel:
             Halfspace([1.0, 0.0, 0.0], 5.0),  # all-space: every box fully in
             Halfspace([0.5, 0.0, -0.5], 0.1),
         ]
-        normals = np.stack([q.normal for q in queries])
-        offsets = np.array([q.offset for q in queries])
-        matrix = box_halfspace_volume_matrix(normals, offsets, b_lows, b_highs)
+        matrix = intersection_volume_matrix(queries, b_lows, b_highs)
         _assert_rows_match(queries, b_lows, b_highs, matrix)
 
     def test_tiny_normal_component_is_well_conditioned(self):
@@ -98,9 +90,7 @@ class TestHalfspaceKernel:
         b_lows, b_highs = boxes_to_arrays([dom])
         for query in (half, flipped):
             scalar = box_halfspace_intersection_volume(dom, query)
-            row = box_halfspace_volume_matrix(
-                query.normal[None, :], np.array([query.offset]), b_lows, b_highs
-            )
+            row = intersection_volume_matrix([query], b_lows, b_highs)
             assert row[0, 0] == scalar
 
 
@@ -116,9 +106,7 @@ class TestBallKernel:
                 rng.random((10, d)), 0.05 + rng.random(10) * 0.4
             )
         ]
-        centers = np.stack([q.ball_center for q in queries])
-        radii = np.array([q.radius for q in queries])
-        matrix = box_ball_volume_matrix(centers, radii, b_lows, b_highs)
+        matrix = intersection_volume_matrix(queries, b_lows, b_highs)
         _assert_rows_match(queries, b_lows, b_highs, matrix)
 
 

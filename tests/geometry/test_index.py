@@ -5,8 +5,7 @@ The index is a *pruning* structure: its only correctness obligation is that
 buckets (false positives are fine — the exact kernels zero them out; false
 negatives would silently drop probability mass).  Both implementations
 (uniform grid, packed R-tree) must satisfy the same contract, including on
-degenerate inputs: point buckets, empty candidate sets, and the
-``max_pairs`` early-abort used by the density crossover.
+degenerate inputs: point buckets and empty candidate sets.
 """
 
 import numpy as np
@@ -109,18 +108,19 @@ def test_disjoint_query_yields_empty_candidates(cls):
 
 
 @pytest.mark.parametrize("cls", INDEX_CLASSES)
-def test_max_pairs_abort(cls):
+def test_lookup_estimate_scales_with_query_extent(cls):
+    # The sparse/dense rule reads this estimate before any lookup: a
+    # whole-domain box must estimate at least every bucket, a disjoint or
+    # tiny box far fewer.
     rng = np.random.default_rng(9)
-    b_lows, b_highs = _random_buckets(rng, 200, 2)
+    b_lows, b_highs = _random_buckets(rng, 400, 2)
     index = cls(b_lows, b_highs)
-    # The whole-domain query hits every bucket: a tiny cap must abort...
-    whole = (np.zeros((1, 2)), np.ones((1, 2)))
-    assert index.candidates_for_boxes(*whole, max_pairs=5) is None
-    # ...while a generous cap returns the complete candidate set.
-    found = index.candidates_for_boxes(*whole, max_pairs=10**9)
-    assert found is not None
-    indptr, ids = found
-    assert indptr[-1] == 200 and ids.size == 200
+    q_lows = np.array([[0.0, 0.0], [0.5, 0.5], [3.0, 3.0]])
+    q_highs = np.array([[1.0, 1.0], [0.51, 0.51], [4.0, 4.0]])
+    visits, entries = index.lookup_estimate(q_lows, q_highs)
+    assert entries[0] >= index.m
+    assert entries[1] < entries[0] / 4 and visits[1] < visits[0]
+    assert visits[2] == 0 and entries[2] == 0
 
 
 def test_build_selects_grid_for_uniform_buckets():

@@ -171,6 +171,11 @@ class TestHalfspace:
         with pytest.raises(ValueError):
             Halfspace([0.0, 0.0], 0.1)
 
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+    def test_non_finite_offset_rejected(self, offset):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            Halfspace([1.0, 0.0], offset)
+
     def test_through_point(self):
         half = Halfspace.through_point([0.5, 0.5], [1.0, 1.0])
         assert [0.5, 0.5] in half
@@ -195,6 +200,12 @@ class TestBall:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             Ball([0.5], -0.1)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        # NaN passes the ``radius < 0`` test, so it needs its own check.
+        with pytest.raises(ValueError, match="radius must be finite"):
+            Ball([0.5, 0.5], radius)
 
     def test_bounding_box(self):
         ball = Ball([0.5, 0.5], 0.2)

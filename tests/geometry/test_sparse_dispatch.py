@@ -1,0 +1,68 @@
+"""The sparse/dense cost rule (repro.geometry.sparse).
+
+Each query row goes sparse only when the index's estimate of its lookup
+and pair work undercuts the ``m`` dense entries, and the rows that go
+sparse together save more than a call's fixed cost.  The outcome of
+every row is counted in ``repro_sparse_calls_total{kernel,path}``.
+"""
+
+import numpy as np
+
+from repro.geometry.batch import coverage_dot
+from repro.geometry.index import UniformGridIndex
+from repro.geometry.ranges import Box
+from repro.geometry.sparse import sparse_coverage_dot
+from repro.observability import default_registry
+
+
+def _grid_buckets(per_dim: int):
+    """``per_dim**2`` equal cells tiling the unit square."""
+    edges = np.linspace(0.0, 1.0, per_dim + 1)
+    xs, ys = np.meshgrid(edges[:-1], edges[:-1], indexing="ij")
+    lows = np.column_stack([xs.ravel(), ys.ravel()])
+    return lows, lows + 1.0 / per_dim
+
+
+def _calls(path: str) -> float:
+    return default_registry().get("repro_sparse_calls_total").value(kernel="box", path=path)
+
+
+def _predict(queries, index):
+    volumes = np.prod(index.b_highs - index.b_lows, axis=1)
+    weights = np.full(index.m, 1.0 / index.m)
+    got = sparse_coverage_dot(queries, index, volumes, weights)
+    dense = coverage_dot(queries, index.b_lows, index.b_highs, volumes, weights)
+    np.testing.assert_allclose(got, dense, atol=1e-12, rtol=0)
+
+
+def test_whole_domain_box_runs_dense_without_a_lookup(monkeypatch):
+    index = UniformGridIndex(*_grid_buckets(32))  # 1024 buckets
+
+    def no_lookup(*args, **kwargs):
+        raise AssertionError("the rule looked up a row it sends dense")
+
+    monkeypatch.setattr(index, "candidates_for_boxes", no_lookup)
+    before = _calls("dense")
+    _predict([Box([0.0, 0.0], [1.0, 1.0])] * 64, index)
+    assert _calls("dense") - before == 64
+
+
+def test_tiny_boxes_on_many_buckets_run_sparse():
+    index = UniformGridIndex(*_grid_buckets(128))  # 16384 buckets
+    lows = np.random.default_rng(0).uniform(0.0, 0.99, size=(200, 2))
+    before = _calls("sparse")
+    _predict([Box(lo, lo + 0.005) for lo in lows], index)
+    assert _calls("sparse") - before == 200
+
+
+def test_mixed_batch_splits_rows_between_paths():
+    tiny = 100
+    index = UniformGridIndex(*_grid_buckets(128))
+    rng = np.random.default_rng(1)
+    queries = [Box(lo, lo + 0.005) for lo in rng.uniform(0.0, 0.99, size=(tiny, 2))]
+    queries += [Box([0.0, 0.0], [1.0, 1.0])] * 20
+    order = rng.permutation(len(queries))
+    dense_before, sparse_before = _calls("dense"), _calls("sparse")
+    _predict([queries[i] for i in order], index)
+    assert _calls("sparse") - sparse_before == tiny
+    assert _calls("dense") - dense_before == 20

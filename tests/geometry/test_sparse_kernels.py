@@ -1,11 +1,13 @@
 """Sparse coverage kernels agree with the dense oracle (repro.geometry.sparse).
 
-The dense kernels in :mod:`repro.geometry.batch` are the correctness
-oracle; every sparse entry point must reproduce them to ``<= 1e-12`` on
-mixed box/halfspace/ball workloads, including the edge cases the index
-can manufacture: zero-volume buckets, queries with empty candidate sets,
-and both index implementations.  The module-level knobs are forced so the
-tests exercise the sparse path even at test-sized bucket counts.
+The dense path of :mod:`repro.geometry.batch` is the correctness oracle.
+Sparse and dense run the same kernel per pair, so the volume and
+membership matrices must be bitwise equal on mixed box/halfspace/ball
+workloads, and fused dots equal to ``<= 1e-12`` (summation order).  The
+edge cases the index can manufacture are covered: zero-volume buckets,
+queries with empty candidate sets, and both index implementations.  The
+cost rule is patched so every row takes the sparse path even at
+test-sized bucket counts.
 """
 
 import numpy as np
@@ -21,8 +23,6 @@ from repro.geometry.batch import (
 from repro.geometry.index import PackedRTreeIndex, UniformGridIndex
 from repro.geometry.ranges import Ball, Box, Halfspace
 from repro.geometry.sparse import (
-    coverage_matrix_csr,
-    intersection_volume_matrix_csr,
     sparse_containment_dot,
     sparse_containment_matrix,
     sparse_coverage_dot,
@@ -34,13 +34,11 @@ TOL = 1e-12
 
 
 @pytest.fixture(autouse=True)
-def force_sparse():
-    """Exercise the sparse path regardless of bucket count or density."""
-    prev_min = sparse_mod.set_min_sparse_buckets(0)
-    prev_cross = sparse_mod.set_crossover_threshold(1.0)
-    yield
-    sparse_mod.set_min_sparse_buckets(prev_min)
-    sparse_mod.set_crossover_threshold(prev_cross)
+def force_sparse(monkeypatch):
+    """Send every row to the sparse path regardless of its cost."""
+    monkeypatch.setattr(
+        sparse_mod, "_sparse_rows", lambda n, dense_ns, sparse_ns: np.ones(n, dtype=bool)
+    )
 
 
 def _buckets(rng, m=120, d=2):
@@ -76,7 +74,18 @@ def test_intersection_volumes_match_dense(cls):
     index = cls(b_lows, b_highs)
     dense = intersection_volume_matrix(queries, b_lows, b_highs)
     got = sparse_intersection_volume_matrix(queries, index)
-    assert np.max(np.abs(got - dense)) <= TOL
+    assert np.array_equal(got, dense)
+
+
+@pytest.mark.parametrize("cls", [UniformGridIndex, PackedRTreeIndex])
+@pytest.mark.parametrize("d", [1, 3])
+def test_intersection_volumes_bitwise_in_other_dims(cls, d):
+    rng = np.random.default_rng(10 + d)
+    b_lows, b_highs = _buckets(rng, d=d)
+    queries = _mixed_queries(rng, d=d)
+    index = cls(b_lows, b_highs)
+    dense = intersection_volume_matrix(queries, b_lows, b_highs)
+    assert np.array_equal(sparse_intersection_volume_matrix(queries, index), dense)
 
 
 @pytest.mark.parametrize("cls", [UniformGridIndex, PackedRTreeIndex])
@@ -88,7 +97,7 @@ def test_coverage_matrix_matches_dense(cls):
     index = cls(b_lows, b_highs)
     dense = coverage_matrix(queries, b_lows, b_highs, b_volumes)
     got = sparse_coverage_matrix(queries, index, b_volumes)
-    assert np.max(np.abs(got - dense)) <= TOL
+    assert np.array_equal(got, dense)
 
 
 @pytest.mark.parametrize("cls", [UniformGridIndex, PackedRTreeIndex])
@@ -104,18 +113,6 @@ def test_coverage_dot_matches_dense(cls):
     assert np.max(np.abs(got - dense)) <= TOL
 
 
-def test_csr_variants_match_dense():
-    rng = np.random.default_rng(3)
-    b_lows, b_highs = _buckets(rng)
-    b_volumes = np.prod(b_highs - b_lows, axis=1)
-    queries = _mixed_queries(rng)
-    index = UniformGridIndex(b_lows, b_highs)
-    ivm = intersection_volume_matrix_csr(queries, index).toarray()
-    assert np.max(np.abs(ivm - intersection_volume_matrix(queries, b_lows, b_highs))) <= TOL
-    cov = coverage_matrix_csr(queries, index, b_volumes).toarray()
-    assert np.max(np.abs(cov - coverage_matrix(queries, b_lows, b_highs, b_volumes))) <= TOL
-
-
 def test_zero_volume_buckets_contribute_zero():
     # Degenerate (point) buckets have Vol(B) = 0: coverage is defined as 0
     # in both paths, never NaN/inf.
@@ -129,7 +126,7 @@ def test_zero_volume_buckets_contribute_zero():
     dense = coverage_matrix(queries, b_lows, b_highs, b_volumes)
     got = sparse_coverage_matrix(queries, index, b_volumes)
     assert np.isfinite(got).all()
-    assert np.max(np.abs(got - dense)) <= TOL
+    assert np.array_equal(got, dense)
     assert np.all(got[:, :10] == 0.0)
     dot = sparse_coverage_dot(queries, index, b_volumes, weights)
     assert np.max(np.abs(dot - dense @ weights)) <= TOL
@@ -161,29 +158,3 @@ def test_containment_matches_dense(cls):
     assert np.array_equal(got, dense)
     dot = sparse_containment_dot(queries, index, weights)
     assert np.max(np.abs(dot - dense @ weights)) <= TOL
-
-
-def test_min_buckets_short_circuit_is_bitwise():
-    # Below the floor the sparse entry points delegate to the dense
-    # kernels on the identical arrays — results are bitwise equal.
-    sparse_mod.set_min_sparse_buckets(10**6)
-    rng = np.random.default_rng(7)
-    b_lows, b_highs = _buckets(rng, m=50)
-    queries = _mixed_queries(rng, n=15)
-    index = UniformGridIndex(b_lows, b_highs)
-    dense = intersection_volume_matrix(queries, b_lows, b_highs)
-    got = sparse_intersection_volume_matrix(queries, index)
-    assert np.array_equal(got, dense)
-
-
-def test_knob_validation_and_restore():
-    with pytest.raises(ValueError):
-        sparse_mod.set_crossover_threshold(-0.1)
-    with pytest.raises(ValueError):
-        sparse_mod.set_crossover_threshold(1.5)
-    with pytest.raises(ValueError):
-        sparse_mod.set_min_sparse_buckets(-1)
-    prev = sparse_mod.set_crossover_threshold(0.5)
-    assert sparse_mod.get_crossover_threshold() == 0.5
-    sparse_mod.set_crossover_threshold(prev)
-    assert sparse_mod.get_crossover_threshold() == prev

@@ -9,13 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Ball, Box, Halfspace, unit_box
+from repro.geometry.batch import batch_intersection_volumes
 from repro.geometry.ranges import SemiAlgebraicRange
 from repro.geometry.volume import (
     ball_volume,
-    batch_box_box_volumes,
-    batch_box_halfspace_volumes,
-    batch_box_ball_volumes,
-    batch_intersection_volumes,
     box_ball_intersection_volume,
     box_box_intersection_volume,
     box_halfspace_intersection_volume,
@@ -217,7 +214,7 @@ class TestBatchVolumes:
     def test_batch_box_matches_scalar(self, random_boxes, rng):
         lows, highs = random_boxes
         query = Box.from_center(rng.random(2), rng.random(2), clip_to=unit_box(2))
-        batch = batch_box_box_volumes(lows, highs, query)
+        batch = batch_intersection_volumes(lows, highs, query)
         scalar = [
             box_box_intersection_volume(Box(lo, hi), query)
             for lo, hi in zip(lows, highs)
@@ -227,7 +224,7 @@ class TestBatchVolumes:
     def test_batch_halfspace_matches_scalar(self, random_boxes, rng):
         lows, highs = random_boxes
         half = Halfspace(rng.normal(size=2), 0.3)
-        batch = batch_box_halfspace_volumes(lows, highs, half)
+        batch = batch_intersection_volumes(lows, highs, half)
         scalar = [
             box_halfspace_intersection_volume(Box(lo, hi), half)
             for lo, hi in zip(lows, highs)
@@ -238,7 +235,7 @@ class TestBatchVolumes:
         lows = rng.random((30, 5)) * 0.7
         highs = lows + rng.random((30, 5)) * 0.3
         half = Halfspace(rng.normal(size=5), 0.2)
-        batch = batch_box_halfspace_volumes(lows, highs, half)
+        batch = batch_intersection_volumes(lows, highs, half)
         scalar = [
             box_halfspace_intersection_volume(Box(lo, hi), half)
             for lo, hi in zip(lows, highs)
@@ -248,7 +245,7 @@ class TestBatchVolumes:
     def test_batch_ball_matches_scalar(self, random_boxes, rng):
         lows, highs = random_boxes
         ball = Ball(rng.random(2), 0.4)
-        batch = batch_box_ball_volumes(lows, highs, ball)
+        batch = batch_intersection_volumes(lows, highs, ball)
         scalar = [
             box_ball_intersection_volume(Box(lo, hi), ball)
             for lo, hi in zip(lows, highs)
@@ -259,7 +256,7 @@ class TestBatchVolumes:
         lows = rng.random((20, 1)) * 0.8
         highs = lows + 0.1
         ball = Ball([0.5], 0.2)
-        batch = batch_box_ball_volumes(lows, highs, ball)
+        batch = batch_intersection_volumes(lows, highs, ball)
         scalar = [
             box_ball_intersection_volume(Box(lo, hi), ball)
             for lo, hi in zip(lows, highs)
@@ -267,11 +264,12 @@ class TestBatchVolumes:
         np.testing.assert_allclose(batch, scalar, atol=1e-12)
 
     def test_batch_dispatch(self, random_boxes):
+        # A range family without a batch kernel takes the single-pair path.
         lows, highs = random_boxes
-        query = Box([0.1, 0.1], [0.7, 0.7])
-        np.testing.assert_allclose(
+        query = SemiAlgebraicRange(2, [lambda p: p[:, 0] + p[:, 1] - 1.0])
+        np.testing.assert_array_equal(
             batch_intersection_volumes(lows, highs, query),
-            batch_box_box_volumes(lows, highs, query),
+            [intersection_volume(Box(lo, hi), query) for lo, hi in zip(lows, highs)],
         )
 
     def test_batch_nonnegative_and_bounded(self, random_boxes, rng):

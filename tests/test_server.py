@@ -228,6 +228,22 @@ class TestHTTPErrorPaths:
         assert excinfo.value.code == 400
         self._error_body(excinfo)
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            '{"type": "ball", "center": [0.5, 0.5], "radius": NaN}',
+            '{"type": "halfspace", "normal": [1.0, 0.0], "offset": Infinity}',
+        ],
+        ids=["ball-nan-radius", "halfspace-inf-offset"],
+    )
+    def test_non_finite_query_scalar_is_400(self, server, query):
+        # json.loads accepts NaN and Infinity; the range constructors must not.
+        body = f'{{"query": {query}, "selectivity": 0.1}}'.encode()
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post_raw(server, "/v1/feedback", body)
+        assert excinfo.value.code == 400
+        assert "must be finite" in self._error_body(excinfo)["error"]
+
     def test_unknown_post_path_is_404_json(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post_raw(server, "/train", b"{}")
