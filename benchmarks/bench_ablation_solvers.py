@@ -1,9 +1,10 @@
 """Ablation: the weight-estimation solver (DESIGN.md §3).
 
 Eq. (8) is solved by default with penalised NNLS (the paper's scipy-nnls
-recipe).  This ablation compares all four interchangeable solvers on the
-same buckets: accuracy should be statistically identical (they solve the
-same convex program), time may differ.
+recipe).  This ablation compares it with exact projected gradient, the
+other method an estimator's ``solver=`` accepts, on the same buckets:
+accuracy should be statistically identical (they solve the same convex
+program), time may differ.
 """
 
 import time
@@ -14,10 +15,10 @@ from repro.core import QuadHist
 from repro.data import WorkloadSpec
 from repro.eval import make_workload, rms_error
 from repro.eval.reporting import format_table
+from repro.solvers.simplex_ls import SOLVERS
 
 from benchmarks.conftest import record_table
 
-SOLVERS = ("penalty", "penalty-own", "pgd", "active-set")
 SPEC = WorkloadSpec(query_kind="box", center_kind="data")
 
 

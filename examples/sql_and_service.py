@@ -81,12 +81,12 @@ def main() -> None:
     feedback = generate_workload(80, 2, rng, spec=spec, dataset=table)
     labels = label_queries(table, feedback)
     for query, label in zip(feedback, labels):
-        post("/feedback", {"query": range_to_dict(query), "selectivity": float(label)})
-    trained = post("/retrain", {})
+        post("/v1/feedback", {"query": range_to_dict(query), "selectivity": float(label)})
+    trained = post("/v1/retrain", {})
     print(f"\nservice trained: {trained}")
 
     probe = parse_predicate(clauses[0], attrs)
-    estimate = post("/estimate", {"query": range_to_dict(probe)})["selectivity"]
+    estimate = post("/v1/estimate", {"query": range_to_dict(probe)})["selectivity"]
     truth = true_selectivity(table, probe)
     print(
         f"HTTP estimate for the first predicate: {estimate:.4f} "

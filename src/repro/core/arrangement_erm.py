@@ -37,7 +37,7 @@ from repro.geometry.sparse import (
 from repro.geometry.ranges import Box, Range, unit_box
 from repro.core._solve import solve_weights
 from repro.observability.tracing import span
-from repro.solvers.simplex_ls import SolveReport
+from repro.solvers.simplex_ls import SOLVERS, SolveReport
 
 __all__ = ["ArrangementERM"]
 
@@ -76,6 +76,8 @@ class ArrangementERM(SelectivityEstimator):
         super().__init__()
         if mode not in ("histogram", "discrete"):
             raise ValueError(f"mode must be 'histogram' or 'discrete', got {mode!r}")
+        if solver not in SOLVERS:
+            raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
         self.mode = mode
         self.seed = int(seed)
         self.samples = int(samples)

@@ -19,9 +19,6 @@ Design rules:
   are the optional ``domain`` :class:`~repro.geometry.ranges.Box`
   (encoded as ``{"lows": [...], "highs": [...]}``) and numeric tuples
   (encoded as JSON lists).
-* The legacy keyword constructors (``QuadHist(tau=0.01)``) keep working
-  as thin aliases but emit a :class:`DeprecationWarning`; new code goes
-  through ``from_config``.
 
 The mapping from registry names to config classes lives in
 ``CONFIG_TYPES`` so artifact manifests can be validated without

@@ -17,10 +17,7 @@ comparison" constraint in Section 4).
 from __future__ import annotations
 
 import abc
-import contextlib
 import dataclasses
-import threading
-import warnings
 from typing import ClassVar, Dict, Sequence
 
 import numpy as np
@@ -34,21 +31,6 @@ from repro.robustness.errors import ModelUnavailableError
 from repro.robustness.sanitize import SanitizationReport
 
 __all__ = ["SelectivityEstimator", "NotFittedError"]
-
-_FROM_CONFIG = threading.local()
-
-
-def _in_from_config() -> bool:
-    return getattr(_FROM_CONFIG, "depth", 0) > 0
-
-
-@contextlib.contextmanager
-def _from_config_scope():
-    _FROM_CONFIG.depth = getattr(_FROM_CONFIG, "depth", 0) + 1
-    try:
-        yield
-    finally:
-        _FROM_CONFIG.depth -= 1
 
 _PREDICT_QUERIES = default_registry().counter(
     "repro_predict_queries_total",
@@ -68,27 +50,19 @@ class SelectivityEstimator(abc.ABC):
     """Base class for query-driven selectivity estimators."""
 
     #: Typed config dataclass for this estimator, when it has one.  Set on
-    #: registry estimators (``QuadHist.Config = QuadHistConfig`` etc.); the
-    #: canonical construction path is then ``cls.from_config(cfg)``, and
-    #: direct keyword construction emits a :class:`DeprecationWarning`.
+    #: registry estimators (``QuadHist.Config = QuadHistConfig`` etc.), so
+    #: ``cls.from_config(cfg)`` builds the same estimator as the keyword
+    #: constructor.
     Config: ClassVar[type[EstimatorConfig] | None] = None
 
     def __init__(self):
         self._fitted = False
         #: Quarantine outcome of the last ``fit`` (None without a policy).
         self.sanitization_: SanitizationReport | None = None
-        if type(self).Config is not None and not _in_from_config():
-            warnings.warn(
-                f"constructing {type(self).__name__} with keyword arguments is "
-                f"deprecated; use {type(self).__name__}.from_config"
-                f"({type(self).Config.__name__}(...))",
-                DeprecationWarning,
-                stacklevel=3,
-            )
 
     @classmethod
     def from_config(cls, config: EstimatorConfig) -> "SelectivityEstimator":
-        """Canonical constructor: build an estimator from its typed config."""
+        """Build an estimator from its typed config."""
         if cls.Config is None:
             raise TypeError(f"{cls.__name__} has no Config dataclass")
         if not isinstance(config, cls.Config):
@@ -96,8 +70,7 @@ class SelectivityEstimator(abc.ABC):
                 f"{cls.__name__}.from_config needs a {cls.Config.__name__}, "
                 f"got {type(config).__name__}"
             )
-        with _from_config_scope():
-            return cls(**config.kwargs())
+        return cls(**config.kwargs())
 
     @property
     def config(self) -> EstimatorConfig:

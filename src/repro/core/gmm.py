@@ -38,7 +38,7 @@ from repro.geometry.ranges import Box, Halfspace, Range, unit_box
 from repro.geometry.sampling import rejection_sample, sample_in_box
 from repro.observability.tracing import span
 from repro.solvers.linf import fit_simplex_weights_linf
-from repro.solvers.simplex_ls import fit_simplex_weights
+from repro.solvers.simplex_ls import SOLVERS, fit_simplex_weights
 
 __all__ = ["GaussianMixtureHist"]
 
@@ -87,6 +87,8 @@ class GaussianMixtureHist(SelectivityEstimator):
             )
         if objective not in ("l2", "linf"):
             raise ValueError(f"objective must be 'l2' or 'linf', got {objective!r}")
+        if solver not in SOLVERS:
+            raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
         self.components = int(components)
         self.bandwidths = tuple(float(b) for b in bandwidths)
         self.interior_fraction = float(interior_fraction)

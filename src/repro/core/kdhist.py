@@ -36,7 +36,7 @@ from repro.geometry.sparse import sparse_coverage_dot
 from repro.observability.tracing import span
 from repro.geometry.ranges import Box, Range, unit_box
 from repro.geometry.volume import intersection_volume, range_volume
-from repro.solvers.simplex_ls import SolveReport
+from repro.solvers.simplex_ls import SOLVERS, SolveReport
 
 __all__ = ["KdHist"]
 
@@ -108,6 +108,8 @@ class KdHist(IncrementalTreeHistogram, SelectivityEstimator):
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         if objective not in ("l2", "linf"):
             raise ValueError(f"objective must be 'l2' or 'linf', got {objective!r}")
+        if solver not in SOLVERS:
+            raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
         self.tau = float(tau)
         self.max_leaves = max_leaves
         self.max_depth = int(max_depth)

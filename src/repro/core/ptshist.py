@@ -33,7 +33,7 @@ from repro.geometry.ranges import Box, Range, unit_box
 from repro.geometry.sampling import rejection_sample, sample_in_box
 from repro.core._solve import solve_weights
 from repro.observability.tracing import span
-from repro.solvers.simplex_ls import SolveReport
+from repro.solvers.simplex_ls import SOLVERS, SolveReport
 
 __all__ = ["PtsHist"]
 
@@ -76,6 +76,8 @@ class PtsHist(SelectivityEstimator):
             )
         if objective not in ("l2", "linf"):
             raise ValueError(f"objective must be 'l2' or 'linf', got {objective!r}")
+        if solver not in SOLVERS:
+            raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
         self.size = int(size)
         self.interior_fraction = float(interior_fraction)
         self.seed = int(seed)

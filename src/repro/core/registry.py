@@ -16,14 +16,11 @@ Construction always goes through ``cls.from_config(config)``, so a
 registry-made estimator can always name its exact constructor — which is
 what lets :mod:`repro.persistence` record ``(name, config)`` in an
 artifact manifest and rebuild the estimator elsewhere.
-
-``register_estimator`` still accepts a bare ``n -> estimator`` factory
-for ad-hoc entries (tests, experiments); those are not config-driven and
-therefore not persistable through the registry path.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 from typing import Callable, Dict, NamedTuple
 
@@ -31,7 +28,6 @@ from repro.core.config import EstimatorConfig
 from repro.core.estimator import SelectivityEstimator
 
 __all__ = [
-    "register_estimator",
     "estimator_factories",
     "make_estimator",
     "available_estimators",
@@ -47,29 +43,10 @@ class _Entry(NamedTuple):
     sizer: Callable[[int], EstimatorConfig]
 
 
-_ENTRIES: Dict[str, _Entry] = {}
-_CUSTOM_FACTORIES: Dict[str, Factory] = {}
-_DEFAULTS_LOADED = False
-
-
-def register_estimator(name: str, factory: Factory) -> Factory:
-    """Register a bare ``n -> estimator`` factory under ``name``.
-
-    Overwrites an existing entry of either kind.  For config-driven
-    (persistable) registration, add a typed config class and an ``_ENTRIES``
-    row instead.
-    """
-    _CUSTOM_FACTORIES[name] = factory
-    _ENTRIES.pop(name, None)
-    return factory
-
-
-def _load_defaults() -> None:
+@functools.cache
+def _entries() -> Dict[str, _Entry]:
     # Imports are deferred so this module can live inside ``repro.core``
     # without creating an import cycle with ``repro.baselines``.
-    global _DEFAULTS_LOADED
-    if _DEFAULTS_LOADED:
-        return
     from repro.baselines import Isomer, MeanEstimator, QuickSel, UniformEstimator
     from repro.baselines.stholes import STHoles
     from repro.core.arrangement_erm import ArrangementERM
@@ -90,7 +67,7 @@ def _load_defaults() -> None:
     from repro.core.ptshist import PtsHist
     from repro.core.quadhist import QuadHist
 
-    defaults: Dict[str, _Entry] = {
+    return {
         "quadhist": _Entry(
             QuadHist, lambda n: QuadHistConfig(tau=0.005, max_leaves=4 * n)
         ),
@@ -109,53 +86,39 @@ def _load_defaults() -> None:
         "uniform": _Entry(UniformEstimator, lambda n: UniformConfig()),
         "mean": _Entry(MeanEstimator, lambda n: MeanConfig()),
     }
-    for name, entry in defaults.items():
-        if name not in _ENTRIES and name not in _CUSTOM_FACTORIES:
-            _ENTRIES[name] = entry
-    _DEFAULTS_LOADED = True
 
 
 def available_estimators() -> list[str]:
     """Sorted names of every registered estimator."""
-    _load_defaults()
-    return sorted({**_ENTRIES, **_CUSTOM_FACTORIES})
+    return sorted(_entries())
 
 
-def estimator_class(name: str) -> type[SelectivityEstimator]:
-    """The estimator class registered under ``name`` (config-driven entries)."""
-    _load_defaults()
+def _entry(name: str) -> _Entry:
     try:
-        return _ENTRIES[name].cls
+        return _entries()[name]
     except KeyError:
         raise KeyError(
             f"unknown estimator {name!r}; choose from {available_estimators()}"
         ) from None
+
+
+def estimator_class(name: str) -> type[SelectivityEstimator]:
+    """The estimator class registered under ``name``."""
+    return _entry(name).cls
 
 
 def default_config(name: str, train_size: int = 200) -> EstimatorConfig:
     """The default config for ``name`` sized for ``train_size`` samples."""
-    _load_defaults()
-    try:
-        entry = _ENTRIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown estimator {name!r}; choose from {available_estimators()}"
-        ) from None
-    return entry.sizer(train_size)
+    return _entry(name).sizer(train_size)
 
 
 def estimator_factories() -> Dict[str, Factory]:
-    """All registered factories, name → factory (defaults included)."""
-    _load_defaults()
+    """All registered factories, name → factory."""
 
     def bind(entry: _Entry) -> Factory:
         return lambda n: entry.cls.from_config(entry.sizer(n))
 
-    factories: Dict[str, Factory] = {
-        name: bind(entry) for name, entry in _ENTRIES.items()
-    }
-    factories.update(_CUSTOM_FACTORIES)
-    return factories
+    return {name: bind(entry) for name, entry in _entries().items()}
 
 
 def make_estimator(
@@ -172,20 +135,7 @@ def make_estimator(
     listing every registered estimator, so typos fail at construction
     time rather than surfacing later as a missing model.
     """
-    _load_defaults()
-    if name in _CUSTOM_FACTORIES:
-        if config is not None or overrides:
-            raise ValueError(
-                f"estimator {name!r} uses a custom factory; config/overrides "
-                "do not apply"
-            )
-        return _CUSTOM_FACTORIES[name](train_size)
-    try:
-        entry = _ENTRIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown estimator {name!r}; choose from {available_estimators()}"
-        ) from None
+    entry = _entry(name)
     if config is None:
         config = entry.sizer(train_size)
     if overrides:

@@ -36,10 +36,13 @@ generation as a versioned artifact (atomic tmp+rename, see
 instead of cold-fitting, and ``snapshot()`` / ``restore()`` expose the
 same operations on demand.  See ``docs/persistence.md``.
 
+Retrains, incremental updates and restores all install their model
+through one method, so every new generation resets the same state;
+feedback that arrives while a generation builds stays pending.
+
 Endpoints (JSON in/out; ranges use the tagged encoding of
-:mod:`repro.data.io`).  The versioned surface lives under ``/v1/``; the
-original unversioned paths still work as thin aliases that answer with a
-``Deprecation: true`` response header:
+:mod:`repro.data.io`).  The API lives under ``/v1/``; any other path
+answers 404:
 
 * ``POST /v1/estimate``  ``{"query": {...}}`` → ``{"selectivity": 0.42}``
 * ``POST /v1/predict``   ``{"queries": [{...}, ...]}`` →
@@ -74,7 +77,9 @@ with the status from the :mod:`repro.robustness.errors` taxonomy — never
 a traceback page or a hung connection.
 
 Programmatic use goes through :class:`EstimatorService` directly; the HTTP
-layer (:func:`serve`) is a thin adapter over it.  Access logging is
+layer (:func:`serve`) is a thin adapter over it: one route table maps
+each ``(method, path)`` to its handler and says whether admission
+control applies.  Access logging is
 opt-in (``serve(..., access_log=True)``) and routes through the
 structured logger (``repro.http.access``) instead of the stdlib's bare
 stderr lines, so ``repro serve --log-json`` yields one JSON object per
@@ -84,6 +89,7 @@ request.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import logging
 import threading
@@ -165,7 +171,7 @@ class _ServiceMetrics:
         )
         self.queries = counter(
             "repro_service_queries_total",
-            "Individual queries received via estimate/estimate_many",
+            "Individual queries received via estimate_many",
         )
         self.cache_hits = counter(
             "repro_prediction_cache_hits_total",
@@ -250,6 +256,45 @@ class _ServiceMetrics:
             "repro_snapshot_age_seconds",
             "Seconds since the newest snapshot was written (0 = none)",
         )
+
+
+def _metered(method: str):
+    """Count, time and error-count calls under ``method`` in the
+    ``repro_service_*`` families."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def metered(self, *args, **kwargs):
+            metrics = self._metrics
+            metrics.requests.inc(method=method)
+            try:
+                with metrics.request_seconds.time(method=method):
+                    return fn(self, *args, **kwargs)
+            except Exception as exc:
+                metrics.errors.inc(method=method, type=type(exc).__name__)
+                raise
+
+        return metered
+
+    return decorate
+
+
+def _update_obstacle(model, pending: int, batch) -> str | None:
+    """Why an update must fall back to a full retrain, or None.
+
+    Raises :class:`ModelUnavailableError` when there is nothing to absorb.
+    """
+    if model is None:
+        return "no_model"
+    if not hasattr(model, "partial_fit"):
+        return "unsupported"
+    if pending == 0:
+        raise ModelUnavailableError("no pending feedback to absorb")
+    if batch is None:
+        # The batch aged out of the recency ring into the downsampled
+        # reservoir; the exact delta is gone, so refit on the union.
+        return "batch_evicted"
+    return None
 
 
 class EstimatorService:
@@ -419,47 +464,19 @@ class EstimatorService:
 
     # -- programmatic API ------------------------------------------------
 
-    def estimate(self, query) -> float:
-        """Estimated selectivity from the last good model generation.
+    @_metered("estimate_many")
+    def estimate_many(self, queries) -> list[float]:
+        """Batch estimates from the last good generation, LRU-cached.
 
         Raises :class:`ModelUnavailableError` only before the *first*
         successful training — once a generation exists, estimates keep
         flowing regardless of later retrain failures.
-        """
-        metrics = self._metrics
-        metrics.requests.inc(method="estimate")
-        metrics.queries.inc()
-        try:
-            with metrics.request_seconds.time(method="estimate"):
-                with self._lock:
-                    if self._model is None:
-                        raise ModelUnavailableError(
-                            f"no model yet: need >= {self.min_feedback} feedbacks, "
-                            f"have {len(self._buffer)}"
-                        )
-                    return self._model.predict(query)
-        except Exception as exc:
-            metrics.errors.inc(method="estimate", type=type(exc).__name__)
-            raise
-
-    def estimate_many(self, queries) -> list[float]:
-        """Batch estimates from the last good generation, LRU-cached.
 
         Cache lookups happen under the state lock; the vectorised
         ``predict_many`` call for the misses runs *outside* it (fitted
         models are immutable — retrains swap in a whole new object), so a
         large batch never blocks feedback ingestion or retraining.
         """
-        metrics = self._metrics
-        metrics.requests.inc(method="estimate_many")
-        try:
-            with metrics.request_seconds.time(method="estimate_many"):
-                return self._estimate_many(queries)
-        except Exception as exc:
-            metrics.errors.inc(method="estimate_many", type=type(exc).__name__)
-            raise
-
-    def _estimate_many(self, queries) -> list[float]:
         queries = list(queries)
         hits = misses = 0
         with self._lock:
@@ -526,16 +543,8 @@ class EstimatorService:
         own consistent ``pending``/``drift`` state — never another
         thread's post-retrain reset.
         """
+        response, auto, drift_statistic = self._ingest_feedback(query, selectivity)
         metrics = self._metrics
-        metrics.requests.inc(method="feedback")
-        try:
-            with metrics.request_seconds.time(method="feedback"):
-                response, auto, drift_statistic = self._ingest_feedback(
-                    query, selectivity
-                )
-        except Exception as exc:
-            metrics.errors.inc(method="feedback", type=type(exc).__name__)
-            raise
         if response["accepted"]:
             metrics.feedback_accepted.inc()
         else:
@@ -547,6 +556,7 @@ class EstimatorService:
             self._auto_retrain()
         return response
 
+    @_metered("feedback")
     def _ingest_feedback(self, query, selectivity: float):
         """Screen, append and snapshot the response under one lock hold."""
         accepted, query, selectivity = self._screen_pair(query, selectivity)
@@ -573,6 +583,7 @@ class EstimatorService:
             drift_statistic = self._detector.statistic if self._detector else 0.0
         return response, auto, drift_statistic
 
+    @_metered("retrain")
     def retrain(self) -> dict:
         """Fit a fresh model generation on the buffered feedback.
 
@@ -586,91 +597,9 @@ class EstimatorService:
         ModelUnavailableError
             Not enough feedback, or the circuit breaker is open.
         """
-        metrics = self._metrics
-        metrics.requests.inc(method="retrain")
-        try:
-            with metrics.request_seconds.time(method="retrain"):
-                return self._retrain()
-        except Exception as exc:
-            metrics.errors.inc(method="retrain", type=type(exc).__name__)
-            raise
+        return self._advance(incremental=False)
 
-    def _retrain(self) -> dict:
-        metrics = self._metrics
-        with self._lock:
-            queries, labels = self._buffer.snapshot()
-            if len(queries) < self.min_feedback:
-                raise ModelUnavailableError(
-                    f"need >= {self.min_feedback} feedbacks to train, "
-                    f"have {len(queries)}"
-                )
-            if not self._breaker.allow():
-                metrics.breaker_state.set(_BREAKER_CODES[self._breaker.state])
-                raise ModelUnavailableError(
-                    "retraining suspended: circuit breaker open after "
-                    f"{self._breaker.consecutive_failures} consecutive failures "
-                    f"(retry in {self._breaker.cooldown_remaining():.1f}s)"
-                )
-        with self._retrain_lock:
-            try:
-                with span("service/retrain", feedback=len(queries)) as retrain_span:
-                    built = self._train_generation(queries, labels)
-                    retrain_span.annotate(
-                        trained_on=built[1], model_size=built[0].model_size
-                    )
-            except Exception as exc:
-                with self._lock:
-                    self._breaker.record_failure()
-                    self._last_error = f"{type(exc).__name__}: {exc}"
-                    metrics.breaker_state.set(_BREAKER_CODES[self._breaker.state])
-                metrics.retrain.inc(outcome="failure")
-                log_event(
-                    get_logger("service"),
-                    "retrain_failed",
-                    level=logging.WARNING,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                raise
-        model, trained_on, detector, retrain_quarantined, elapsed = built
-        with self._lock:
-            self._breaker.record_success()
-            self._model = model
-            self._prediction_cache.clear()  # old generation's entries are dead
-            self._generation += 1
-            self._trained_on = trained_on
-            self._since_train = 0
-            self._drift_flag = False
-            self._detector = detector
-            self._last_error = None
-            self._last_retrain_seconds = elapsed
-            self._trained_pairs = (queries, labels)
-            generation = self._generation
-            metrics.breaker_state.set(_BREAKER_CODES[self._breaker.state])
-            result = {
-                "trained_on": self._trained_on,
-                "model_size": model.model_size,
-                "generation": generation,
-                "quarantined": retrain_quarantined,
-                "seconds": round(elapsed, 4),
-            }
-        metrics.retrain.inc(outcome="success")
-        metrics.retrain_seconds.observe(elapsed)
-        metrics.generation.set(generation)
-        metrics.model_size.set(model.model_size)
-        metrics.pending.set(0.0)
-        metrics.drift_alarm.set(0.0)
-        metrics.drift_statistic.set(0.0)
-        log_event(
-            get_logger("service"),
-            "retrain_succeeded",
-            generation=generation,
-            trained_on=trained_on,
-            model_size=model.model_size,
-            seconds=round(elapsed, 4),
-        )
-        self._persist_generation(model, generation, queries, labels)
-        return result
-
+    @_metered("update")
     def update(self) -> dict:
         """Absorb the pending feedback into the serving model incrementally.
 
@@ -682,7 +611,7 @@ class EstimatorService:
         from the previous weights — and the copy is swapped in atomically
         as a new generation (the prediction cache invalidates with it).
 
-        Falls back to a full :meth:`retrain` — counted per reason in
+        Falls back to a full retrain — counted per reason in
         ``repro_update_fallback_total`` — whenever the incremental path
         is unavailable or unacceptable: no generation yet, the estimator
         has no ``partial_fit``, fit-time state is missing (a model
@@ -690,79 +619,147 @@ class EstimatorService:
         feedback ring, the update itself failed, or the solve residual
         exceeded ``update_residual_budget``.
         """
-        metrics = self._metrics
-        metrics.requests.inc(method="update")
-        try:
-            with metrics.request_seconds.time(method="update"):
-                return self._update()
-        except Exception as exc:
-            metrics.errors.inc(method="update", type=type(exc).__name__)
-            raise
+        return self._advance(incremental=True)
 
-    def _fallback_retrain(self, reason: str) -> dict:
-        """Full refit on behalf of a declined/failed incremental update."""
-        self._metrics.update_fallback.inc(reason=reason)
-        self._metrics.update.inc(outcome="fallback")
+    def _advance(self, incremental: bool) -> dict:
+        """The body of :meth:`retrain` and :meth:`update`.
+
+        Snapshot, build, install and persist all hold ``_retrain_lock``:
+        an advance started during another sees that one's generation and
+        pending count, so every pending row is absorbed exactly once.
+        """
+        with self._retrain_lock:
+            with self._lock:
+                model, generation = self._model, self._generation
+                pending, trained_on = self._since_train, self._trained_on
+                queries, labels = self._buffer.snapshot()
+                if len(queries) < self.min_feedback:
+                    raise ModelUnavailableError(
+                        f"need >= {self.min_feedback} feedbacks to train, "
+                        f"have {len(queries)}"
+                    )
+                if incremental:
+                    batch = self._buffer.recent(pending)
+                    reason = _update_obstacle(model, pending, batch)
+                if not self._breaker.allow():
+                    self._metrics.breaker_state.set(_BREAKER_CODES[self._breaker.state])
+                    raise ModelUnavailableError(
+                        f"{'updating' if incremental else 'retraining'} suspended: "
+                        f"circuit breaker open after "
+                        f"{self._breaker.consecutive_failures} consecutive failures "
+                        f"(retry in {self._breaker.cooldown_remaining():.1f}s)"
+                    )
+            training = (queries, labels)
+            if not incremental:
+                return self._build_full(training, pending)
+            if reason is None:
+                outcome = self._build_incremental(
+                    model, generation, trained_on, batch, training
+                )
+                if isinstance(outcome, dict):
+                    return outcome
+                reason = outcome
+            self._metrics.update_fallback.inc(reason=reason)
+            self._metrics.update.inc(outcome="fallback")
+            log_event(get_logger("service"), "update_fell_back", reason=reason)
+            result = self._build_full(training, pending)
+            result["incremental"] = False
+            result["fallback"] = reason
+            with self._lock:
+                self._last_update = dict(result)
+            return result
+
+    def _build_full(self, training, pending: int) -> dict:
+        """Fit a fresh model on ``training`` and install it.
+
+        The newest ``drift_holdout`` share of the pairs stays out of the
+        fit and baselines the new generation's drift detector.
+        """
+        metrics = self._metrics
+        queries, labels = training
+        holdout = max(2, int(len(queries) * self.drift_holdout))
+        train_q, hold_q = queries[:-holdout] or queries, queries[-holdout:]
+        train_s = labels[:-holdout] if len(queries) > holdout else labels
+        trained_on = len(train_q)
+        start = time.monotonic()
+        try:
+            with span("service/retrain", feedback=len(queries)) as retrain_span:
+                monkey = _active_chaos()
+                if monkey is not None:
+                    monkey.delay_fit()
+                    if monkey.should_fail_fit():
+                        raise SolverConvergenceError("chaos: injected retrain failure")
+                model = self._factory()
+                policy = None if self.sanitize_policy == "raise" else self.sanitize_policy
+                model.fit(train_q, train_s, policy=policy)
+                elapsed = time.monotonic() - start
+                if self.retrain_timeout is not None and elapsed > self.retrain_timeout:
+                    raise TrainingTimeoutError(
+                        f"retrain took {elapsed:.2f}s, budget {self.retrain_timeout:.2f}s"
+                    )
+                baseline = (model.predict_many(hold_q) - labels[-holdout:]) ** 2
+                retrain_span.annotate(trained_on=trained_on, model_size=model.model_size)
+        except Exception as exc:
+            with self._lock:
+                self._breaker.record_failure()
+                self._last_error = f"{type(exc).__name__}: {exc}"
+                metrics.breaker_state.set(_BREAKER_CODES[self._breaker.state])
+            metrics.retrain.inc(outcome="failure")
+            log_event(
+                get_logger("service"),
+                "retrain_failed",
+                level=logging.WARNING,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            raise
+        quarantined = (
+            model.sanitization_.quarantined if model.sanitization_ is not None else 0
+        )
+        generation = self._install(
+            model,
+            trained_on=trained_on,
+            absorbed=pending,
+            detector=DriftDetector(baseline) if baseline.size >= 2 else None,
+            training=training,
+        )
+        with self._lock:
+            self._last_retrain_seconds = elapsed
+        metrics.retrain.inc(outcome="success")
+        metrics.retrain_seconds.observe(elapsed)
         log_event(
             get_logger("service"),
-            "update_fell_back",
-            reason=reason,
+            "retrain_succeeded",
+            generation=generation,
+            trained_on=trained_on,
+            model_size=model.model_size,
+            seconds=round(elapsed, 4),
         )
-        result = self._retrain()
-        result["incremental"] = False
-        result["fallback"] = reason
-        with self._lock:
-            self._last_update = dict(result)
-        return result
+        self._persist_generation(
+            model, generation, training, {"retrain_seconds": elapsed}
+        )
+        return {
+            "trained_on": trained_on,
+            "model_size": model.model_size,
+            "generation": generation,
+            "quarantined": quarantined,
+            "seconds": round(elapsed, 4),
+        }
 
-    def _update(self) -> dict:
-        # Snapshot through persist under _retrain_lock: an update started
-        # during another must see its generation and pending count, or it
-        # re-absorbs the same batch into the pre-update model.
-        with self._retrain_lock:
-            outcome = self._update_serialized()
-        if isinstance(outcome, str):
-            return self._fallback_retrain(outcome)
-        return outcome
-
-    def _update_serialized(self):
-        """Body of :meth:`_update`; caller holds ``_retrain_lock``.
+    def _build_incremental(self, model, base_generation, trained_on, batch, training):
+        """Refine a copy of ``model`` with ``batch`` and install it.
 
         Returns the new generation's result, or the reason to fall back
         to a full retrain.
         """
         metrics = self._metrics
-        with self._lock:
-            if not self._breaker.allow():
-                metrics.breaker_state.set(_BREAKER_CODES[self._breaker.state])
-                raise ModelUnavailableError(
-                    "updating suspended: circuit breaker open after "
-                    f"{self._breaker.consecutive_failures} consecutive failures "
-                    f"(retry in {self._breaker.cooldown_remaining():.1f}s)"
-                )
-            model = self._model
-            pending = self._since_train
-            batch = self._buffer.recent(pending) if pending else ([], np.zeros(0))
-        if model is None:
-            return "no_model"
-        if not hasattr(model, "partial_fit"):
-            return "unsupported"
-        if pending == 0:
-            raise ModelUnavailableError("no pending feedback to absorb")
-        if batch is None:
-            # The batch aged out of the recency ring into the downsampled
-            # reservoir; the exact delta is gone, so refit on the union.
-            return "batch_evicted"
         new_queries, new_labels = batch
+        rows = len(new_queries)
         start = time.monotonic()
         try:
-            with span("service/update", feedback=pending) as update_span:
+            with span("service/update", feedback=rows) as update_span:
                 working = copy.deepcopy(model)
                 working.partial_fit(new_queries, new_labels, warm_start=True)
-                report = getattr(working, "update_report_", None)
-                update_span.annotate(
-                    rows_appended=pending, model_size=working.model_size
-                )
+                update_span.annotate(rows_appended=rows, model_size=working.model_size)
         except RuntimeError:
             # partial_fit without fit-time state (e.g. the serving
             # model was restored from a snapshot artifact).
@@ -778,112 +775,136 @@ class EstimatorService:
             )
             return "error"
         elapsed = time.monotonic() - start
+        report = getattr(working, "update_report_", None)
         if (
             self.update_residual_budget is not None
             and report is not None
             and report.residual > self.update_residual_budget
         ):
             return "residual_budget"
-        baseline = (
-            working.predict_many(new_queries) - np.asarray(new_labels, dtype=float)
-        ) ** 2
-        detector = DriftDetector(baseline) if baseline.size >= 2 else None
+        trained_on = report.rows_total if report is not None else trained_on + rows
+        baseline = (working.predict_many(new_queries) - new_labels) ** 2
+        generation = self._install(
+            working,
+            trained_on=trained_on,
+            absorbed=rows,
+            detector=DriftDetector(baseline) if baseline.size >= 2 else None,
+            training=training,
+        )
+        result = {
+            "incremental": True,
+            "generation": generation,
+            "base_generation": base_generation,
+            "rows_appended": rows,
+            "trained_on": trained_on,
+            "model_size": working.model_size,
+            "seconds": round(elapsed, 4),
+            "update": report.to_dict() if report is not None else None,
+        }
         with self._lock:
-            self._breaker.record_success()
-            self._model = working
-            self._prediction_cache.clear()  # old generation's entries are dead
-            self._generation += 1
-            base_generation = self._generation - 1
-            self._trained_on = (
-                report.rows_total if report is not None else self._trained_on + pending
-            )
-            # Feedback that raced in during the update stays pending.
-            self._since_train = max(0, self._since_train - pending)
-            self._drift_flag = False
-            self._detector = detector
-            self._last_error = None
-            queries, labels = self._buffer.snapshot()
-            self._trained_pairs = (queries, labels)
-            generation = self._generation
-            still_pending = self._since_train
-            metrics.breaker_state.set(_BREAKER_CODES[self._breaker.state])
-            result = {
-                "incremental": True,
-                "generation": generation,
-                "base_generation": base_generation,
-                "rows_appended": pending,
-                "trained_on": self._trained_on,
-                "model_size": working.model_size,
-                "seconds": round(elapsed, 4),
-                "update": report.to_dict() if report is not None else None,
-            }
             self._last_update = dict(result)
         metrics.update.inc(outcome="success")
         metrics.update_seconds.observe(elapsed)
-        metrics.update_rows.inc(pending)
+        metrics.update_rows.inc(rows)
         if report is not None and report.leaves_split > 0:
             metrics.update_splits.inc(report.leaves_split)
-        metrics.generation.set(generation)
-        metrics.model_size.set(working.model_size)
-        metrics.pending.set(float(still_pending))
-        metrics.drift_alarm.set(0.0)
-        metrics.drift_statistic.set(0.0)
         log_event(
             get_logger("service"),
             "update_succeeded",
             generation=generation,
-            rows_appended=pending,
+            rows_appended=rows,
             model_size=working.model_size,
             seconds=round(elapsed, 4),
         )
         self._persist_generation(
             working,
             generation,
-            queries,
-            labels,
-            metadata={
+            training,
+            {
                 "incremental": True,
                 "base_generation": base_generation,
-                "rows_appended": pending,
+                "rows_appended": rows,
                 "update_seconds": elapsed,
             },
         )
         return result
 
+    def _install(
+        self,
+        model,
+        *,
+        trained_on: int,
+        absorbed: int = 0,
+        detector: DriftDetector | None = None,
+        training: tuple[list, np.ndarray] | None = None,
+        source: str | None = None,
+        store_generation: int = 0,
+        generation: int | None = None,
+    ) -> int:
+        """Serve ``model`` as the next generation; returns its number.
+
+        Every generation arrives here, so all reset the same state.  The
+        pending count drops by the ``absorbed`` rows the model was built
+        from; rows that raced in stay pending.  A model trained here
+        (``source`` None) closes the breaker; a restored one records its
+        artifact.  ``generation`` overrides the next number.
+        """
+        metrics = self._metrics
+        with self._lock:
+            self._model = model
+            self._generation = self._generation + 1 if generation is None else generation
+            self._prediction_cache.clear()
+            self._trained_on = trained_on
+            self._trained_pairs = training
+            self._since_train = max(0, self._since_train - absorbed)
+            self._detector = detector
+            self._drift_flag = False
+            if source is None:
+                self._breaker.record_success()
+                self._last_error = None
+                metrics.breaker_state.set(_BREAKER_CODES[self._breaker.state])
+            else:
+                self._restored_from = source
+                self._store_generation = store_generation
+            generation = self._generation
+            pending = self._since_train
+        metrics.generation.set(generation)
+        metrics.model_size.set(model.model_size)
+        metrics.pending.set(float(pending))
+        metrics.drift_alarm.set(0.0)
+        metrics.drift_statistic.set(0.0)
+        return generation
+
+    def _store(self) -> SnapshotStore:
+        if self._snapshots is None:
+            raise PersistenceError(
+                "no snapshot directory configured (EstimatorService(snapshot_dir=...))"
+            )
+        return self._snapshots
+
+    @_metered("snapshot")
     def snapshot(self) -> dict:
         """Persist the serving generation to the snapshot directory now.
 
         Raises :class:`PersistenceError` without a ``snapshot_dir`` and
         :class:`ModelUnavailableError` before the first generation exists.
         """
-        metrics = self._metrics
-        metrics.requests.inc(method="snapshot")
-        try:
-            with metrics.request_seconds.time(method="snapshot"):
-                if self._snapshots is None:
-                    raise PersistenceError(
-                        "no snapshot directory configured "
-                        "(EstimatorService(snapshot_dir=...))"
-                    )
-                with self._lock:
-                    model = self._model
-                    generation = self._generation
-                    pairs = self._trained_pairs
-                if model is None:
-                    raise ModelUnavailableError("no model generation to snapshot")
-                path = self._snapshots.save(
-                    model, generation, training=pairs
-                )
-                self._note_snapshot(generation, str(path))
-                return {
-                    "path": str(path),
-                    "generation": generation,
-                    "model_size": model.model_size,
-                }
-        except Exception as exc:
-            metrics.errors.inc(method="snapshot", type=type(exc).__name__)
-            raise
+        store = self._store()
+        with self._lock:
+            model = self._model
+            generation = self._generation
+            pairs = self._trained_pairs
+        if model is None:
+            raise ModelUnavailableError("no model generation to snapshot")
+        path = store.save(model, generation, training=pairs)
+        self._note_snapshot(generation, str(path))
+        return {
+            "path": str(path),
+            "generation": generation,
+            "model_size": model.model_size,
+        }
 
+    @_metered("restore")
     def restore(self, path: str | None = None) -> dict:
         """Install a persisted artifact as a *new* serving generation.
 
@@ -893,59 +914,35 @@ class EstimatorService:
         alias the replaced model) and the drift baseline resets — the
         restored artifact carries no holdout.
         """
-        metrics = self._metrics
-        metrics.requests.inc(method="restore")
-        try:
-            with metrics.request_seconds.time(method="restore"):
-                if path is None:
-                    if self._snapshots is None:
-                        raise PersistenceError(
-                            "no snapshot directory configured "
-                            "(EstimatorService(snapshot_dir=...))"
-                        )
-                    model, manifest, source = self._snapshots.restore_latest()
-                    source = str(source)
-                else:
-                    model = load_model(path)
-                    manifest = load_manifest(path)
-                    source = str(path)
-                fit_meta = manifest.get("fit", {})
-                with self._lock:
-                    self._model = model
-                    self._generation += 1
-                    self._prediction_cache.clear()
-                    self._trained_on = int(fit_meta.get("n_train", 0))
-                    self._trained_pairs = None
-                    self._detector = None
-                    self._drift_flag = False
-                    self._restored_from = source
-                    self._store_generation = int(fit_meta.get("generation", 0))
-                    generation = self._generation
-                metrics.generation.set(generation)
-                metrics.model_size.set(model.model_size)
-                metrics.drift_alarm.set(0.0)
-                metrics.drift_statistic.set(0.0)
-                log_event(
-                    get_logger("service"),
-                    "model_restored",
-                    source=source,
-                    generation=generation,
-                    estimator=manifest.get("estimator"),
-                    model_size=model.model_size,
-                )
-                return {
-                    "restored_from": source,
-                    "generation": generation,
-                    "estimator": manifest.get("estimator"),
-                    "model_size": model.model_size,
-                    # True when the artifact was written by the update()
-                    # fast path (a delta snapshot); rolling reloaders use
-                    # this to count delta pickups separately.
-                    "incremental": bool(fit_meta.get("incremental", False)),
-                }
-        except Exception as exc:
-            metrics.errors.inc(method="restore", type=type(exc).__name__)
-            raise
+        if path is None:
+            model, manifest, source = self._store().restore_latest()
+        else:
+            model, manifest, source = load_model(path), load_manifest(path), path
+        fit_meta = manifest.get("fit", {})
+        generation = self._install(
+            model,
+            trained_on=int(fit_meta.get("n_train", 0)),
+            source=str(source),
+            store_generation=int(fit_meta.get("generation", 0)),
+        )
+        log_event(
+            get_logger("service"),
+            "model_restored",
+            source=str(source),
+            generation=generation,
+            estimator=manifest.get("estimator"),
+            model_size=model.model_size,
+        )
+        return {
+            "restored_from": str(source),
+            "generation": generation,
+            "estimator": manifest.get("estimator"),
+            "model_size": model.model_size,
+            # True when the artifact was written by the update() fast
+            # path (a delta snapshot); rolling reloaders use this to
+            # count delta pickups separately.
+            "incremental": bool(fit_meta.get("incremental", False)),
+        }
 
     def _restore_on_startup(self) -> None:
         """Warm-start from the newest readable snapshot, if any.
@@ -968,23 +965,22 @@ class EstimatorService:
             return
         fit_meta = manifest.get("fit", {})
         generation = int(fit_meta.get("generation", 1))
-        self._model = model
-        self._generation = generation
-        self._trained_on = int(fit_meta.get("n_train", 0))
-        self._restored_from = str(source)
-        self._store_generation = generation
+        self._install(
+            model,
+            trained_on=int(fit_meta.get("n_train", 0)),
+            source=str(source),
+            store_generation=generation,
+            generation=generation,
+        )
         saved_at = fit_meta.get("saved_at")
         self._snapshot_info = {
             "generation": generation,
             "saved_at": saved_at,
             "path": str(source),
         }
-        metrics = self._metrics
-        metrics.generation.set(generation)
-        metrics.model_size.set(model.model_size)
-        metrics.snapshot_generation.set(generation)
+        self._metrics.snapshot_generation.set(generation)
         if saved_at is not None:
-            metrics.snapshot_timestamp.set(float(saved_at))
+            self._metrics.snapshot_timestamp.set(float(saved_at))
         log_event(
             get_logger("service"),
             "startup_restored",
@@ -994,29 +990,19 @@ class EstimatorService:
             model_size=model.model_size,
         )
 
-    def _persist_generation(
-        self, model, generation, queries, labels, metadata: dict | None = None
-    ) -> None:
-        """Best-effort snapshot of a freshly trained generation.
+    def _persist_generation(self, model, generation, training, metadata: dict) -> None:
+        """Best-effort snapshot of a freshly built generation.
 
         A persist failure is counted and logged but never fails the
-        retrain that produced the model — serving the new generation
-        matters more than remembering it.  ``metadata`` overrides the
-        default retrain stamp (the incremental-update path uses it to
-        mark delta snapshots).
+        advance that produced the model — serving the new generation
+        matters more than remembering it.  ``metadata`` stamps the
+        artifact (the incremental path marks delta snapshots).
         """
         if self._snapshots is None:
             return
         try:
             path = self._snapshots.save(
-                model,
-                generation,
-                training=(queries, labels),
-                metadata=(
-                    metadata
-                    if metadata is not None
-                    else {"retrain_seconds": self._last_retrain_seconds}
-                ),
+                model, generation, training=training, metadata=metadata
             )
         except Exception as exc:
             self._metrics.snapshots.inc(outcome="failure")
@@ -1207,34 +1193,6 @@ class EstimatorService:
             self._quarantine.merge(report)
         return True, cleaned_q[0], float(cleaned_s[0])
 
-    def _train_generation(self, queries, labels):
-        """Build a complete (model, detector) pair outside the state lock."""
-        start = time.monotonic()
-        monkey = _active_chaos()
-        if monkey is not None:
-            monkey.delay_fit()
-            if monkey.should_fail_fit():
-                raise SolverConvergenceError("chaos: injected retrain failure")
-        labels = np.asarray(labels, dtype=float)
-        holdout = max(2, int(len(queries) * self.drift_holdout))
-        train_q, hold_q = queries[:-holdout] or queries, queries[-holdout:]
-        train_s = labels[:-holdout] if len(queries) > holdout else labels
-        hold_s = labels[-holdout:]
-        model = self._factory()
-        policy = None if self.sanitize_policy == "raise" else self.sanitize_policy
-        model.fit(train_q, train_s, policy=policy)
-        retrain_quarantined = (
-            model.sanitization_.quarantined if model.sanitization_ is not None else 0
-        )
-        elapsed = time.monotonic() - start
-        if self.retrain_timeout is not None and elapsed > self.retrain_timeout:
-            raise TrainingTimeoutError(
-                f"retrain took {elapsed:.2f}s, budget {self.retrain_timeout:.2f}s"
-            )
-        baseline = (model.predict_many(hold_q) - hold_s) ** 2
-        detector = DriftDetector(baseline) if baseline.size >= 2 else None
-        return model, len(train_q), detector, retrain_quarantined, elapsed
-
     def _auto_retrain(self) -> None:
         """Opportunistic retrain from the feedback path: never raises.
 
@@ -1256,41 +1214,6 @@ class EstimatorService:
 # HTTP adapter
 # ---------------------------------------------------------------------------
 
-#: Known endpoints (canonical paths); anything else is folded into the
-#: "other" label so arbitrary probe paths cannot explode metric
-#: cardinality.  ``/health`` and ``/metrics`` are deliberately
-#: unversioned (probes and scrape configs should not chase API versions).
-_ENDPOINTS = frozenset(
-    {
-        "/v1/estimate",
-        "/v1/predict",
-        "/v1/feedback",
-        "/v1/retrain",
-        "/v1/update",
-        "/v1/snapshot",
-        "/v1/restore",
-        "/v1/status",
-        "/health",
-        "/metrics",
-    }
-)
-
-#: Pre-versioning paths, kept as aliases of their ``/v1/`` successors.
-#: Requests through an alias behave identically but carry a
-#: ``Deprecation: true`` response header, and are metered under the
-#: canonical endpoint label.
-_LEGACY_ALIASES = {
-    "/estimate": "/v1/estimate",
-    "/predict": "/v1/predict",
-    "/feedback": "/v1/feedback",
-    "/retrain": "/v1/retrain",
-    "/status": "/v1/status",
-}
-
-#: Endpoints exempt from admission control and deadlines: probes and
-#: scrapes must keep answering precisely when the worker is saturated.
-_UNGATED = frozenset({"/health", "/metrics", "/v1/status"})
-
 #: Request header carrying the caller's per-request deadline budget.
 DEADLINE_HEADER = "X-Deadline-Ms"
 
@@ -1302,6 +1225,8 @@ DEADLINE_HEADER = "X-Deadline-Ms"
 REQUEST_ID_HEADER = "X-Request-Id"
 
 _REQUEST_ID_MAX_LEN = 128
+
+_EXPOSITION_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 def _clean_request_id(raw: str | None) -> str:
@@ -1334,6 +1259,70 @@ def _render_metrics(service: EstimatorService) -> str:
     )
     chunks = [chunk for chunk in chunks if chunk]
     return "\n".join(chunks) + ("\n" if chunks else "")
+
+
+# Route handlers take the request handler and return the response body:
+# a JSON object, or exposition text for /metrics.
+
+
+def _estimate(req) -> dict:
+    query = range_from_dict(req.read_json()["query"])
+    value = req.coalescer.submit(query, deadline=req.deadline, stages=req.stages)
+    return {"selectivity": value}
+
+
+def _predict(req) -> dict:
+    encoded = req.read_json()["queries"]
+    if not isinstance(encoded, list):
+        raise DataValidationError(
+            f"'queries' must be a list, got {type(encoded).__name__}"
+        )
+    queries = [range_from_dict(item) for item in encoded]
+    estimates = req.coalescer.submit_many(
+        queries, deadline=req.deadline, stages=req.stages
+    )
+    return {"selectivities": estimates, "count": len(estimates)}
+
+
+def _feedback(req) -> dict:
+    data = req.read_json()
+    query = range_from_dict(data["query"])
+    return req.service.feedback(query, float(data["selectivity"]))
+
+
+def _restore(req) -> dict:
+    artifact = req.read_json().get("path")
+    if artifact is not None and not isinstance(artifact, str):
+        raise DataValidationError(
+            f"'path' must be a string, got {type(artifact).__name__}"
+        )
+    return req.service.restore(artifact)
+
+
+#: Every endpoint: ``(method, path) -> (handler, gated)``.  Gated routes
+#: pass the draining check, deadlines and admission control; the probe,
+#: scrape and status routes skip them so they keep answering precisely
+#: when the worker is saturated.  ``/health`` and ``/metrics`` are
+#: unversioned on purpose: probes and scrape configs should not chase
+#: API versions.  ``/health`` always answers 200 while the process is
+#: up; its body carries ok-vs-degraded for load balancers and supervisors.
+_ROUTES = {
+    ("POST", "/v1/estimate"): (_estimate, True),
+    ("POST", "/v1/predict"): (_predict, True),
+    ("POST", "/v1/feedback"): (_feedback, True),
+    ("POST", "/v1/retrain"): (lambda req: req.service.retrain(), True),
+    ("POST", "/v1/update"): (lambda req: req.service.update(), True),
+    ("POST", "/v1/snapshot"): (lambda req: req.service.snapshot(), True),
+    ("POST", "/v1/restore"): (_restore, True),
+    ("GET", "/v1/status"): (lambda req: req.service.status(), False),
+    ("GET", "/health"): (lambda req: req.service.health(), False),
+    ("GET", "/metrics"): (lambda req: _render_metrics(req.service), False),
+}
+
+#: Endpoint metric labels: any other path is folded into "other", so
+#: arbitrary probe paths cannot explode metric cardinality.
+_ENDPOINTS = frozenset(path for _, path in _ROUTES)
+_UNGATED = frozenset(path for (_, path), (_, gated) in _ROUTES.items() if not gated)
 
 
 def _make_handler(
@@ -1402,15 +1391,9 @@ def _make_handler(
             self.send_response(code)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
-            request_id = getattr(self, "_request_id", None)
-            if request_id is not None:
-                self.send_header(REQUEST_ID_HEADER, request_id)
+            self.send_header(REQUEST_ID_HEADER, self._request_id)
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
-            if getattr(self, "_deprecated", False):
-                # RFC 9745: the client used a pre-versioning alias.
-                self.send_header("Deprecation", "true")
-                self.send_header("Link", f'<{self._canonical}>; rel="successor-version"')
             self.end_headers()
             self.wfile.write(body)
 
@@ -1421,7 +1404,7 @@ def _make_handler(
                 code, json.dumps(payload).encode(), "application/json", headers
             )
 
-        def _read_json(self) -> dict:
+        def read_json(self) -> dict:
             try:
                 length = int(self.headers.get("Content-Length", 0))
             except (TypeError, ValueError) as exc:
@@ -1450,9 +1433,23 @@ def _make_handler(
                 ) from exc
             return Deadline.after_ms(budget_ms)
 
-        def _guarded(self, handler) -> None:
-            """Run ``handler``; render any failure as structured JSON and
-            record the per-endpoint request metrics either way.
+        def _respond(self) -> None:
+            """Run this request's route; 404 for any other (method, path)."""
+            route = _ROUTES.get((self.command, self.path))
+            if route is None:
+                self._reply(
+                    404, {"error": f"unknown path {self.path}", "type": "NotFound"}
+                )
+                return
+            body = route[0](self)
+            if isinstance(body, str):
+                self._reply_body(200, body.encode(), _EXPOSITION_TYPE)
+            else:
+                self._reply(200, body)
+
+        def _guarded(self) -> None:
+            """Respond; render any failure as structured JSON and record
+            the per-endpoint request metrics either way.
 
             Also owns the request's tracing context: generate-or-echo
             the ``X-Request-Id`` (bound to the thread so every log line
@@ -1462,21 +1459,19 @@ def _make_handler(
             ``repro_request_stage_seconds`` and the access line.
             """
             self._status_code = 0
-            self._canonical = _LEGACY_ALIASES.get(self.path, self.path)
-            self._deprecated = self._canonical != self.path
             self._request_id = _clean_request_id(
                 self.headers.get(REQUEST_ID_HEADER)
             )
-            self._stages: dict[str, float] = {}
-            endpoint = self._canonical if self._canonical in _ENDPOINTS else "other"
+            self.stages: dict[str, float] = {}
+            endpoint = self.path if self.path in _ENDPOINTS else "other"
             gated = endpoint not in _UNGATED
             start = time.perf_counter()
             try:
                 with bind_request_id(self._request_id):
                     try:
                         if not gated:
-                            self._deadline = Deadline(None)
-                            handler()
+                            self.deadline = Deadline(None)
+                            self._respond()
                         else:
                             if draining is not None and draining.is_set():
                                 # Graceful shutdown: turn work away, stay
@@ -1487,17 +1482,17 @@ def _make_handler(
                                     headers={"Retry-After": "1"},
                                 )
                                 return
-                            self._deadline = self._request_deadline()
-                            self._deadline.check()
+                            self.deadline = self._request_deadline()
+                            self.deadline.check()
                             if admission is not None:
                                 admit_start = time.perf_counter()
-                                with admission.admit(self._deadline):
-                                    self._stages["queue"] = (
+                                with admission.admit(self.deadline):
+                                    self.stages["queue"] = (
                                         time.perf_counter() - admit_start
                                     )
-                                    handler()
+                                    self._respond()
                             else:
-                                handler()
+                                self._respond()
                     except ReproError as exc:
                         self._reply(
                             exc.http_status,
@@ -1532,8 +1527,8 @@ def _make_handler(
                 if gated:
                     # Probes/scrapes are excluded: their totals would
                     # swamp the breakdown with non-request noise.
-                    self._stages["total"] = elapsed
-                    for stage, seconds in self._stages.items():
+                    self.stages["total"] = elapsed
+                    for stage, seconds in self.stages.items():
                         stage_seconds.observe(seconds, stage=stage)
                 if access_log:
                     log_event(
@@ -1547,85 +1542,15 @@ def _make_handler(
                         request_id=self._request_id,
                         stages={
                             stage: round(seconds, 6)
-                            for stage, seconds in self._stages.items()
+                            for stage, seconds in self.stages.items()
                         },
                     )
 
-        def do_GET(self):
-            def handle():
-                path = self._canonical
-                if path == "/v1/status":
-                    self._reply(200, service.status())
-                elif path == "/health":
-                    # Liveness probe: always 200 while the process is up;
-                    # the body carries ok-vs-degraded (breaker open /
-                    # stale serving generation) for LBs and supervisors.
-                    self._reply(200, service.health())
-                elif path == "/metrics":
-                    self._reply_body(
-                        200,
-                        _render_metrics(service).encode(),
-                        "text/plain; version=0.0.4; charset=utf-8",
-                    )
-                else:
-                    self._reply(
-                        404,
-                        {"error": f"unknown path {self.path}", "type": "NotFound"},
-                    )
+        do_GET = do_POST = _guarded
 
-            self._guarded(handle)
-
-        def do_POST(self):
-            def handle():
-                path = self._canonical
-                if path == "/v1/estimate":
-                    data = self._read_json()
-                    query = range_from_dict(data["query"])
-                    value = coalescer.submit(
-                        query, deadline=self._deadline, stages=self._stages
-                    )
-                    self._reply(200, {"selectivity": value})
-                elif path == "/v1/predict":
-                    data = self._read_json()
-                    encoded = data["queries"]
-                    if not isinstance(encoded, list):
-                        raise DataValidationError(
-                            f"'queries' must be a list, got {type(encoded).__name__}"
-                        )
-                    queries = [range_from_dict(item) for item in encoded]
-                    estimates = coalescer.submit_many(
-                        queries, deadline=self._deadline, stages=self._stages
-                    )
-                    self._reply(
-                        200, {"selectivities": estimates, "count": len(estimates)}
-                    )
-                elif path == "/v1/feedback":
-                    data = self._read_json()
-                    query = range_from_dict(data["query"])
-                    result = service.feedback(query, float(data["selectivity"]))
-                    self._reply(200, result)
-                elif path == "/v1/retrain":
-                    self._reply(200, service.retrain())
-                elif path == "/v1/update":
-                    self._reply(200, service.update())
-                elif path == "/v1/snapshot":
-                    self._reply(200, service.snapshot())
-                elif path == "/v1/restore":
-                    data = self._read_json()
-                    artifact = data.get("path")
-                    if artifact is not None and not isinstance(artifact, str):
-                        raise DataValidationError(
-                            f"'path' must be a string, got {type(artifact).__name__}"
-                        )
-                    self._reply(200, service.restore(artifact))
-                else:
-                    self._reply(
-                        404,
-                        {"error": f"unknown path {self.path}", "type": "NotFound"},
-                    )
-
-            self._guarded(handle)
-
+    # Read by the route handlers.
+    Handler.service = service
+    Handler.coalescer = coalescer
     return Handler
 
 

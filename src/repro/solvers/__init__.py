@@ -7,16 +7,13 @@ Every learner in this repository fits bucket weights by solving
     \\text{s.t.}\\; \\sum_j w_j = 1,\\; 0 \\le w_j \\le 1,
 
 a convex quadratic program over the probability simplex (Eq. 8 of the
-paper).  :mod:`~repro.solvers.simplex_ls` offers three interchangeable
-methods (penalised NNLS — the paper's choice via scipy's solver [1]; exact
-projected gradient; active set), :mod:`~repro.solvers.nnls` contains our own
-Lawson–Hanson implementation so the library has no hidden dependencies,
-:mod:`~repro.solvers.linf` trains under the L∞ objective (Section 4.6), and
-:mod:`~repro.solvers.maxent` solves the maximum-entropy program used by the
-ISOMER baseline.
+paper).  :mod:`~repro.solvers.simplex_ls` offers two interchangeable
+methods (penalised NNLS — the paper's choice via scipy's solver [1] — and
+exact projected gradient), :mod:`~repro.solvers.linf` trains under the L∞
+objective (Section 4.6), and :mod:`~repro.solvers.maxent` solves the
+maximum-entropy program used by the ISOMER baseline.
 """
 
-from repro.solvers.nnls import nnls
 from repro.solvers.simplex_ls import (
     SolveAttempt,
     SolveReport,
@@ -28,7 +25,6 @@ from repro.solvers.linf import fit_simplex_weights_linf
 from repro.solvers.maxent import fit_maxent_weights
 
 __all__ = [
-    "nnls",
     "fit_simplex_weights",
     "fit_simplex_weights_robust",
     "SolveAttempt",

@@ -1,6 +1,6 @@
 """Least squares over the probability simplex (Eq. 8 of the paper).
 
-Three interchangeable methods solve
+Two interchangeable methods (:data:`SOLVERS`) solve
 
 .. math::
     \\min_w \\|A w - s\\|_2^2 \\quad \\text{s.t.} \\quad
@@ -11,18 +11,11 @@ Three interchangeable methods solve
     the system and solve plain NNLS (scipy's compiled Lawson–Hanson — the
     solver the paper cites), then renormalise exactly.  Fast and, for
     large λ, within solver precision of the constrained optimum.
-``"penalty-own"``
-    Same formulation solved by this repository's pure-Python Lawson–Hanson
-    (:mod:`repro.solvers.nnls`) — slower, kept for self-containedness and
-    cross-validation of the compiled solver.
 ``"pgd"``
     Exact accelerated projected gradient (FISTA) with Euclidean projection
     onto the simplex — converges to the true constrained minimiser.
-``"active-set"``
-    Penalty solution polished by FISTA; kept as a distinct name for the
-    ablation benchmark.
 
-All methods return a valid probability vector; ``w <= 1`` is implied by
+Both methods return a valid probability vector; ``w <= 1`` is implied by
 ``w >= 0`` and the sum constraint.
 
 For serving paths that must never fail, :func:`fit_simplex_weights_robust`
@@ -38,13 +31,11 @@ answer.  The final rung (the uniform distribution) cannot fail, so the
 robust entry point always returns a valid simplex vector.
 
 Both entry points accept ``warm_start=``, a previous weight vector to
-resume from: ``penalty``/``pgd``/``active-set`` polish it with FISTA
-from its simplex projection (power-iteration Lipschitz estimate, so the
-solve stays matvec-cheap), while ``penalty-own`` resumes the pure-Python
-Lawson–Hanson active set from its support.  For an incremental refit
-whose optimum moved only slightly this replaces a full NNLS solve with a
-handful of iterations — the basis of the cheap `update()` path
-(``docs/online_learning.md``).
+resume from: either method polishes it with FISTA from its simplex
+projection (power-iteration Lipschitz estimate, so the solve stays
+matvec-cheap).  For an incremental refit whose optimum moved only
+slightly this replaces a full NNLS solve with a handful of iterations —
+the basis of the cheap `update()` path (``docs/online_learning.md``).
 """
 
 from __future__ import annotations
@@ -56,9 +47,9 @@ import numpy as np
 
 from repro.robustness.chaos import active as _active_chaos
 from repro.robustness.errors import DataValidationError, SolverConvergenceError
-from repro.solvers.nnls import nnls as _own_nnls
 
 __all__ = [
+    "SOLVERS",
     "project_to_simplex",
     "fit_simplex_weights",
     "fit_simplex_weights_robust",
@@ -66,7 +57,8 @@ __all__ = [
     "SolveReport",
 ]
 
-_METHODS = ("penalty", "penalty-own", "pgd", "active-set", "scipy-nnls")
+#: The Eq. (8) methods an estimator's ``solver=`` may name.
+SOLVERS = ("penalty", "pgd")
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -87,35 +79,20 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _penalty_solution(
-    a: np.ndarray,
-    s: np.ndarray,
-    penalty: float,
-    use_scipy: bool,
-    warm_start: np.ndarray | None = None,
-) -> np.ndarray:
+def _penalty_solution(a: np.ndarray, s: np.ndarray, penalty: float) -> np.ndarray:
+    from scipy.optimize import nnls as scipy_nnls
+
     m, n = a.shape
     root = np.sqrt(penalty)
     a_aug = np.concatenate([a, root * np.ones((1, n))], axis=0)
     s_aug = np.concatenate([s, [root]])
-    if warm_start is not None and not use_scipy:
-        # Active-set resume: seed Lawson–Hanson's passive set with the
-        # previous solution's support.  Near-unchanged support converges
-        # in a handful of outer iterations instead of one per support
-        # element (scipy's compiled NNLS has no warm-start entry point).
-        w = _own_nnls(a_aug, s_aug, x0=np.maximum(warm_start, 0.0))
-    elif use_scipy:
-        from scipy.optimize import nnls as scipy_nnls
-
-        try:
-            w, _ = scipy_nnls(a_aug, s_aug, maxiter=max(30 * n, 3000))
-        except RuntimeError:
-            # scipy >= 1.12 raises instead of returning its best iterate
-            # when the iteration cap is hit on ill-conditioned systems;
-            # fall back to the exact projected-gradient solve.
-            return _fista(a, s, np.full(n, 1.0 / n), max_iter=3000, tol=1e-10)
-    else:
-        w = _own_nnls(a_aug, s_aug)
+    try:
+        w, _ = scipy_nnls(a_aug, s_aug, maxiter=max(30 * n, 3000))
+    except RuntimeError:
+        # scipy >= 1.12 raises instead of returning its best iterate
+        # when the iteration cap is hit on ill-conditioned systems;
+        # fall back to the exact projected-gradient solve.
+        return _fista(a, s, np.full(n, 1.0 / n), max_iter=3000, tol=1e-10)
     total = float(w.sum())
     if total <= 0.0:
         return np.full(n, 1.0 / n)
@@ -232,15 +209,13 @@ def fit_simplex_weights(
     s:
         Observed selectivities, shape ``(n_queries,)``.
     method:
-        One of ``"penalty"`` (default), ``"pgd"``, ``"active-set"``,
-        ``"scipy-nnls"`` (penalty formulation solved by scipy's NNLS).
+        One of :data:`SOLVERS`: ``"penalty"`` (default) or ``"pgd"``.
     warm_start:
         Optional previous weight vector (shape ``(n_buckets,)``) to
-        resume from.  ``penalty``/``pgd``/``active-set`` polish it with
-        FISTA from its simplex projection; ``penalty-own`` resumes the
-        Lawson–Hanson active set from its support.  Must already be
-        remapped to the *current* column order — a shape mismatch
-        raises :class:`DataValidationError`.
+        resume from; either method polishes it with FISTA from its
+        simplex projection.  Must already be remapped to the *current*
+        column order — a shape mismatch raises
+        :class:`DataValidationError`.
 
     Returns
     -------
@@ -252,8 +227,8 @@ def fit_simplex_weights(
         raise DataValidationError(f"a must be 2-D, got shape {a.shape}")
     if s.shape != (a.shape[0],):
         raise DataValidationError(f"s must have shape ({a.shape[0]},), got {s.shape}")
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {_METHODS}")
+    if method not in SOLVERS:
+        raise ValueError(f"unknown method {method!r}; choose from {SOLVERS}")
     n = a.shape[1]
     if n == 0:
         raise DataValidationError("at least one bucket is required")
@@ -268,28 +243,16 @@ def fit_simplex_weights(
     if n == 1:
         return np.ones(1)
 
-    if method in ("penalty", "scipy-nnls"):
-        if warm_start is not None:
-            # The compiled NNLS cannot resume from a previous solution;
-            # polishing the warm start with the exact projected-gradient
-            # method converges in a handful of cheap matvec iterations
-            # when the optimum moved only slightly — the incremental
-            # fast path.  Cold solves keep the paper's NNLS formulation.
-            return _warm_polish(a, s, warm_start, max_iter, tol)
-        return _penalty_solution(a, s, penalty, use_scipy=True)
-    if method == "penalty-own":
-        return _penalty_solution(a, s, penalty, use_scipy=False, warm_start=warm_start)
-    if method == "pgd":
-        if warm_start is not None:
-            return _warm_polish(a, s, warm_start, max_iter, tol)
-        return _fista(a, s, np.full(n, 1.0 / n), max_iter, tol)
-    # "active-set": penalty warm start polished by the exact method; with
-    # an explicit warm start the penalty phase is unnecessary — polish
-    # the previous solution directly.
     if warm_start is not None:
+        # The compiled NNLS cannot resume from a previous solution;
+        # polishing the warm start with the exact projected-gradient
+        # method converges in a handful of cheap matvec iterations when
+        # the optimum moved only slightly — the incremental fast path.
+        # Cold solves keep each method's own formulation.
         return _warm_polish(a, s, warm_start, max_iter, tol)
-    start = _penalty_solution(a, s, penalty, use_scipy=True)
-    return _fista(a, s, start, max_iter // 2, tol)
+    if method == "penalty":
+        return _penalty_solution(a, s, penalty)
+    return _fista(a, s, np.full(n, 1.0 / n), max_iter, tol)
 
 
 # ---------------------------------------------------------------------------

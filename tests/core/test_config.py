@@ -1,4 +1,4 @@
-"""Typed estimator configs: round-tripping, registry factories, deprecation."""
+"""Typed estimator configs: round-tripping and registry factories."""
 
 from __future__ import annotations
 
@@ -97,13 +97,9 @@ def test_default_config_scales_with_train_size():
     assert large.max_leaves > small.max_leaves
 
 
-def test_kwargs_construction_warns_deprecation():
-    with pytest.deprecated_call():
-        QuadHist(tau=0.02)
-
-
 def test_from_config_does_not_warn(recwarn):
     QuadHist.from_config(QuadHistConfig(tau=0.02))
+    QuadHist(tau=0.02)
     assert not [w for w in recwarn.list if w.category is DeprecationWarning]
 
 

@@ -66,3 +66,12 @@ class TestAPIContracts:
         assert "unfitted" in repr(est)
         est.fit(*tiny_workload)
         assert "fitted" in repr(est)
+
+
+@pytest.mark.parametrize(
+    "cls", [QuadHist, KdHist, PtsHist, GaussianMixtureHist, ArrangementERM]
+)
+@pytest.mark.parametrize("solver", ["penalty-own", "active-set", "scipy-nnls"])
+def test_unknown_solver_rejected_at_construction(cls, solver):
+    with pytest.raises(ValueError, match="solver must be one of"):
+        cls(solver=solver)

@@ -123,7 +123,7 @@ class TestMetricsOverHTTP:
                 for query, _ in holdout[:10]:
                     body = json.dumps({"query": range_to_dict(query)}).encode()
                     request = urllib.request.Request(
-                        f"http://{host}:{port}/estimate",
+                        f"http://{host}:{port}/v1/estimate",
                         data=body,
                         headers={"Content-Type": "application/json"},
                     )

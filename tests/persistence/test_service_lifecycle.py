@@ -1,5 +1,5 @@
 """EstimatorService persistence: warm restarts, snapshot/restore API,
-and the versioned HTTP surface with its deprecation aliases."""
+and the versioned HTTP surface."""
 
 from __future__ import annotations
 
@@ -214,23 +214,14 @@ def test_v1_paths_serve(http, workload):
     assert status == 200 and body["count"] == 4
 
 
-def test_legacy_aliases_deprecated_but_equivalent(http, workload):
-    request, _ = http
+def test_unversioned_estimate_is_404_other(http, workload):
+    request, service = http
     _, _, test_q = workload
-    for legacy, v1 in [("/status", "/v1/status")]:
-        status, headers, body = request(legacy)
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert v1 in headers.get("Link", "")
-        _, _, v1_body = request(v1)
-        assert body.keys() == v1_body.keys()
-
-    payload = {"query": _box_payload(test_q[0])}
-    status, headers, legacy_body = request("/estimate", "POST", payload)
-    assert status == 200 and headers.get("Deprecation") == "true"
-    _, v1_headers, v1_body = request("/v1/estimate", "POST", payload)
-    assert "Deprecation" not in v1_headers
-    assert legacy_body == v1_body
+    status, _, body = request("/estimate", "POST", {"query": _box_payload(test_q[0])})
+    assert status == 404 and body["type"] == "NotFound"
+    requests = service.registry.get("repro_http_requests_total")
+    assert requests.value(method="POST", endpoint="other", status="4xx") == 1
+    assert requests.value(method="POST", endpoint="/v1/estimate", status="2xx") == 0
 
 
 def test_health_and_metrics_unversioned(http):

@@ -1,6 +1,6 @@
 """Graceful degradation of the estimation service (acceptance criterion
-b: with retraining forced to fail, ``estimate`` keeps serving the last
-good model and ``/status`` reports the breaker open)."""
+b: with retraining forced to fail, estimates keep coming from the last
+good model and ``/v1/status`` reports the breaker open)."""
 
 import json
 import urllib.error
@@ -59,7 +59,7 @@ class TestLastGoodModelServing:
     def test_estimate_survives_retrain_failures(self, rng):
         service = _trained_service(rng, breaker_threshold=2)
         probe = Box([0.2, 0.2], [0.7, 0.7])
-        baseline = service.estimate(probe)
+        baseline = service.estimate_many([probe])
 
         with chaos(ChaosConfig(fit_fail_next=2)):
             for _ in range(2):
@@ -70,7 +70,7 @@ class TestLastGoodModelServing:
                 service.retrain()
             assert "circuit breaker" in str(excinfo.value)
             # The last good generation keeps answering throughout.
-            assert service.estimate(probe) == pytest.approx(baseline)
+            assert service.estimate_many([probe]) == pytest.approx(baseline)
 
         status = service.status()
         assert status["trained"] is True
@@ -99,7 +99,7 @@ class TestLastGoodModelServing:
     def test_estimate_before_first_train_still_unavailable(self):
         service = _service()
         with pytest.raises(ModelUnavailableError):
-            service.estimate(Box([0.1, 0.1], [0.5, 0.5]))
+            service.estimate_many([Box([0.1, 0.1], [0.5, 0.5])])
 
 
 class TestBreakerLifecycleInService:
@@ -222,23 +222,23 @@ class TestDegradationOverHTTP:
     def test_breaker_open_visible_on_status(self, server):
         with chaos(ChaosConfig(fit_fail_next=1)):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
-                self._post(server, "/retrain", {})
+                self._post(server, "/v1/retrain", {})
             assert excinfo.value.code == 500
             body = json.loads(excinfo.value.read())
             assert body["type"] == "SolverConvergenceError"
 
-        status = self._get(server, "/status")
+        status = self._get(server, "/v1/status")
         assert status["breaker"]["state"] == "open"
         assert status["generation"] == 1
 
         # Estimates still served from the last good generation.
         query = Box([0.2, 0.2], [0.7, 0.7])
-        estimate = self._post(server, "/estimate", {"query": range_to_dict(query)})
+        estimate = self._post(server, "/v1/estimate", {"query": range_to_dict(query)})
         assert 0.0 <= estimate["selectivity"] <= 1.0
 
         # A retrain attempt while open is a structured 409, not a hang.
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post(server, "/retrain", {})
+            self._post(server, "/v1/retrain", {})
         assert excinfo.value.code == 409
         body = json.loads(excinfo.value.read())
         assert body["type"] == "ModelUnavailableError"

@@ -1,4 +1,4 @@
-"""Simplex-constrained least squares — all methods, plus the projection."""
+"""Simplex-constrained least squares — both methods, plus the projection."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.solvers import fit_simplex_weights, project_to_simplex
-
-METHODS = ["penalty", "penalty-own", "pgd", "active-set", "scipy-nnls"]
+from repro.solvers.simplex_ls import SOLVERS as METHODS
 
 float_lists = st.lists(
     st.floats(-5, 5, allow_nan=False, allow_infinity=False), min_size=1, max_size=25

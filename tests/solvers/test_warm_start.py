@@ -5,8 +5,8 @@ import pytest
 
 from repro.robustness.errors import DataValidationError
 from repro.solvers.linf import fit_simplex_weights_linf
-from repro.solvers.nnls import nnls
 from repro.solvers.simplex_ls import (
+    SOLVERS,
     fit_simplex_weights,
     fit_simplex_weights_robust,
 )
@@ -24,35 +24,8 @@ def _residual(a, s, w):
     return float(np.linalg.norm(a @ w - s))
 
 
-class TestNnlsWarmStart:
-    def test_x0_reaches_same_optimum(self):
-        a, s = _problem()
-        cold = nnls(a, s)
-        warm = nnls(a, s, x0=cold)
-        np.testing.assert_allclose(warm, cold, atol=1e-8)
-
-    def test_perturbed_x0_reaches_same_optimum(self):
-        a, s = _problem(seed=1)
-        cold = nnls(a, s)
-        rng = np.random.default_rng(2)
-        warm = nnls(a, s, x0=cold + rng.normal(0.0, 1e-3, cold.shape))
-        assert _residual(a, s, warm) == pytest.approx(
-            _residual(a, s, cold), abs=1e-6
-        )
-
-    def test_bad_shape_raises(self):
-        a, s = _problem()
-        with pytest.raises(ValueError):
-            nnls(a, s, x0=np.ones(3))
-
-    def test_nonfinite_x0_ignored(self):
-        a, s = _problem()
-        warm = nnls(a, s, x0=np.full(a.shape[1], np.nan))
-        np.testing.assert_allclose(warm, nnls(a, s), atol=1e-8)
-
-
 class TestSimplexWarmStart:
-    @pytest.mark.parametrize("method", ["penalty", "penalty-own", "pgd", "active-set"])
+    @pytest.mark.parametrize("method", SOLVERS)
     def test_warm_result_is_feasible_and_competitive(self, method):
         a, s = _problem(seed=3)
         cold = fit_simplex_weights(a, s, method=method)

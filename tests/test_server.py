@@ -29,7 +29,7 @@ class TestServiceAPI:
     def test_estimate_before_training_raises(self):
         service = _service()
         with pytest.raises(RuntimeError):
-            service.estimate(Box([0.0, 0.0], [0.5, 0.5]))
+            service.estimate_many([Box([0.0, 0.0], [0.5, 0.5])])
 
     def test_feedback_then_retrain_then_estimate(self, labeled_feedback):
         feedback, holdout = labeled_feedback
@@ -38,7 +38,8 @@ class TestServiceAPI:
             service.feedback(query, label)
         info = service.retrain()
         assert info["trained_on"] > 0
-        errors = [abs(service.estimate(q) - s) for q, s in holdout[:30]]
+        estimates = service.estimate_many([q for q, _ in holdout[:30]])
+        errors = [abs(e - s) for e, (_, s) in zip(estimates, holdout[:30])]
         assert float(np.mean(errors)) < 0.1
 
     def test_retrain_requires_min_feedback(self):
@@ -123,23 +124,23 @@ class TestHTTP:
         for query, label in feedback[:40]:
             result = self._post(
                 server,
-                "/feedback",
+                "/v1/feedback",
                 {"query": range_to_dict(query), "selectivity": float(label)},
             )
             assert "pending" in result
-        trained = self._post(server, "/retrain", {})
+        trained = self._post(server, "/v1/retrain", {})
         assert trained["model_size"] >= 1
         query, truth = holdout[0]
-        estimate = self._post(server, "/estimate", {"query": range_to_dict(query)})
+        estimate = self._post(server, "/v1/estimate", {"query": range_to_dict(query)})
         assert 0.0 <= estimate["selectivity"] <= 1.0
-        status = self._get(server, "/status")
+        status = self._get(server, "/v1/status")
         assert status["trained"] is True
 
     def test_estimate_before_training_is_409(self, server, labeled_feedback):
         feedback, _ = labeled_feedback
         query, _ = feedback[0]
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post(server, "/estimate", {"query": range_to_dict(query)})
+            self._post(server, "/v1/estimate", {"query": range_to_dict(query)})
         assert excinfo.value.code == 409
         body = json.loads(excinfo.value.read())
         assert body["type"] == "ModelUnavailableError"
@@ -147,7 +148,7 @@ class TestHTTP:
 
     def test_malformed_request_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post(server, "/estimate", {"query": {"type": "triangle"}})
+            self._post(server, "/v1/estimate", {"query": {"type": "triangle"}})
         assert excinfo.value.code == 400
 
     def test_unknown_path_is_404(self, server):
@@ -186,7 +187,7 @@ class TestHTTPErrorPaths:
 
     def test_malformed_json_body_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post_raw(server, "/estimate", b"{not json!")
+            self._post_raw(server, "/v1/estimate", b"{not json!")
         assert excinfo.value.code == 400
         body = self._error_body(excinfo)
         assert body["type"] == "DataValidationError"
@@ -194,13 +195,13 @@ class TestHTTPErrorPaths:
 
     def test_non_object_json_body_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post_raw(server, "/feedback", b"[1, 2, 3]")
+            self._post_raw(server, "/v1/feedback", b"[1, 2, 3]")
         assert excinfo.value.code == 400
         assert self._error_body(excinfo)["type"] == "DataValidationError"
 
     def test_missing_query_key_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post_raw(server, "/estimate", b"{}")
+            self._post_raw(server, "/v1/estimate", b"{}")
         assert excinfo.value.code == 400
         self._error_body(excinfo)
 
@@ -209,7 +210,7 @@ class TestHTTPErrorPaths:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post_raw(
                 server,
-                "/feedback",
+                "/v1/feedback",
                 json.dumps({"query": query, "selectivity": 1.5}).encode(),
             )
         assert excinfo.value.code == 400
@@ -222,7 +223,7 @@ class TestHTTPErrorPaths:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post_raw(
                 server,
-                "/feedback",
+                "/v1/feedback",
                 json.dumps({"query": query, "selectivity": "lots"}).encode(),
             )
         assert excinfo.value.code == 400
@@ -252,13 +253,13 @@ class TestHTTPErrorPaths:
 
     def test_retrain_without_feedback_is_409(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post_raw(server, "/retrain", b"{}")
+            self._post_raw(server, "/v1/retrain", b"{}")
         assert excinfo.value.code == 409
         assert self._error_body(excinfo)["type"] == "ModelUnavailableError"
 
     def test_status_reports_robustness_fields(self, server):
         host, port = server.server_address
-        with urllib.request.urlopen(f"http://{host}:{port}/status") as response:
+        with urllib.request.urlopen(f"http://{host}:{port}/v1/status") as response:
             status = json.loads(response.read())
         assert set(status) >= {"generation", "breaker", "buffer", "quarantine"}
         assert status["breaker"]["state"] == "closed"
@@ -282,11 +283,12 @@ class TestBatchEstimation:
             service.estimate_many([Box([0.0, 0.0], [0.5, 0.5])])
 
     def test_matches_scalar_estimate(self, labeled_feedback):
-        service, holdout = self._trained(labeled_feedback)
+        # Uncached, so each single-query call runs its own predict_many.
+        service, holdout = self._trained(labeled_feedback, prediction_cache_size=0)
         queries = [q for q, _ in holdout[:20]]
         batch = service.estimate_many(queries)
         assert len(batch) == len(queries)
-        singles = [service.estimate(q) for q in queries]
+        singles = [service.estimate_many([q])[0] for q in queries]
         np.testing.assert_allclose(batch, singles, atol=1e-12, rtol=0)
 
     def test_cache_hits_accumulate(self, labeled_feedback):
@@ -311,9 +313,11 @@ class TestBatchEstimation:
             service.feedback(query, label)
         service.retrain()  # new generation: stale entries must be unreachable
         assert service.status()["prediction_cache"]["size"] == 0
-        fresh = service.estimate_many(queries)
-        singles = [service.estimate(q) for q in queries]
-        np.testing.assert_allclose(fresh, singles, atol=1e-12, rtol=0)
+        before = service.status()["prediction_cache"]
+        service.estimate_many(queries)
+        after = service.status()["prediction_cache"]
+        assert after["hits"] == before["hits"]
+        assert after["misses"] == before["misses"] + len(queries)
 
     def test_cache_capacity_bounds_size(self, labeled_feedback):
         service, holdout = self._trained(labeled_feedback, prediction_cache_size=4)
@@ -326,8 +330,9 @@ class TestBatchEstimation:
         queries = [q for q, _ in holdout[:10]]
         batch = service.estimate_many(queries)
         assert service.status()["prediction_cache"]["size"] == 0
-        singles = [service.estimate(q) for q in queries]
-        np.testing.assert_allclose(batch, singles, atol=1e-12, rtol=0)
+        again = service.estimate_many(queries)
+        np.testing.assert_allclose(batch, again, atol=1e-12, rtol=0)
+        assert service.status()["prediction_cache"]["hits"] == 0
 
     def test_negative_cache_size_rejected(self):
         with pytest.raises(ValueError):
@@ -362,28 +367,28 @@ class TestHTTPBatchPredict:
         for query, label in feedback[:40]:
             self._post(
                 server,
-                "/feedback",
+                "/v1/feedback",
                 {"query": range_to_dict(query), "selectivity": float(label)},
             )
-        self._post(server, "/retrain", {})
+        self._post(server, "/v1/retrain", {})
         return holdout
 
     def test_predict_endpoint(self, server, labeled_feedback):
         holdout = self._train(server, labeled_feedback)
         queries = [q for q, _ in holdout[:8]]
         result = self._post(
-            server, "/predict", {"queries": [range_to_dict(q) for q in queries]}
+            server, "/v1/predict", {"queries": [range_to_dict(q) for q in queries]}
         )
         assert result["count"] == len(queries)
         assert len(result["selectivities"]) == len(queries)
         for value, (query, _) in zip(result["selectivities"], holdout[:8]):
-            single = self._post(server, "/estimate", {"query": range_to_dict(query)})
+            single = self._post(server, "/v1/estimate", {"query": range_to_dict(query)})
             assert value == pytest.approx(single["selectivity"], abs=1e-12)
 
     def test_predict_non_list_queries_is_400(self, server, labeled_feedback):
         self._train(server, labeled_feedback)
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post(server, "/predict", {"queries": {"type": "box"}})
+            self._post(server, "/v1/predict", {"queries": {"type": "box"}})
         assert excinfo.value.code == 400
         body = json.loads(excinfo.value.read())
         assert "must be a list" in body["error"]
@@ -392,7 +397,7 @@ class TestHTTPBatchPredict:
         feedback, _ = labeled_feedback
         queries = [range_to_dict(feedback[0][0])]
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post(server, "/predict", {"queries": queries})
+            self._post(server, "/v1/predict", {"queries": queries})
         assert excinfo.value.code == 409
         body = json.loads(excinfo.value.read())
         assert body["type"] == "ModelUnavailableError"
@@ -684,6 +689,105 @@ class TestIncrementalUpdate:
         status = service.status()
         assert status["trained_on"] == base_rows + 30
         assert status["feedback_pending"] == 0
+
+    def test_feedback_during_retrain_stays_pending(self, labeled_feedback, monkeypatch):
+        """Regression: rows posted while a full retrain is fitting are not
+        in its training set, so they stay pending for the next advance."""
+        import threading
+
+        service, feedback = self._trained(labeled_feedback)
+        entered, release = threading.Event(), threading.Event()
+        original = QuadHist._fit
+
+        def _gated_fit(model, *args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(10.0)
+            return original(model, *args, **kwargs)
+
+        monkeypatch.setattr(QuadHist, "_fit", _gated_fit)
+        results, errors = [], []
+
+        def _retrain():
+            try:
+                results.append(service.retrain())
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        for query, label in feedback[60:80]:
+            service.feedback(query, label)
+        worker = threading.Thread(target=_retrain)
+        worker.start()
+        assert entered.wait(10.0)
+        for query, label in feedback[80:90]:  # arrives mid-retrain
+            service.feedback(query, label)
+        release.set()
+        worker.join(30.0)
+
+        assert not worker.is_alive()
+        assert not errors and len(results) == 1
+        assert service.status()["feedback_pending"] == 10
+        result = service.update()
+        assert result["incremental"] is True
+        assert result["rows_appended"] == 10
+
+    def test_concurrent_feedback_and_updates_absorb_each_row_once(
+        self, labeled_feedback
+    ):
+        """Stress: feedback threads race update threads under a short
+        switch interval; every row is absorbed by exactly one generation."""
+        import sys
+        import threading
+        import time
+
+        from repro.robustness.errors import ModelUnavailableError
+
+        service, feedback = self._trained(labeled_feedback)
+        base_rows = service.status()["trained_on"]
+        rows = feedback[60:100]
+        absorbed, errors = [], []
+        stop = threading.Event()
+
+        def _feed(chunk):
+            try:
+                for query, label in chunk:
+                    service.feedback(query, label)
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        def _update():
+            while not stop.is_set():
+                try:
+                    absorbed.append(service.update()["rows_appended"])
+                except ModelUnavailableError:
+                    time.sleep(0.001)  # nothing pending yet
+                except Exception as exc:  # pragma: no cover - failure detail
+                    errors.append(exc)
+                    return
+
+        feeders = [threading.Thread(target=_feed, args=(rows[i::4],)) for i in range(4)]
+        updaters = [threading.Thread(target=_update) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in feeders + updaters:
+                thread.start()
+            for thread in feeders:
+                thread.join(30.0)
+            stop.set()
+            for thread in updaters:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(thread.is_alive() for thread in feeders + updaters)
+        assert not errors
+        if service.status()["feedback_pending"]:
+            absorbed.append(service.update()["rows_appended"])
+        assert sum(absorbed) == len(rows)
+        status = service.status()
+        assert status["feedback_pending"] == 0
+        assert status["trained_on"] == base_rows + len(rows)
 
     def test_update_without_pending_raises(self, labeled_feedback):
         service, _ = self._trained(labeled_feedback)
