@@ -46,8 +46,9 @@ class Isomer(SelectivityEstimator):
     Parameters
     ----------
     max_buckets:
-        Hard cap on the number of buckets; once reached, later queries stop
-        drilling (their selectivity feedback still constrains the weights).
+        Hard cap on the number of buckets; a cut bucket whose drilling
+        would pass it stays whole (the query's selectivity feedback still
+        constrains the weights).
     slack:
         Softness of the max-ent consistency constraints (see
         :func:`repro.solvers.maxent.fit_maxent_weights`).
@@ -74,7 +75,6 @@ class Isomer(SelectivityEstimator):
         self._bucket_volumes: np.ndarray | None = None
         self._index: BucketIndex | None = None
         self._weights: np.ndarray | None = None
-        self._distribution: HistogramDistribution | None = None
 
     def _fit(self, training: TrainingSet) -> None:
         if not all(isinstance(q, Box) for q in training.queries):
@@ -88,27 +88,29 @@ class Isomer(SelectivityEstimator):
         design = sparse_coverage_matrix(
             training.queries, self._index, self._bucket_volumes
         )
-        weights = fit_maxent_weights(design, training.selectivities, slack=self.slack)
-        self._weights = weights
-        self._distribution = HistogramDistribution(buckets, weights)
+        self._weights = fit_maxent_weights(design, training.selectivities, slack=self.slack)
 
     def _drill_buckets(self, queries: list[Box], domain: Box) -> list[Box]:
-        """STHoles-style refinement: each query splits the buckets it cuts."""
+        """STHoles-style refinement: each query splits the buckets it cuts,
+        up to ``max_buckets``."""
         buckets: list[Box] = [domain]
         for query in queries:
             if len(buckets) >= self.max_buckets:
                 break
+            count = len(buckets)
             next_buckets: list[Box] = []
             for bucket in buckets:
                 hole = bucket.intersect(query)
-                if hole is None or hole.volume() <= 0.0:
+                if hole is None or not 0.0 < hole.volume() < bucket.volume() - 1e-15:
+                    next_buckets.append(bucket)  # the query misses or contains it
+                    continue
+                rest = bucket.subtract(hole)
+                if count + len(rest) > self.max_buckets:
                     next_buckets.append(bucket)
                     continue
-                if hole.volume() >= bucket.volume() - 1e-15:
-                    next_buckets.append(bucket)  # bucket entirely inside the query
-                    continue
+                count += len(rest)
                 next_buckets.append(hole)
-                next_buckets.extend(bucket.subtract(hole))
+                next_buckets.extend(rest)
             buckets = next_buckets
         return buckets
 
@@ -139,22 +141,28 @@ class Isomer(SelectivityEstimator):
 
     @property
     def distribution(self) -> HistogramDistribution:
-        """The learned maximum-entropy histogram."""
+        """The learned maximum-entropy histogram, as a view over the bucket
+        arrays and weights that predict."""
         self._check_fitted()
-        return self._distribution
+        return HistogramDistribution.from_state(
+            {
+                "lows": self._bucket_lows,
+                "highs": self._bucket_highs,
+                "volumes": self._bucket_volumes,
+                "weights": self._weights,
+            }
+        )
 
     def _state_dict(self) -> Dict[str, object]:
-        state: Dict[str, object] = {
+        return {
             "bucket_lows": self._bucket_lows,
             "bucket_highs": self._bucket_highs,
             "bucket_volumes": self._bucket_volumes,
             "weights": self._weights,
         }
-        for key, value in self._distribution.to_state().items():
-            state[f"distribution.{key}"] = value
-        return state
 
     def _load_state_dict(self, state: Dict[str, object]) -> None:
+        # Older artifacts' ``distribution.*`` copies of these arrays are ignored.
         self._bucket_lows = np.asarray(state["bucket_lows"], dtype=float)
         self._bucket_highs = np.asarray(state["bucket_highs"], dtype=float)
         self._bucket_volumes = np.asarray(state["bucket_volumes"], dtype=float)
@@ -162,10 +170,3 @@ class Isomer(SelectivityEstimator):
         # Rebuilt deterministically from the persisted bucket arrays; the
         # index itself is never serialised.
         self._index = build_bucket_index(self._bucket_lows, self._bucket_highs)
-        self._distribution = HistogramDistribution.from_state(
-            {
-                key.split(".", 1)[1]: value
-                for key, value in state.items()
-                if key.startswith("distribution.")
-            }
-        )

@@ -86,7 +86,6 @@ class ArrangementERM(SelectivityEstimator):
         self.domain = domain
         #: How the last weight solve was produced (fallback ladder record).
         self.solve_report_: SolveReport | None = None
-        self._histogram: HistogramDistribution | None = None
         self._discrete: DiscreteDistribution | None = None
         self._cell_lows: np.ndarray | None = None
         self._cell_highs: np.ndarray | None = None
@@ -113,11 +112,9 @@ class ArrangementERM(SelectivityEstimator):
                 design = sparse_coverage_matrix(
                     training.queries, self._index, self._cell_volumes
                 )
-            weights, self.solve_report_ = solve_weights(
+            self._weights, self.solve_report_ = solve_weights(
                 design, training.selectivities, solver=self.solver
             )
-            self._weights = weights
-            self._histogram = HistogramDistribution(cells, weights)
         else:
             rng = np.random.default_rng(self.seed)
             with span("fit/partition", mode=self.mode) as partition_span:
@@ -165,21 +162,31 @@ class ArrangementERM(SelectivityEstimator):
 
     @property
     def distribution(self):
-        """The learned distribution (histogram or discrete, per ``mode``)."""
+        """The learned distribution (histogram or discrete, per ``mode``).
+
+        In histogram mode, a view over the cell arrays and weights that
+        predict.
+        """
         self._check_fitted()
-        return self._histogram if self.mode == "histogram" else self._discrete
+        if self.mode == "discrete":
+            return self._discrete
+        return HistogramDistribution.from_state(
+            {
+                "lows": self._cell_lows,
+                "highs": self._cell_highs,
+                "volumes": self._cell_volumes,
+                "weights": self._weights,
+            }
+        )
 
     def _state_dict(self) -> Dict[str, object]:
         if self.mode == "histogram":
-            state: Dict[str, object] = {
+            return {
                 "cell_lows": self._cell_lows,
                 "cell_highs": self._cell_highs,
                 "cell_volumes": self._cell_volumes,
                 "weights": self._weights,
             }
-            for key, value in self._histogram.to_state().items():
-                state[f"distribution.{key}"] = value
-            return state
         return {
             f"distribution.{key}": value
             for key, value in self._discrete.to_state().items()
@@ -192,6 +199,7 @@ class ArrangementERM(SelectivityEstimator):
             if key.startswith("distribution.")
         }
         if self.mode == "histogram":
+            # Older artifacts' ``distribution.*`` copies of these arrays are ignored.
             self._cell_lows = np.asarray(state["cell_lows"], dtype=float)
             self._cell_highs = np.asarray(state["cell_highs"], dtype=float)
             self._cell_volumes = np.asarray(state["cell_volumes"], dtype=float)
@@ -199,7 +207,6 @@ class ArrangementERM(SelectivityEstimator):
             # Rebuilt deterministically from the persisted cell arrays; the
             # index itself is never serialised.
             self._index = build_bucket_index(self._cell_lows, self._cell_highs)
-            self._histogram = HistogramDistribution.from_state(nested)
         else:
             self._discrete = DiscreteDistribution.from_state(nested)
             self._discrete.attach_index()

@@ -21,8 +21,9 @@ This module holds the shared machinery for the cheap path:
 * :func:`split_warm_start` — remap the previous weight vector onto the
   refined partition (children of a split leaf inherit the parent weight
   by volume share) so the solver can resume instead of starting cold.
-* :class:`IncrementalTreeHistogram` — the ``partial_fit`` implementation
-  shared by the tree-partition histograms (QuadHist, KdHist).
+* :class:`IncrementalTreeHistogram` — the partition loop, the cold
+  design build and solve, and ``partial_fit``, mixed into QuadHist (and
+  so into KdHist, which is QuadHist with a binary node type).
 
 The ``warm_start=False`` default keeps ``partial_fit`` numerically
 equivalent to a from-scratch refit on the union history (box kernels are
@@ -41,7 +42,6 @@ import numpy as np
 
 from repro.core._solve import solve_weights
 from repro.core.workload import TrainingSet
-from repro.distributions.histogram import HistogramDistribution
 from repro.geometry.index import build_bucket_index
 from repro.geometry.ranges import Range
 from repro.geometry.sparse import sparse_coverage_matrix
@@ -166,14 +166,15 @@ def split_warm_start(
 
 
 class IncrementalTreeHistogram:
-    """Shared incremental ``partial_fit`` for tree-partition histograms.
+    """Partition loop, weight solve and incremental ``partial_fit`` for
+    QuadHist.
 
-    Host classes (QuadHist, KdHist) provide: ``_root`` (nodes with
-    ``.box``, ``.children``, ``.leaves()``), ``_descend`` (the per-query
-    Algorithm 2 refinement, which must call :meth:`_note_split` after
-    splitting a node), ``_history``, leaf arrays + ``_index``, and the
-    ``objective`` / ``solver`` attributes consumed by
-    :func:`~repro.core._solve.solve_weights`.
+    The host class provides: ``_root`` (nodes with ``.box``,
+    ``.children``, ``.leaves()``), ``_descend`` (the per-query Algorithm 2
+    refinement, which must call :meth:`_note_split` after splitting a
+    node), ``_history``, and the ``objective`` / ``solver`` attributes
+    consumed by :func:`~repro.core._solve.solve_weights`.  This class
+    maintains the leaf arrays, ``_index`` and ``_weights``.
     """
 
     #: When not None, a dict mapping node id → old column index; the
@@ -197,42 +198,52 @@ class IncrementalTreeHistogram:
         for child in node.children:
             origins[id(child)] = base
 
-    def _refine(self, training: TrainingSet) -> None:
-        """Run the per-query splitting rule for ``training`` only."""
+    def _refine(self, training: TrainingSet, **span_attrs) -> list:
+        """Algorithm 1: run the splitting rule for ``training``, then
+        rebuild the leaf arrays and bucket index.  Returns the leaves in
+        column order."""
         domain = self._root.box
-        for sample in training:
-            volume = range_volume(sample.query, domain)
-            if volume <= 0.0 or sample.selectivity <= 0.0:
-                continue
-            density = sample.selectivity / volume
-            self._descend(self._root, sample.query, density, 0)
+        with span("fit/partition", **span_attrs) as partition_span:
+            for sample in training:
+                volume = range_volume(sample.query, domain)
+                if volume <= 0.0 or sample.selectivity <= 0.0:
+                    continue  # degenerate query: no density information to split on
+                self._descend(self._root, sample.query, sample.selectivity / volume, 0)
+            leaves = list(self._root.leaves())
+            partition_span.annotate(leaves=len(leaves))
+        self._leaf_lows = np.stack([leaf.box.lows for leaf in leaves])
+        self._leaf_highs = np.stack([leaf.box.highs for leaf in leaves])
+        self._leaf_volumes = np.prod(self._leaf_highs - self._leaf_lows, axis=1)
+        self._index = build_bucket_index(self._leaf_lows, self._leaf_highs)
+        return leaves
 
     def _estimate_weights(
         self,
         training: TrainingSet,
         warm_start: np.ndarray | None = None,
+        design: np.ndarray | None = None,
     ) -> None:
-        """Full design build + Eq. (8) solve (the cold path)."""
-        leaves = list(self._root.leaves()) if self._root is not None else None
-        with span(
-            "fit/design-matrix",
-            rows=len(training),
-            buckets=int(self._leaf_volumes.shape[0]),
-        ):
-            design = sparse_coverage_matrix(
-                training.queries, self._index, self._leaf_volumes
-            )
+        """Eq. (8) solve; ``design`` becomes the cached design matrix.
+
+        ``design=None`` builds it in full over ``training`` (the cold path).
+        """
+        if design is None:
+            with span(
+                "fit/design-matrix",
+                rows=len(training),
+                buckets=int(self._leaf_volumes.shape[0]),
+            ):
+                design = sparse_coverage_matrix(
+                    training.queries, self._index, self._leaf_volumes
+                )
         self._design_cache = design
-        weights, self.solve_report_ = solve_weights(
+        self._weights, self.solve_report_ = solve_weights(
             design,
             training.selectivities,
             objective=self.objective,
             solver=self.solver,
             warm_start=warm_start,
         )
-        self._weights = weights
-        boxes = [leaf.box for leaf in leaves] if leaves is not None else []
-        self._distribution = HistogramDistribution(boxes, weights)
 
     def partial_fit(
         self,
@@ -295,18 +306,10 @@ class IncrementalTreeHistogram:
         # freshly created node descends from.
         self._split_origin = dict(old_col)
         try:
-            with span("fit/partition", incremental=True) as partition_span:
-                self._refine(new)
-                leaves = list(self._root.leaves())
-                partition_span.annotate(leaves=len(leaves))
+            leaves = self._refine(new, incremental=True)
             origins_map = self._split_origin
         finally:
             self._split_origin = None
-
-        self._leaf_lows = np.stack([leaf.box.lows for leaf in leaves])
-        self._leaf_highs = np.stack([leaf.box.highs for leaf in leaves])
-        self._leaf_volumes = np.prod(self._leaf_highs - self._leaf_lows, axis=1)
-        self._index = build_bucket_index(self._leaf_lows, self._leaf_highs)
 
         m_new = len(leaves)
         reused = np.fromiter(
@@ -350,18 +353,7 @@ class IncrementalTreeHistogram:
                 else:
                     new_rows = np.zeros((0, m_new))
                 design = assemble_design(cached, reused, origin, fresh_block, new_rows)
-            self._design_cache = design
-            weights, self.solve_report_ = solve_weights(
-                design,
-                combined.selectivities,
-                objective=self.objective,
-                solver=self.solver,
-                warm_start=w0,
-            )
-            self._weights = weights
-            self._distribution = HistogramDistribution(
-                [leaf.box for leaf in leaves], weights
-            )
+            self._estimate_weights(combined, w0, design)
         else:
             # No usable cached rows (e.g. history replaced out-of-band):
             # rebuild the matrix, but the warm start still applies.

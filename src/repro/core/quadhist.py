@@ -37,8 +37,7 @@ from repro.geometry.batch import batch_intersection_volumes, coverage_dot
 from repro.geometry.index import BucketIndex, build_bucket_index
 from repro.geometry.sparse import sparse_coverage_dot
 from repro.geometry.ranges import Box, Range, unit_box
-from repro.geometry.volume import intersection_volume, range_volume
-from repro.observability.tracing import span
+from repro.geometry.volume import intersection_volume
 from repro.solvers.simplex_ls import SOLVERS, SolveReport
 
 __all__ = ["QuadHist"]
@@ -56,6 +55,11 @@ class _Node:
     @property
     def is_leaf(self) -> bool:
         return self.children is None
+
+    @property
+    def fanout(self) -> int:
+        """Number of children :meth:`split` creates."""
+        return 1 << self.box.dim
 
     def split(self) -> None:
         self.children = [_Node(child) for child in self.box.split()]
@@ -93,6 +97,8 @@ class QuadHist(IncrementalTreeHistogram, SelectivityEstimator):
     """
 
     Config: ClassVar = QuadHistConfig
+    #: Tree node type; its ``split`` fixes the bucket shapes.
+    _node_type: ClassVar[type] = _Node
 
     def __init__(
         self,
@@ -124,7 +130,6 @@ class QuadHist(IncrementalTreeHistogram, SelectivityEstimator):
         self.solve_report_: SolveReport | None = None
         self._root: _Node | None = None
         self._history: TrainingSet | None = None
-        self._distribution: HistogramDistribution | None = None
         self._leaf_lows: np.ndarray | None = None
         self._leaf_highs: np.ndarray | None = None
         self._leaf_volumes: np.ndarray | None = None
@@ -144,47 +149,27 @@ class QuadHist(IncrementalTreeHistogram, SelectivityEstimator):
         domain = self.domain if self.domain is not None else unit_box(training.dim)
         if domain.dim != training.dim:
             raise ValueError("domain dimension does not match the training queries")
-        self._root = _Node(domain)
+        self._root = self._node_type(domain)
         self._leaf_count = 1
         self._history = training
-        self._absorb(training, domain)
-
-    def _absorb(self, training: TrainingSet, domain: Box) -> None:
-        """Refine the tree with ``training`` and re-estimate the weights."""
-        with span("fit/partition") as partition_span:
-            for sample in training:
-                volume = range_volume(sample.query, domain)
-                if volume <= 0.0 or sample.selectivity <= 0.0:
-                    continue  # degenerate query: no density information to split on
-                density = sample.selectivity / volume
-                self._update_quad(self._root, sample.query, density, depth=0)
-
-            leaves = list(self._root.leaves())
-            partition_span.annotate(leaves=len(leaves))
-        self._leaf_lows = np.stack([leaf.box.lows for leaf in leaves])
-        self._leaf_highs = np.stack([leaf.box.highs for leaf in leaves])
-        self._leaf_volumes = np.prod(self._leaf_highs - self._leaf_lows, axis=1)
-        self._index = build_bucket_index(self._leaf_lows, self._leaf_highs)
+        self._refine(training)
         self._estimate_weights(training)
 
-    def _update_quad(self, node: _Node, query: Range, density: float, depth: int) -> None:
-        """Algorithm 2, generalised to ``2^d``-way splits."""
+    def _descend(self, node: _Node, query: Range, density: float, depth: int) -> None:
+        """Algorithm 2: split every leaf whose density share exceeds ``τ``."""
         overlap = intersection_volume(node.box, query)
         if overlap * density <= self.tau:
             return
         if node.is_leaf:
             if depth >= self.max_depth:
                 return
-            if self.max_leaves is not None and self._leaf_count + (1 << node.box.dim) - 1 > self.max_leaves:
+            if self.max_leaves is not None and self._leaf_count + node.fanout - 1 > self.max_leaves:
                 return
             node.split()
-            self._leaf_count += (1 << node.box.dim) - 1
+            self._leaf_count += node.fanout - 1
             self._note_split(node)
         for child in node.children:
-            self._update_quad(child, query, density, depth + 1)
-
-    # The shared incremental machinery descends via this alias.
-    _descend = _update_quad
+            self._descend(child, query, density, depth + 1)
 
     def _fraction_row(self, query: Range) -> np.ndarray:
         """Per-bucket coverage fractions ``Vol(B_j ∩ R)/Vol(B_j)``."""
@@ -216,31 +201,39 @@ class QuadHist(IncrementalTreeHistogram, SelectivityEstimator):
 
     @property
     def distribution(self) -> HistogramDistribution:
-        """The learned histogram distribution (a valid member of 𝒟)."""
+        """The learned histogram distribution (a valid member of 𝒟).
+
+        A view over the bucket arrays and weights that predict, built on
+        each access.
+        """
         self._check_fitted()
-        return self._distribution
+        return HistogramDistribution.from_state(
+            {
+                "lows": self._leaf_lows,
+                "highs": self._leaf_highs,
+                "volumes": self._leaf_volumes,
+                "weights": self._weights,
+            }
+        )
 
     def leaf_boxes(self) -> list[Box]:
-        """The quadtree leaves = histogram buckets (for inspection/plots)."""
-        self._check_fitted()
-        return list(self._distribution.buckets)
+        """The tree leaves = histogram buckets (for inspection/plots)."""
+        return self.distribution.buckets
 
     # ------------------------------------------------------------------
     # Persistence (repro.persistence)
     # ------------------------------------------------------------------
 
     def _state_dict(self) -> Dict[str, object]:
-        state: Dict[str, object] = {
+        return {
             "leaf_lows": self._leaf_lows,
             "leaf_highs": self._leaf_highs,
             "leaf_volumes": self._leaf_volumes,
             "weights": self._weights,
         }
-        for key, value in self._distribution.to_state().items():
-            state[f"distribution.{key}"] = value
-        return state
 
     def _load_state_dict(self, state: Dict[str, object]) -> None:
+        # Older artifacts' ``distribution.*`` copies of these arrays are ignored.
         self._leaf_lows = np.asarray(state["leaf_lows"], dtype=float)
         self._leaf_highs = np.asarray(state["leaf_highs"], dtype=float)
         self._leaf_volumes = np.asarray(state["leaf_volumes"], dtype=float)
@@ -248,13 +241,6 @@ class QuadHist(IncrementalTreeHistogram, SelectivityEstimator):
         # Rebuilt deterministically from the persisted bucket arrays; the
         # index itself is never serialised.
         self._index = build_bucket_index(self._leaf_lows, self._leaf_highs)
-        self._distribution = HistogramDistribution.from_state(
-            {
-                key.split(".", 1)[1]: value
-                for key, value in state.items()
-                if key.startswith("distribution.")
-            }
-        )
         # The tree, feedback history and design cache are fit-time
         # structures; a restored model predicts from the leaf arrays and
         # cannot partial_fit.

@@ -18,10 +18,8 @@ from repro.geometry.batch import (
     containment_matrix,
     coverage_matrix,
 )
-from repro.geometry.index import BucketIndex, build_bucket_index
 from repro.geometry.ranges import Box, Range
 from repro.geometry.sampling import sample_in_box
-from repro.geometry.sparse import sparse_coverage_dot
 
 __all__ = ["HistogramDistribution"]
 
@@ -64,7 +62,6 @@ class HistogramDistribution:
         degenerate = self._volumes <= 0.0
         if np.any(self.weights[degenerate] > 1e-12):
             raise ValueError("zero-volume buckets cannot carry weight in a histogram")
-        self._index: BucketIndex | None = None
 
     @property
     def dim(self) -> int:
@@ -91,11 +88,14 @@ class HistogramDistribution:
 
     @classmethod
     def from_state(cls, state: dict) -> "HistogramDistribution":
-        """Rebuild a distribution from :meth:`to_state` output.
+        """A distribution over arrays in the :meth:`to_state` layout, used
+        as given (not copied).
 
         Bypasses ``__init__`` on purpose: the constructor renormalises
         weights and recomputes volumes, which can drift by ulps from the
-        persisted values.  Restored state must be byte-identical.
+        given values.  The histogram learners view their fitted bucket
+        arrays and weights through this, so the view matches what they
+        predict with.
         """
         lows = np.asarray(state["lows"], dtype=float)
         highs = np.asarray(state["highs"], dtype=float)
@@ -105,7 +105,6 @@ class HistogramDistribution:
         self._lows = lows
         self._highs = highs
         self._volumes = np.asarray(state["volumes"], dtype=float)
-        self._index = None
         return self
 
     def selectivity(self, range_: Range) -> float:
@@ -117,20 +116,8 @@ class HistogramDistribution:
         )
         return float(min(1.0, max(0.0, total)))
 
-    def attach_index(self) -> "HistogramDistribution":
-        """Build (or rebuild) the spatial index over the bucket boxes.
-
-        Batch selectivity then routes through the sparse coverage kernels.
-        Never serialised — rebuilt deterministically from the buckets.
-        """
-        self._index = build_bucket_index(self._lows, self._highs)
-        return self
-
     def selectivity_many(self, ranges: Sequence[Range]) -> np.ndarray:
         """``s_D(R_i)`` for a whole workload via one coverage matrix."""
-        if self._index is not None:
-            dots = sparse_coverage_dot(ranges, self._index, self._volumes, self.weights)
-            return np.clip(dots, 0.0, 1.0)
         fractions = coverage_matrix(ranges, self._lows, self._highs, self._volumes)
         return np.clip(fractions @ self.weights, 0.0, 1.0)
 

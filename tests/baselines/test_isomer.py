@@ -54,11 +54,10 @@ class TestDrilling:
         est = Isomer().fit(queries, labels)
         assert est.model_size > 3 * len(queries)
 
-    def test_max_buckets_respected_up_to_one_round(self, box_workload):
+    def test_max_buckets_is_a_hard_cap(self, box_workload):
         queries, labels = box_workload
         est = Isomer(max_buckets=50).fit(queries, labels)
-        # One drilling round can overshoot by a factor <= 2d+1 per bucket.
-        assert est.model_size <= 50 * (2 * 2 + 1)
+        assert est.model_size <= 50
 
     def test_rejects_non_box_queries(self):
         with pytest.raises(TypeError):

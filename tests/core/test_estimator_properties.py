@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PtsHist, QuadHist
-from repro.core.registry import estimator_factories
-from repro.geometry import Box, unit_box
+from repro.core.registry import estimator_factories, make_estimator
+from repro.geometry import Ball, Box, Halfspace, unit_box
 
 
 @st.composite
@@ -92,6 +92,44 @@ class TestPtsHistProperties:
         inner = Box([0.25, 0.25], [0.55, 0.55])
         outer = Box([0.1, 0.1], [0.9, 0.9])
         assert est.predict(inner) <= est.predict(outer) + 1e-9
+
+
+class TestHistogramDistributionView:
+    """A histogram learner's ``distribution`` views the bucket arrays and
+    weights it predicts with, so it answers the same selectivities.  The
+    two paths sum in a different order (dense matrix product versus the
+    sparse kernel), hence a tolerance rather than bitwise equality."""
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("quadhist", {}),
+            ("kdhist", {}),
+            ("isomer", {}),
+            ("arrangement", {"mode": "histogram"}),
+        ],
+        ids=["quadhist", "kdhist", "isomer", "arrangement-histogram"],
+    )
+    @settings(max_examples=10, deadline=None)
+    @given(box_workloads())
+    def test_distribution_matches_predictions(self, name, overrides, workload):
+        queries, labels = workload
+        est = make_estimator(name, train_size=len(queries), **overrides)
+        est.fit(queries, labels)
+        probes = [
+            Box([0.3, 0.3], [0.6, 0.6]),
+            Box([0.01, 0.2], [0.99, 0.7]),
+            unit_box(2),
+            Ball([0.4, 0.5], 0.25),
+            Halfspace([1.0, -0.5], 0.3),
+            *queries,
+        ]
+        np.testing.assert_allclose(
+            est.distribution.selectivity_many(probes),
+            est.predict_many(probes),
+            rtol=0.0,
+            atol=1e-12,
+        )
 
 
 class TestRegistryWidePredictionBounds:

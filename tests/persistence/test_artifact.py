@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import zipfile
 
@@ -38,6 +39,18 @@ def workload(request):
 # -- round trips ---------------------------------------------------------
 
 
+def _assert_distribution_bitwise(estimator, restored):
+    """The restored ``distribution`` has bit-identical arrays: ``lows``,
+    ``highs``, ``volumes`` or ``points``, and ``weights``."""
+    saved_state = estimator.distribution.to_state()
+    restored_state = restored.distribution.to_state()
+    assert saved_state.keys() == restored_state.keys()
+    for key, value in saved_state.items():
+        assert value.dtype == restored_state[key].dtype, key
+        assert value.shape == restored_state[key].shape, key
+        assert value.tobytes() == restored_state[key].tobytes(), key
+
+
 @pytest.mark.parametrize("name", REGISTRY_NAMES)
 def test_roundtrip_bitwise(name, workload, tmp_path):
     """Every registry estimator survives save→load with bitwise-equal
@@ -53,6 +66,36 @@ def test_roundtrip_bitwise(name, workload, tmp_path):
     after = restored.predict_many(test_q)
     np.testing.assert_array_equal(before, after)
     assert restored.model_size == estimator.model_size
+    if hasattr(type(estimator), "distribution"):
+        _assert_distribution_bitwise(estimator, restored)
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("quadhist", {}),
+        ("kdhist", {}),
+        ("isomer", {}),
+        ("arrangement", {"mode": "histogram", "max_cells": 20_000}),
+    ],
+    ids=["quadhist", "kdhist", "isomer", "arrangement-histogram"],
+)
+def test_histogram_payload_stores_buckets_once(name, overrides, workload, tmp_path):
+    """The histogram learners persist their bucket arrays and weights
+    once, with no nested ``distribution.`` copy of them."""
+    train_q, train_s, _, _ = workload
+    estimator = make_estimator(name, train_size=60, **overrides)
+    estimator.fit(train_q[:60], train_s[:60])
+    path = tmp_path / "hist.rma"
+    save_model(estimator, path)
+    with zipfile.ZipFile(path) as archive:
+        payload = archive.read("payload.npz")
+        manifest = json.loads(archive.read("manifest.json"))
+    with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
+        members = list(npz.files)
+    assert "weights" in members
+    assert not [key for key in members if key.startswith("distribution.")]
+    assert not [key for key in manifest.get("state", {}) if key.startswith("distribution.")]
 
 
 def test_roundtrip_arrangement_histogram_mode(workload, tmp_path):
@@ -70,6 +113,7 @@ def test_roundtrip_arrangement_histogram_mode(workload, tmp_path):
         estimator.predict_many(test_q), restored.predict_many(test_q)
     )
     assert restored.mode == "histogram"
+    _assert_distribution_bitwise(estimator, restored)
 
 
 def test_roundtrip_twice_is_identical(workload, tmp_path):
