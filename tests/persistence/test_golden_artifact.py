@@ -49,3 +49,30 @@ def test_golden_predictions_bitwise(golden):
     ]
     predictions = [float(v) for v in estimator.predict_many(queries)]
     assert predictions == sidecar["predictions"]
+
+
+def test_fresh_fit_reproduces_golden_state(golden):
+    """A fresh fit of the golden workload under the golden config rebuilds
+    the artifact's leaf arrays and weights bit for bit.
+
+    The ``max_leaves=128`` cap binds on this fit (127 leaves, against 157
+    uncapped), so this pins which splits a capped partition keeps and in
+    which column order.
+    """
+    from repro.core.config import QuadHistConfig
+    from repro.core.quadhist import QuadHist
+
+    from tests.persistence.make_golden import golden_workload
+
+    artifact, _ = golden
+    queries, labels, _ = golden_workload()
+    config = QuadHistConfig(tau=0.01, max_leaves=128, domain=Box([0.0, 0.0], [1.0, 1.0]))
+    fresh = QuadHist.from_config(config).fit(queries, labels)
+    uncapped = QuadHist(tau=0.01, domain=Box([0.0, 0.0], [1.0, 1.0])).fit(queries, labels)
+    assert fresh.model_size == 127 < uncapped.model_size == 157
+
+    stored = load_model(artifact)
+    for name in ("_leaf_lows", "_leaf_highs", "_leaf_volumes", "_weights"):
+        expected, actual = getattr(stored, name), getattr(fresh, name)
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape, name
+        assert actual.tobytes() == expected.tobytes(), name
