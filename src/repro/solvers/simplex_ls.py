@@ -33,9 +33,9 @@ robust entry point always returns a valid simplex vector.
 Both entry points accept ``warm_start=``, a previous weight vector to
 resume from: either method polishes it with FISTA from its simplex
 projection (power-iteration Lipschitz estimate, so the solve stays
-matvec-cheap).  For an incremental refit whose optimum moved only
-slightly this replaces a full NNLS solve with a handful of iterations —
-the basis of the cheap `update()` path (``docs/online_learning.md``).
+matvec-cheap).  For an incremental refit this replaces a full NNLS solve
+with a handful of iterations — the basis of the cheap `update()` path,
+whose accuracy cost ``docs/online_learning.md`` measures.
 """
 
 from __future__ import annotations
@@ -103,10 +103,11 @@ def _spectral_norm_estimate(a: np.ndarray, iters: int = 40) -> float:
     """Power-iteration upper estimate of ``||a||_2``.
 
     The exact spectral norm is a full SVD — O(mn·min(m,n)) — which can
-    cost more than the warm solve it serves.  Power iteration needs
-    ``iters`` matvec pairs; the 5% safety margin keeps the FISTA step
-    valid (an *over*-estimate of the Lipschitz constant is safe, an
-    under-estimate diverges).
+    cost more than the warm solve it serves.  Power iteration needs at
+    most ``iters`` matvec pairs, and stops once its estimate stops
+    growing; the 5% safety margin keeps the FISTA step valid (an
+    *over*-estimate of the Lipschitz constant is safe, an under-estimate
+    diverges).
     """
     m, n = a.shape
     v = np.full(n, 1.0 / np.sqrt(n))
@@ -117,9 +118,12 @@ def _spectral_norm_estimate(a: np.ndarray, iters: int = 40) -> float:
         if norm_u == 0.0:
             return 0.0
         v = a.T @ (u / norm_u)
-        sigma = float(np.linalg.norm(v))
-        if sigma == 0.0:
+        estimate = float(np.linalg.norm(v))
+        if estimate == 0.0:
             return 0.0
+        if estimate <= sigma:
+            break
+        sigma = estimate
         v = v / sigma
     return 1.05 * sigma
 
@@ -165,17 +169,18 @@ def _warm_polish(
     power-iteration Lipschitz estimate instead of the exact (SVD-cost)
     spectral norm — the whole point of the warm path is to stay cheap.
 
-    The iteration budget is deliberately small: a warm start near the
-    optimum converges in tens of iterations, and callers that need more
-    accuracy fall back to a cold solve (the service's residual budget
-    enforces exactly that).
+    The iteration budget is deliberately small, and callers that need
+    more accuracy fall back to a cold solve (the service's residual
+    budget enforces exactly that).  The stall test ``tol · max(1, obj)``
+    is absolute for a training objective far below 1, so the polish
+    usually stops after two iterations, well short of the cold optimum
+    (``docs/online_learning.md``).
     """
     start = project_to_simplex(warm)
     sigma = _spectral_norm_estimate(a, iters=25)
     iters = max(30, min(max_iter, 100))
-    # A looser stall tolerance than the cold solve's: near the optimum
-    # the objective plateaus long before a 1e-10 relative change, and
-    # the residual budget upstream catches any genuinely stale start.
+    # A looser stall tolerance than the cold solve's; the residual budget
+    # upstream catches any genuinely stale start.
     return _fista(a, s, start, iters, max(tol, 1e-7), lipschitz=2.0 * sigma * sigma)
 
 

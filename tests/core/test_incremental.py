@@ -15,6 +15,7 @@ import pytest
 from repro.baselines.stholes import STHoles
 from repro.core import KdHist, PtsHist, QuadHist
 from repro.core.incremental import assemble_design, split_warm_start
+from repro.solvers.simplex_ls import fit_simplex_weights
 
 K_BATCHES = 3
 
@@ -112,6 +113,27 @@ class TestRegistryWideEquivalence:
         restored = load_model(path)
         with pytest.raises(RuntimeError):
             restored.partial_fit(train_q[60:80], train_s[60:80])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the warm FISTA polish stops on an absolute stall test: with a "
+    "training objective far below 1 it ends after two iterations and "
+    "barely moves the remapped weights (docs/online_learning.md)",
+)
+def test_warm_update_reaches_the_cold_objective(power2d_box_workload):
+    """A warm update's training objective is within 1% of the cold
+    optimum on the same design matrix."""
+    train_q, train_s, _, _ = power2d_box_workload
+    est = QuadHist(tau=0.02).fit(train_q[:90], train_s[:90])
+    est.partial_fit(train_q[90:], train_s[90:], warm_start=True)
+    design = est._design_cache
+    cold = fit_simplex_weights(design, train_s, method=est.solver)
+
+    def objective(weights):
+        return float(np.sum((design @ weights - train_s) ** 2))
+
+    assert objective(est._weights) <= 1.01 * objective(cold)
 
 
 class TestIncrementalHelpers:
