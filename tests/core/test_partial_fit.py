@@ -27,6 +27,23 @@ class TestPartialFit:
         )
         assert incremental.model_size == batch.model_size
 
+    def test_capped_incremental_equals_batch(self, power2d_box_workload):
+        """Under a binding ``max_leaves`` cap too: a batch's splits rank
+        after every earlier query's in the cap's order, so the update keeps
+        the splits a fit on the union keeps."""
+        train_q, train_s, test_q, _ = power2d_box_workload
+        half = len(train_q) // 2
+        incremental = QuadHist(tau=0.01, max_leaves=850).fit(train_q[:half], train_s[:half])
+        assert incremental.model_size < 850  # the first half leaves room
+        incremental.partial_fit(train_q[half:], train_s[half:])
+        batch = QuadHist(tau=0.01, max_leaves=850).fit(train_q, train_s)
+        assert QuadHist(tau=0.01).fit(train_q, train_s).model_size > 850  # binding
+        np.testing.assert_array_equal(incremental._leaf_lows, batch._leaf_lows)
+        np.testing.assert_array_equal(incremental._leaf_highs, batch._leaf_highs)
+        np.testing.assert_allclose(
+            incremental.predict_many(test_q), batch.predict_many(test_q), atol=1e-9
+        )
+
     def test_returns_self(self, power2d_box_workload):
         train_q, train_s, _, _ = power2d_box_workload
         est = QuadHist(tau=0.05)
