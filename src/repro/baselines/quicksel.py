@@ -34,11 +34,7 @@ import numpy as np
 from repro.core.config import QuickSelConfig
 from repro.core.estimator import SelectivityEstimator
 from repro.core.workload import TrainingSet
-from repro.geometry.batch import (
-    batch_intersection_volumes,
-    coverage_dot,
-    intersection_volume_matrix,
-)
+from repro.geometry.batch import coverage_dot, intersection_volume_matrix
 from repro.geometry.index import BucketIndex, build_bucket_index
 from repro.geometry.sparse import (
     sparse_coverage_dot,
@@ -59,10 +55,8 @@ class QuickSel(SelectivityEstimator):
         constraints of the original become exact as this grows).
     ridge:
         Tikhonov term keeping the KKT system well conditioned.
-    clip_predictions:
-        QuickSel's raw estimates can leave ``[0, 1]`` (negative weights);
-        the public ``predict`` clips regardless, this flag additionally
-        clips inside ``_predict_one`` for the raw-inspection API.
+    domain:
+        Data domain; defaults to the unit cube.
     """
 
     Config: ClassVar = QuickSelConfig
@@ -114,11 +108,6 @@ class QuickSel(SelectivityEstimator):
         denom = self._kernel_volumes[:, None] * self._kernel_volumes[None, :]
         return overlap / denom
 
-    def _coverage_row(self, query: Range) -> np.ndarray:
-        """``Vol(G_j ∩ R) / Vol(G_j)`` for all kernels."""
-        overlaps = batch_intersection_volumes(self._kernel_lows, self._kernel_highs, query)
-        return np.clip(overlaps / self._kernel_volumes, 0.0, 1.0)
-
     def _coverage_matrix(self, queries: Sequence[Range]) -> np.ndarray:
         """``Vol(G_j ∩ R_i) / Vol(G_j)`` for a whole workload at once."""
         if self._index is not None:
@@ -153,14 +142,10 @@ class QuickSel(SelectivityEstimator):
             solution, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
         return solution[:m]
 
-    def _predict_one(self, query: Range) -> float:
-        # Raw mixture estimate; the public predict() clips to [0, 1].
-        return float(self._coverage_row(query) @ self._weights)
-
     def _predict_batch(self, queries: Sequence[Range]) -> np.ndarray:
-        # Raw mixture estimates; predict_many applies the [0, 1] clip.
-        # (All kernels have positive volume, so coverage_dot's zero-volume
-        # guard never fires and the result matches _coverage_row exactly.)
+        # Raw mixture estimates; predict and predict_many apply the [0, 1]
+        # clip.  (All kernels have positive volume, so coverage_dot's
+        # zero-volume guard never fires.)
         if self._index is not None:
             return sparse_coverage_dot(
                 queries, self._index, self._kernel_volumes, self._weights

@@ -32,6 +32,12 @@ Eq. (8) — simplex-constrained least squares over the tree's disjoint
 into the same weight-estimation phase as QuadHist and the arrangement
 ERM.  (ISOMER's maximum-entropy phase was itself motivated by exactly
 this weakness of STHoles's online updates.)
+
+Equal merge penalties merge in pre-order, so fits are deterministic and
+a cold ``partial_fit`` builds the tree and weights of a refit on the
+union.  The tree is laid out in pre-order with each bucket's parent row;
+that one array drives the region subtraction and persistence, and
+``predict`` runs the same batch path as ``predict_many``.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from repro.core.config import STHolesConfig
 from repro.core.estimator import SelectivityEstimator
 from repro.core.incremental import UpdateReport, assemble_design
 from repro.core.workload import TrainingSet
+from repro.geometry.batch import intersection_volume_matrix
 from repro.geometry.index import BucketIndex, build_bucket_index
 from repro.geometry.ranges import Box, Range, unit_box
 from repro.geometry.sparse import sparse_intersection_volume_matrix
@@ -86,7 +93,10 @@ class STHoles(SelectivityEstimator):
     Parameters
     ----------
     max_buckets:
-        Bucket budget; exceeding it triggers lowest-penalty merges.
+        Bucket budget; exceeding it triggers lowest-penalty merges, ties
+        broken in pre-order.
+    domain:
+        Data domain; defaults to the unit cube.
     """
 
     Config: ClassVar = STHolesConfig
@@ -187,18 +197,8 @@ class STHoles(SelectivityEstimator):
                     self._merge_down_to_budget()
             partition_span.annotate(buckets=self._count)
 
-        # Flatten the updated tree and rebuild the per-bucket arrays (the
-        # order may have changed: new holes interleave in preorder).
-        self._buckets = list(self._root.walk())
-        self._child_index = []
-        index_of = {id(b): i for i, b in enumerate(self._buckets)}
-        for bucket in self._buckets:
-            self._child_index.append([index_of[id(c)] for c in bucket.children])
-        self._box_lows = np.stack([b.box.lows for b in self._buckets])
-        self._box_highs = np.stack([b.box.highs for b in self._buckets])
-        self._region_volumes = np.array([b.region_volume() for b in self._buckets])
-        self._index = build_bucket_index(self._box_lows, self._box_highs)
-
+        # New holes interleave in pre-order, so the columns move.
+        self._flatten()
         m_new = len(self._buckets)
         reused = np.fromiter(
             (id(b) in old_col for b in self._buckets), dtype=bool, count=m_new
@@ -360,9 +360,10 @@ class STHoles(SelectivityEstimator):
         merge for the naive loop.
         """
         while self._count > self.max_buckets:
+            # Equal penalties merge in pre-order, so every fit merges alike.
             candidates = [
-                (self._merge_penalty(b), id(b), b)
-                for b in self._root.walk()
+                (self._merge_penalty(b), position, b)
+                for position, b in enumerate(self._root.walk())
                 if b.parent is not None
             ]
             if not candidates:
@@ -407,44 +408,29 @@ class STHoles(SelectivityEstimator):
     # Weight estimation (Eq. 8 over tree regions) and prediction
     # ------------------------------------------------------------------
 
-    def _estimate_weights(self, training: TrainingSet) -> None:
+    def _flatten(self) -> None:
+        """Lay the tree out in pre-order: the bucket list, each bucket's
+        parent row (``-1`` for the root), boxes, region volumes and index.
+        A parent precedes its children, which keep their child order."""
         self._buckets = list(self._root.walk())
-        self._child_index = []
-        index_of = {id(b): i for i, b in enumerate(self._buckets)}
-        for bucket in self._buckets:
-            self._child_index.append([index_of[id(c)] for c in bucket.children])
+        row = {id(b): i for i, b in enumerate(self._buckets)}
+        self._parents = np.array(
+            [row[id(b.parent)] if b.parent is not None else -1 for b in self._buckets],
+            dtype=np.int64,
+        )
         self._box_lows = np.stack([b.box.lows for b in self._buckets])
         self._box_highs = np.stack([b.box.highs for b in self._buckets])
         self._region_volumes = np.array([b.region_volume() for b in self._buckets])
         self._index = build_bucket_index(self._box_lows, self._box_highs)
-        overlaps = self._box_overlap_matrix(training.queries)
-        self._overlap_cache = overlaps
-        design = self._fractions_from_overlaps(overlaps)
-        self._weights, self.solve_report_ = solve_weights(
-            design, training.selectivities
-        )
 
-    def _region_fraction_row(self, query: Range) -> np.ndarray:
-        """Per-region coverage fractions ``Vol(region_j ∩ R)/Vol(region_j)``."""
-        from repro.geometry.batch import batch_intersection_volumes
-
-        box_overlaps = batch_intersection_volumes(self._box_lows, self._box_highs, query)
-        region_overlaps = box_overlaps.copy()
-        for i, children in enumerate(self._child_index):
-            for c in children:
-                region_overlaps[i] -= box_overlaps[c]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fractions = np.where(
-                self._region_volumes > _MIN_VOLUME,
-                region_overlaps / np.maximum(self._region_volumes, _MIN_VOLUME),
-                0.0,
-            )
-        return np.clip(fractions, 0.0, 1.0)
+    def _estimate_weights(self, training: TrainingSet) -> None:
+        self._flatten()
+        self._overlap_cache = self._box_overlap_matrix(training.queries)
+        design = self._fractions_from_overlaps(self._overlap_cache)
+        self._weights, self.solve_report_ = solve_weights(design, training.selectivities)
 
     def _box_overlap_matrix(self, queries: Sequence[Range]) -> np.ndarray:
         """``Vol(box_j ∩ R_i)`` per (query, bucket box) — the cacheable part."""
-        from repro.geometry.batch import intersection_volume_matrix
-
         if self._index is not None:
             return sparse_intersection_volume_matrix(queries, self._index)
         return intersection_volume_matrix(queries, self._box_lows, self._box_highs)
@@ -452,13 +438,13 @@ class STHoles(SelectivityEstimator):
     def _fractions_from_overlaps(self, box_overlaps: np.ndarray) -> np.ndarray:
         """Region subtraction + normalisation, from raw box overlaps.
 
-        Child columns are subtracted in the same order as the scalar row
-        loop so the two paths agree to floating-point identity.
+        Each child's box column leaves its parent's column, in pre-order:
+        per parent, in child order.  ``ufunc.at`` applies repeated indices
+        in that order, so the result is that of the per-child loop, bit
+        for bit.
         """
         region_overlaps = box_overlaps.copy()
-        for i, children in enumerate(self._child_index):
-            for c in children:
-                region_overlaps[:, i] -= box_overlaps[:, c]
+        np.subtract.at(region_overlaps, (slice(None), self._parents[1:]), box_overlaps[:, 1:])
         with np.errstate(divide="ignore", invalid="ignore"):
             fractions = np.where(
                 self._region_volumes[None, :] > _MIN_VOLUME,
@@ -467,15 +453,8 @@ class STHoles(SelectivityEstimator):
             )
         return np.clip(fractions, 0.0, 1.0)
 
-    def _region_fraction_matrix(self, queries: Sequence[Range]) -> np.ndarray:
-        """Per-region coverage fractions for a whole workload at once."""
-        return self._fractions_from_overlaps(self._box_overlap_matrix(queries))
-
-    def _predict_one(self, query: Range) -> float:
-        return float(self._region_fraction_row(query) @ self._weights)
-
     def _predict_batch(self, queries: Sequence[Range]) -> np.ndarray:
-        return self._region_fraction_matrix(queries) @ self._weights
+        return self._fractions_from_overlaps(self._box_overlap_matrix(queries)) @ self._weights
 
     @property
     def model_size(self) -> int:
@@ -497,16 +476,11 @@ class STHoles(SelectivityEstimator):
     # ------------------------------------------------------------------
 
     def _state_dict(self) -> Dict[str, object]:
-        # The bucket tree flattens to preorder (the `walk()` order used by
-        # _estimate_weights): parent indices reference earlier entries, so
-        # the tree rebuilds in one forward pass with child order preserved.
-        index_of = {id(b): i for i, b in enumerate(self._buckets)}
-        parents = np.array(
-            [index_of[id(b.parent)] if b.parent is not None else -1 for b in self._buckets],
-            dtype=np.int64,
-        )
+        # The tree persists flattened (see _flatten): parent rows reference
+        # earlier entries, so it rebuilds in one forward pass with child
+        # order preserved.
         return {
-            "parents": parents,
+            "parents": self._parents,
             "frequencies": np.array([b.frequency for b in self._buckets]),
             "box_lows": self._box_lows,
             "box_highs": self._box_highs,
@@ -532,15 +506,10 @@ class STHoles(SelectivityEstimator):
             buckets.append(bucket)
         self._root = buckets[0]
         self._buckets = buckets
-        self._child_index = []
-        index_of = {id(b): i for i, b in enumerate(buckets)}
-        for bucket in buckets:
-            self._child_index.append([index_of[id(c)] for c in bucket.children])
+        self._parents = parents
         self._count = len(buckets)
         # Rebuilt deterministically from the persisted bucket arrays; the
-        # index itself is never serialised.
+        # index itself is never serialised.  A restored model keeps its
+        # constructor's empty history and overlap cache: it cannot
+        # partial_fit.
         self._index = build_bucket_index(self._box_lows, self._box_highs)
-        # Feedback history and the overlap cache are fit-time structures;
-        # a restored model cannot partial_fit.
-        self._history = None
-        self._overlap_cache = None

@@ -13,6 +13,11 @@ Two modes:
   (orthogonal ranges only; low dimension),
 * ``mode="discrete"`` — one representative point per distinct arrangement
   cell, discovered by Monte-Carlo sign vectors (any query class).
+
+The histogram mode keeps only its bucket design (the arrangement cells):
+prediction, the ``distribution`` view and persistence (under ``cell_*``
+keys) come from :class:`~repro.core.quadhist.BucketHistogram`.  The discrete
+mode predicts through its :class:`~repro.distributions.discrete.DiscreteDistribution`.
 """
 
 from __future__ import annotations
@@ -22,18 +27,12 @@ from typing import ClassVar, Dict, Sequence
 import numpy as np
 
 from repro.core.config import ArrangementERMConfig
-from repro.core.estimator import SelectivityEstimator
+from repro.core.quadhist import BucketHistogram
 from repro.core.workload import TrainingSet
 from repro.distributions.discrete import DiscreteDistribution
-from repro.distributions.histogram import HistogramDistribution
 from repro.geometry.arrangement import box_arrangement_cells, sign_vector_cells
-from repro.geometry.batch import batch_intersection_volumes, coverage_dot
-from repro.geometry.index import BucketIndex, build_bucket_index
-from repro.geometry.sparse import (
-    sparse_containment_matrix,
-    sparse_coverage_dot,
-    sparse_coverage_matrix,
-)
+from repro.geometry.index import build_bucket_index
+from repro.geometry.sparse import sparse_containment_matrix
 from repro.geometry.ranges import Box, Range, unit_box
 from repro.core._solve import solve_weights
 from repro.observability.tracing import span
@@ -42,7 +41,7 @@ from repro.solvers.simplex_ls import SOLVERS, SolveReport
 __all__ = ["ArrangementERM"]
 
 
-class ArrangementERM(SelectivityEstimator):
+class ArrangementERM(BucketHistogram):
     """Exact ERM over histograms / discrete distributions (Lemma 3.1).
 
     Parameters
@@ -63,6 +62,7 @@ class ArrangementERM(SelectivityEstimator):
     """
 
     Config: ClassVar = ArrangementERMConfig
+    _state_prefix = "cell"
 
     def __init__(
         self,
@@ -87,11 +87,6 @@ class ArrangementERM(SelectivityEstimator):
         #: How the last weight solve was produced (fallback ladder record).
         self.solve_report_: SolveReport | None = None
         self._discrete: DiscreteDistribution | None = None
-        self._cell_lows: np.ndarray | None = None
-        self._cell_highs: np.ndarray | None = None
-        self._cell_volumes: np.ndarray | None = None
-        self._index: BucketIndex | None = None
-        self._weights: np.ndarray | None = None
 
     def _fit(self, training: TrainingSet) -> None:
         domain = self.domain if self.domain is not None else unit_box(training.dim)
@@ -104,16 +99,9 @@ class ArrangementERM(SelectivityEstimator):
                 )
                 cells = [c for c in cells if c.volume() > 0.0]
                 partition_span.annotate(cells=len(cells))
-            self._cell_lows = np.stack([c.lows for c in cells])
-            self._cell_highs = np.stack([c.highs for c in cells])
-            self._cell_volumes = np.prod(self._cell_highs - self._cell_lows, axis=1)
-            self._index = build_bucket_index(self._cell_lows, self._cell_highs)
-            with span("fit/design-matrix", rows=len(training), buckets=len(cells)):
-                design = sparse_coverage_matrix(
-                    training.queries, self._index, self._cell_volumes
-                )
+            self._set_buckets(np.stack([c.lows for c in cells]), np.stack([c.highs for c in cells]))
             self._weights, self.solve_report_ = solve_weights(
-                design, training.selectivities, solver=self.solver
+                self._design(training.queries), training.selectivities, solver=self.solver
             )
         else:
             rng = np.random.default_rng(self.seed)
@@ -131,82 +119,48 @@ class ArrangementERM(SelectivityEstimator):
             self._discrete = DiscreteDistribution(points, weights)
             self._discrete._index = point_index
 
-    def _fraction_row(self, query: Range) -> np.ndarray:
-        overlaps = batch_intersection_volumes(self._cell_lows, self._cell_highs, query)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fractions = np.where(self._cell_volumes > 0, overlaps / self._cell_volumes, 0.0)
-        return np.clip(fractions, 0.0, 1.0)
-
     def _predict_one(self, query: Range) -> float:
         if self.mode == "histogram":
-            return float(self._fraction_row(query) @ self._weights)
+            return super()._predict_one(query)
         return self._discrete.selectivity(query)
 
     def _predict_batch(self, queries: Sequence[Range]) -> np.ndarray:
         if self.mode == "histogram":
-            if self._index is not None:
-                return sparse_coverage_dot(
-                    queries, self._index, self._cell_volumes, self._weights
-                )
-            return coverage_dot(
-                queries, self._cell_lows, self._cell_highs, self._cell_volumes, self._weights
-            )
+            return super()._predict_batch(queries)
         return self._discrete.selectivity_many(queries)
 
     @property
     def model_size(self) -> int:
-        self._check_fitted()
         if self.mode == "histogram":
-            return int(self._weights.shape[0])
+            return super().model_size
+        self._check_fitted()
         return self._discrete.size
 
     @property
     def distribution(self):
-        """The learned distribution (histogram or discrete, per ``mode``).
-
-        In histogram mode, a view over the cell arrays and weights that
-        predict.
-        """
+        """The learned distribution (histogram or discrete, per ``mode``)."""
+        if self.mode == "histogram":
+            return super().distribution
         self._check_fitted()
-        if self.mode == "discrete":
-            return self._discrete
-        return HistogramDistribution.from_state(
-            {
-                "lows": self._cell_lows,
-                "highs": self._cell_highs,
-                "volumes": self._cell_volumes,
-                "weights": self._weights,
-            }
-        )
+        return self._discrete
 
     def _state_dict(self) -> Dict[str, object]:
         if self.mode == "histogram":
-            return {
-                "cell_lows": self._cell_lows,
-                "cell_highs": self._cell_highs,
-                "cell_volumes": self._cell_volumes,
-                "weights": self._weights,
-            }
+            return super()._state_dict()
         return {
             f"distribution.{key}": value
             for key, value in self._discrete.to_state().items()
         }
 
     def _load_state_dict(self, state: Dict[str, object]) -> None:
-        nested = {
-            key.split(".", 1)[1]: value
-            for key, value in state.items()
-            if key.startswith("distribution.")
-        }
         if self.mode == "histogram":
-            # Older artifacts' ``distribution.*`` copies of these arrays are ignored.
-            self._cell_lows = np.asarray(state["cell_lows"], dtype=float)
-            self._cell_highs = np.asarray(state["cell_highs"], dtype=float)
-            self._cell_volumes = np.asarray(state["cell_volumes"], dtype=float)
-            self._weights = np.asarray(state["weights"], dtype=float)
-            # Rebuilt deterministically from the persisted cell arrays; the
-            # index itself is never serialised.
-            self._index = build_bucket_index(self._cell_lows, self._cell_highs)
-        else:
-            self._discrete = DiscreteDistribution.from_state(nested)
-            self._discrete.attach_index()
+            super()._load_state_dict(state)
+            return
+        self._discrete = DiscreteDistribution.from_state(
+            {
+                key.split(".", 1)[1]: value
+                for key, value in state.items()
+                if key.startswith("distribution.")
+            }
+        )
+        self._discrete.attach_index()

@@ -34,7 +34,7 @@ __all__ = ["SelectivityEstimator", "NotFittedError"]
 
 _PREDICT_QUERIES = default_registry().counter(
     "repro_predict_queries_total",
-    "Queries answered through predict/predict_many across all estimators",
+    "Queries answered through predict_many across all estimators",
 )
 
 
@@ -147,18 +147,24 @@ class SelectivityEstimator(abc.ABC):
     def _fit(self, training: TrainingSet) -> None:
         """Subclass hook: fit from a validated training set."""
 
-    @abc.abstractmethod
     def _predict_one(self, query: Range) -> float:
-        """Subclass hook: estimate the selectivity of one query."""
+        """Subclass hook: the raw estimate of one query.
+
+        Defaults to a one-query :meth:`_predict_batch`, so a learner with
+        a batch path predicts through that one path.  Learners without a
+        batch path, or whose one-query arithmetic is cheaper than a
+        one-query batch, override it.
+        """
+        return float(self._predict_batch([query])[0])
 
     def _predict_batch(self, queries: Sequence[Range]) -> np.ndarray | None:
         """Subclass hook: raw estimates for a whole workload at once.
 
         Returning ``None`` (the default) makes :meth:`predict_many` fall
-        back to the per-query scalar loop.  Implementations return the
-        *raw* (unclamped) estimates; the base class applies the same
-        NaN→0.5 / [0, 1]-clamp semantics as :meth:`predict` in one
-        vectorised pass, so batch and scalar predictions agree exactly.
+        back to the per-query :meth:`predict` loop.  Implementations
+        return the *raw* (unclamped) estimates; the base class applies the
+        same NaN→0.5 / [0, 1]-clamp semantics as :meth:`predict` in one
+        vectorised pass.
         """
         return None
 

@@ -26,8 +26,9 @@ This module holds the shared machinery:
   refined partition (children of a split leaf inherit the parent weight
   by volume share) so the solver can resume instead of starting cold.
 * :class:`IncrementalTreeHistogram` — the level-synchronous partition,
-  the cold design build and solve, and ``partial_fit``, mixed into
-  QuadHist (and so into KdHist, which is QuadHist with a binary split).
+  the cold solve, and ``partial_fit``, mixed into QuadHist (and so into
+  KdHist, which is QuadHist with a binary split) on top of the
+  :class:`~repro.core.quadhist.BucketHistogram` that holds the leaves.
 
 The ``warm_start=False`` default keeps ``partial_fit`` numerically
 equivalent to a from-scratch refit on the union history (box kernels are
@@ -189,9 +190,11 @@ class IncrementalTreeHistogram:
 
     The host class provides the split shape (``_fanout(dim)`` children
     per split; ``_split(lows, highs, depths)``, their boxes parent-major),
-    ``tau``, ``max_leaves``, ``max_depth``, ``domain``, ``_history`` and
-    the ``objective`` / ``solver`` of :func:`~repro.core._solve.solve_weights`.
-    This class maintains the leaf arrays and depths, ``_index`` and
+    ``tau``, ``max_leaves``, ``max_depth``, ``domain``, ``_history``, the
+    ``objective`` / ``solver`` of :func:`~repro.core._solve.solve_weights`,
+    and the bucket arrays and design build of
+    :class:`~repro.core.quadhist.BucketHistogram`.  This class installs the
+    leaves through ``_set_buckets`` and maintains their depths and
     ``_weights``.
     """
 
@@ -321,11 +324,8 @@ class IncrementalTreeHistogram:
         with span("fit/partition", **span_attrs) as partition_span:
             lows, highs, depths, origin = self._partition(training, lows, highs, depths)
             partition_span.annotate(leaves=int(origin.size))
-        self._leaf_lows = lows
-        self._leaf_highs = highs
+        self._set_buckets(lows, highs)
         self._leaf_depths = depths
-        self._leaf_volumes = np.prod(highs - lows, axis=1)
-        self._index = build_bucket_index(lows, highs)
         return origin
 
     def _estimate_weights(
@@ -339,14 +339,7 @@ class IncrementalTreeHistogram:
         ``design=None`` builds it in full over ``training`` (the cold path).
         """
         if design is None:
-            with span(
-                "fit/design-matrix",
-                rows=len(training),
-                buckets=int(self._leaf_volumes.shape[0]),
-            ):
-                design = sparse_coverage_matrix(
-                    training.queries, self._index, self._leaf_volumes
-                )
+            design = self._design(training.queries)
         self._design_cache = design
         self._weights, self.solve_report_ = solve_weights(
             design,
@@ -413,7 +406,7 @@ class IncrementalTreeHistogram:
         self, new: TrainingSet, combined: TrainingSet, warm_start: bool
     ) -> None:
         started = time.perf_counter()
-        old_volumes = self._leaf_volumes
+        old_volumes = self._volumes
         old_weights = self._weights
         cached = self._design_cache
         m_old = old_volumes.shape[0]
@@ -422,15 +415,13 @@ class IncrementalTreeHistogram:
 
         # Refine with the new batch only; each leaf records the old column
         # it lies in.  A split leaf leaves at least two children behind.
-        origin = self._refine(
-            new, self._leaf_lows, self._leaf_highs, self._leaf_depths, incremental=True
-        )
+        origin = self._refine(new, self._lows, self._highs, self._leaf_depths, incremental=True)
         m_new = origin.size
         reused = np.bincount(origin, minlength=m_old)[origin] == 1
 
         usable_cache = cached is not None and cached.shape == (n_old, m_old)
         w0 = (
-            split_warm_start(old_weights, reused, origin, self._leaf_volumes, old_volumes)
+            split_warm_start(old_weights, reused, origin, self._volumes, old_volumes)
             if warm_start
             else None
         )
@@ -445,18 +436,14 @@ class IncrementalTreeHistogram:
                 fresh_columns=n_fresh,
             ):
                 if n_fresh and n_old:
-                    sub_index = build_bucket_index(
-                        self._leaf_lows[fresh], self._leaf_highs[fresh]
-                    )
+                    sub_index = build_bucket_index(self._lows[fresh], self._highs[fresh])
                     fresh_block = sparse_coverage_matrix(
-                        combined.queries[:n_old], sub_index, self._leaf_volumes[fresh]
+                        combined.queries[:n_old], sub_index, self._volumes[fresh]
                     )
                 else:
                     fresh_block = np.zeros((n_old, n_fresh))
                 if n_new:
-                    new_rows = sparse_coverage_matrix(
-                        new.queries, self._index, self._leaf_volumes
-                    )
+                    new_rows = sparse_coverage_matrix(new.queries, self._index, self._volumes)
                 else:
                     new_rows = np.zeros((0, m_new))
                 design = assemble_design(cached, reused, origin, fresh_block, new_rows)

@@ -24,6 +24,11 @@ Properties reproduced from the paper:
 The partition is computed one tree level at a time over leaf arrays
 (:mod:`repro.core.incremental`); its leaves are bitwise those of the
 sequential one-query descent, which the tests keep as the oracle.
+
+:class:`BucketHistogram`, QuadHist's base, is shared with the ISOMER
+baseline and the arrangement ERM's histogram mode.  It looks the coverage
+kernels up by this module's names, which ``benchmarks/e2e/tracer.py``
+patches to time them.
 """
 
 from __future__ import annotations
@@ -37,16 +42,99 @@ from repro.core.estimator import SelectivityEstimator
 from repro.core.incremental import IncrementalTreeHistogram
 from repro.core.workload import TrainingSet
 from repro.distributions.histogram import HistogramDistribution
-from repro.geometry.batch import batch_intersection_volumes, coverage_dot
+from repro.geometry.batch import coverage_dot
 from repro.geometry.index import BucketIndex, build_bucket_index
-from repro.geometry.sparse import sparse_coverage_dot
+from repro.geometry.sparse import sparse_coverage_dot, sparse_coverage_matrix
 from repro.geometry.ranges import Box, Range
+from repro.observability.tracing import span
 from repro.solvers.simplex_ls import SOLVERS, SolveReport
 
-__all__ = ["QuadHist"]
+__all__ = ["BucketHistogram", "QuadHist"]
 
 
-class QuadHist(IncrementalTreeHistogram, SelectivityEstimator):
+class BucketHistogram(SelectivityEstimator):
+    """A histogram over disjoint box buckets (the paper's Eq. 6).
+
+    A subclass designs the buckets, hands their boxes to
+    :meth:`_set_buckets` and sets ``_weights``.  This base builds the
+    Eq. (8) design matrix, predicts ``Σ_j w_j · Vol(B_j ∩ R)/Vol(B_j)``
+    through the bucket index (the dense kernel when ``_index`` is None),
+    views the model as a ``HistogramDistribution``, and persists it as
+    ``{prefix}_lows``, ``{prefix}_highs``, ``{prefix}_volumes`` and
+    ``weights``, ``prefix`` being the class's ``_state_prefix``.
+    """
+
+    #: Key prefix of the persisted bucket arrays.
+    _state_prefix: ClassVar[str]
+
+    def __init__(self):
+        super().__init__()
+        self._lows: np.ndarray | None = None
+        self._highs: np.ndarray | None = None
+        self._volumes: np.ndarray | None = None
+        self._index: BucketIndex | None = None
+        self._weights: np.ndarray | None = None
+
+    def _set_buckets(self, lows: np.ndarray, highs: np.ndarray) -> None:
+        """Install the bucket boxes, their volumes and the bucket index."""
+        self._lows = lows
+        self._highs = highs
+        self._volumes = np.prod(highs - lows, axis=1)
+        self._index = build_bucket_index(lows, highs)
+
+    def _design(self, queries: Sequence[Range]) -> np.ndarray:
+        """The Eq. (8) design matrix ``Vol(B_j ∩ R_i)/Vol(B_j)``."""
+        with span("fit/design-matrix", rows=len(queries), buckets=int(self._volumes.shape[0])):
+            return sparse_coverage_matrix(queries, self._index, self._volumes)
+
+    def _predict_batch(self, queries: Sequence[Range]) -> np.ndarray:
+        if self._index is not None:
+            return sparse_coverage_dot(queries, self._index, self._volumes, self._weights)
+        return coverage_dot(queries, self._lows, self._highs, self._volumes, self._weights)
+
+    @property
+    def model_size(self) -> int:
+        self._check_fitted()
+        return int(self._weights.shape[0])
+
+    @property
+    def distribution(self) -> HistogramDistribution:
+        """The learned histogram distribution (a valid member of 𝒟): a
+        view over the arrays that predict, built on each access."""
+        self._check_fitted()
+        return HistogramDistribution.from_state(
+            {
+                "lows": self._lows,
+                "highs": self._highs,
+                "volumes": self._volumes,
+                "weights": self._weights,
+            }
+        )
+
+    def _state_dict(self) -> Dict[str, object]:
+        prefix = self._state_prefix
+        return {
+            f"{prefix}_lows": self._lows,
+            f"{prefix}_highs": self._highs,
+            f"{prefix}_volumes": self._volumes,
+            "weights": self._weights,
+        }
+
+    def _load_state_dict(self, state: Dict[str, object]) -> None:
+        # Older artifacts' ``distribution.*`` copies of these arrays are
+        # ignored.  A restored model keeps its constructor's empty fit-time
+        # state, so it predicts but cannot refine.
+        prefix = self._state_prefix
+        self._lows = np.asarray(state[f"{prefix}_lows"], dtype=float)
+        self._highs = np.asarray(state[f"{prefix}_highs"], dtype=float)
+        self._volumes = np.asarray(state[f"{prefix}_volumes"], dtype=float)
+        self._weights = np.asarray(state["weights"], dtype=float)
+        # Rebuilt deterministically from the persisted bucket arrays; the
+        # index itself is never serialised.
+        self._index = build_bucket_index(self._lows, self._highs)
+
+
+class QuadHist(IncrementalTreeHistogram, BucketHistogram):
     """The paper's QuadHist estimator.
 
     Parameters
@@ -74,6 +162,7 @@ class QuadHist(IncrementalTreeHistogram, SelectivityEstimator):
     """
 
     Config: ClassVar = QuadHistConfig
+    _state_prefix = "leaf"
 
     def __init__(
         self,
@@ -104,13 +193,8 @@ class QuadHist(IncrementalTreeHistogram, SelectivityEstimator):
         #: How the last weight solve was produced (fallback ladder record).
         self.solve_report_: SolveReport | None = None
         self._history: TrainingSet | None = None
-        self._leaf_lows: np.ndarray | None = None
-        self._leaf_highs: np.ndarray | None = None
         #: Tree depth of each leaf; fit-time state, never persisted.
         self._leaf_depths: np.ndarray | None = None
-        self._leaf_volumes: np.ndarray | None = None
-        self._index: BucketIndex | None = None
-        self._weights: np.ndarray | None = None
         self._design_cache: np.ndarray | None = None
         self.update_report_ = None
 
@@ -143,79 +227,6 @@ class QuadHist(IncrementalTreeHistogram, SelectivityEstimator):
         child_highs = np.where(upper, highs[:, None], mid[:, None])
         return child_lows.reshape(-1, dim), child_highs.reshape(-1, dim)
 
-    def _fraction_row(self, query: Range) -> np.ndarray:
-        """Per-bucket coverage fractions ``Vol(B_j ∩ R)/Vol(B_j)``."""
-        overlaps = batch_intersection_volumes(self._leaf_lows, self._leaf_highs, query)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fractions = np.where(self._leaf_volumes > 0, overlaps / self._leaf_volumes, 0.0)
-        return np.clip(fractions, 0.0, 1.0)
-
-    # ------------------------------------------------------------------
-    # Prediction
-    # ------------------------------------------------------------------
-
-    def _predict_one(self, query: Range) -> float:
-        return float(self._fraction_row(query) @ self._weights)
-
-    def _predict_batch(self, queries: Sequence[Range]) -> np.ndarray:
-        if self._index is not None:
-            return sparse_coverage_dot(
-                queries, self._index, self._leaf_volumes, self._weights
-            )
-        return coverage_dot(
-            queries, self._leaf_lows, self._leaf_highs, self._leaf_volumes, self._weights
-        )
-
-    @property
-    def model_size(self) -> int:
-        self._check_fitted()
-        return int(self._weights.shape[0])
-
-    @property
-    def distribution(self) -> HistogramDistribution:
-        """The learned histogram distribution (a valid member of 𝒟).
-
-        A view over the bucket arrays and weights that predict, built on
-        each access.
-        """
-        self._check_fitted()
-        return HistogramDistribution.from_state(
-            {
-                "lows": self._leaf_lows,
-                "highs": self._leaf_highs,
-                "volumes": self._leaf_volumes,
-                "weights": self._weights,
-            }
-        )
-
     def leaf_boxes(self) -> list[Box]:
         """The tree leaves = histogram buckets (for inspection/plots)."""
         return self.distribution.buckets
-
-    # ------------------------------------------------------------------
-    # Persistence (repro.persistence)
-    # ------------------------------------------------------------------
-
-    def _state_dict(self) -> Dict[str, object]:
-        return {
-            "leaf_lows": self._leaf_lows,
-            "leaf_highs": self._leaf_highs,
-            "leaf_volumes": self._leaf_volumes,
-            "weights": self._weights,
-        }
-
-    def _load_state_dict(self, state: Dict[str, object]) -> None:
-        # Older artifacts' ``distribution.*`` copies of these arrays are ignored.
-        self._leaf_lows = np.asarray(state["leaf_lows"], dtype=float)
-        self._leaf_highs = np.asarray(state["leaf_highs"], dtype=float)
-        self._leaf_volumes = np.asarray(state["leaf_volumes"], dtype=float)
-        self._weights = np.asarray(state["weights"], dtype=float)
-        # Rebuilt deterministically from the persisted bucket arrays; the
-        # index itself is never serialised.
-        self._index = build_bucket_index(self._leaf_lows, self._leaf_highs)
-        # The leaf depths, feedback history and design cache are fit-time
-        # structures; a restored model predicts from the leaf arrays and
-        # cannot partial_fit.
-        self._leaf_depths = None
-        self._history = None
-        self._design_cache = None

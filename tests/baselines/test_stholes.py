@@ -6,6 +6,8 @@ import pytest
 from repro.baselines import STHoles, UniformEstimator
 from repro.geometry import Ball, Box, unit_box
 
+from tests.core.predict_oracle import child_loop_fractions
+
 
 @pytest.fixture
 def small_workload(rng):
@@ -64,6 +66,29 @@ class TestStructure:
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             STHoles(max_buckets=0)
+
+
+class TestDeterminism:
+    def test_two_fits_are_bitwise_equal(self, power2d_box_workload):
+        """Equal merge penalties merge in pre-order, not by memory address,
+        so two fits of the same feedback build the same tree and weights."""
+        train_q, train_s, _, _ = power2d_box_workload
+        first = STHoles(max_buckets=50).fit(train_q, train_s)._state_dict()
+        second = STHoles(max_buckets=50).fit(train_q, train_s)._state_dict()
+        assert first.keys() == second.keys()
+        for key, value in first.items():
+            assert value.tobytes() == second[key].tobytes(), key
+
+    def test_ordered_subtraction_matches_child_loop(self, power2d_box_workload):
+        """The region subtraction over the pre-order parent rows is the
+        per-child column loop, bit for bit."""
+        train_q, train_s, test_q, _ = power2d_box_workload
+        est = STHoles(max_buckets=200).fit(train_q, train_s)
+        assert max(len(b.children) for b in est._root.walk()) > 1
+        assert est._parents.max() > 0  # holes inside holes
+        overlaps = est._box_overlap_matrix(list(train_q) + list(test_q))
+        expected = child_loop_fractions(est, overlaps)
+        assert est._fractions_from_overlaps(overlaps).tobytes() == expected.tobytes()
 
 
 class TestAccuracy:

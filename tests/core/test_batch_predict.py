@@ -4,7 +4,15 @@ The batch prediction path (``_predict_batch`` + the base-class
 ``predict_many`` wrapper) must be observationally equivalent to calling
 ``predict`` once per query — for every registered estimator, every query
 class, and the base class's NaN/clamp semantics.
+
+The histogram and kernel learners (QuadHist, KdHist, ISOMER, QuickSel,
+STHoles and the arrangement ERM's histogram mode) have one prediction
+path: ``predict`` is a one-query batch.  Their ``predict`` and
+``predict_many`` are checked against the single-pair oracle of
+``tests/core/predict_oracle.py`` instead of against each other.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -13,13 +21,19 @@ from hypothesis import given, settings
 from repro.baselines.stholes import STHoles
 from repro.core.arrangement_erm import ArrangementERM
 from repro.core.estimator import SelectivityEstimator
+from repro.core import quadhist
 from repro.core.quadhist import QuadHist
 from repro.core.registry import estimator_factories, make_estimator
 from repro.geometry import Ball, Box, Halfspace
 
+from tests.core.predict_oracle import raw_predictions
 from tests.core.test_estimator_properties import box_workloads
 
 ATOL = 1e-12
+
+#: Learners whose ``predict`` runs ``_predict_batch``; the rest keep a
+#: scalar hook and are checked against their ``predict`` loop.
+ONE_PATH = {"arrangement-histogram", "isomer", "kdhist", "quadhist", "quicksel", "stholes"}
 
 _TRAIN_RNG = np.random.default_rng(2022)
 TRAIN_QUERIES = [
@@ -84,9 +98,14 @@ class TestBatchScalarEquivalence:
     )
     def test_predict_many_matches_scalar_loop(self, fitted, name, probes):
         est = fitted[name]
-        expected = np.array([est.predict(q) for q in probes])
+        scalar = np.array([est.predict(q) for q in probes])
         got = est.predict_many(probes)
         assert got.shape == (len(probes),)
+        if name in ONE_PATH:
+            expected = np.clip(raw_predictions(est, probes), 0.0, 1.0)
+            np.testing.assert_allclose(scalar, expected, atol=ATOL, rtol=0)
+        else:
+            expected = scalar
         np.testing.assert_allclose(got, expected, atol=ATOL, rtol=0)
         assert np.all((got >= 0.0) & (got <= 1.0))
 
@@ -100,10 +119,32 @@ class TestBatchScalarEquivalence:
     def test_quadhist_property(self, workload):
         queries, labels = workload
         est = QuadHist(tau=0.05).fit(queries, labels)
-        expected = np.array([est.predict(q) for q in queries])
+        expected = np.clip(raw_predictions(est, queries), 0.0, 1.0)
+        scalar = np.array([est.predict(q) for q in queries])
+        np.testing.assert_allclose(scalar, expected, atol=ATOL, rtol=0)
         np.testing.assert_allclose(
             est.predict_many(queries), expected, atol=ATOL, rtol=0
         )
+
+
+@pytest.mark.parametrize("name", ["arrangement-histogram", "isomer", "kdhist", "quadhist"])
+def test_bucket_histograms_resolve_kernels_in_quadhist(fitted, name, monkeypatch):
+    """The bucket histograms look both coverage kernels up in
+    ``repro.core.quadhist`` at call time, for ``predict`` as for
+    ``predict_many``: the end-to-end tracer times them there."""
+    calls = []
+    for kernel in ("sparse_coverage_dot", "coverage_dot"):
+        original = getattr(quadhist, kernel)
+        monkeypatch.setattr(
+            quadhist, kernel, lambda *a, _k=kernel, _f=original: calls.append(_k) or _f(*a)
+        )
+    est = fitted[name]
+    est.predict(BOX_PROBES[0])
+    est.predict_many(BOX_PROBES)
+    dense = copy.copy(est)
+    dense._index = None  # stripped: the dense kernel
+    dense.predict(BOX_PROBES[0])
+    assert calls == ["sparse_coverage_dot", "sparse_coverage_dot", "coverage_dot"]
 
 
 class _ScriptedEstimator(SelectivityEstimator):

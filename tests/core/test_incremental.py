@@ -2,11 +2,11 @@
 
 The contract under test: after K feedback batches, an incrementally
 maintained model matches a full refit on the union workload — bitwise
-(well, to 1e-9) for the order-invariant tree histograms with a cold
-solve, and within a stated accuracy tolerance for the estimators whose
+(well, to 1e-9) with a cold solve for the order-invariant tree
+histograms and for STHoles, whose drilling and merging run one sample at
+a time in both paths — and within a stated accuracy tolerance when the
 incremental path is *structurally* different from a refit (PtsHist
-freezes its point support; STHoles merges at different moments) or when
-the solve is warm-started.
+freezes its point support) or when the solve is warm-started.
 """
 
 import numpy as np
@@ -20,18 +20,18 @@ from repro.solvers.simplex_ls import fit_simplex_weights
 K_BATCHES = 3
 
 #: Estimators whose partial_fit(warm_start=False) is numerically
-#: equivalent to a refit on the union workload (order-invariant
-#: partition + bitwise-identical design rows + the same cold solve).
+#: equivalent to a refit on the union workload (the same partition +
+#: bitwise-identical design rows + the same cold solve).
 EXACT = {
     "quadhist": lambda: QuadHist(tau=0.02),
     "kdhist": lambda: KdHist(tau=0.02),
+    "stholes": lambda: STHoles(max_buckets=200),
 }
 
 #: Estimators where incremental ≠ refit by construction; these must stay
 #: within an accuracy tolerance of the refit instead.
 APPROXIMATE = {
     "ptshist": lambda: PtsHist(size=200, seed=3),
-    "stholes": lambda: STHoles(max_buckets=200),
 }
 
 ALL = {**EXACT, **APPROXIMATE}

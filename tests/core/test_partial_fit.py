@@ -38,8 +38,8 @@ class TestPartialFit:
         incremental.partial_fit(train_q[half:], train_s[half:])
         batch = QuadHist(tau=0.01, max_leaves=850).fit(train_q, train_s)
         assert QuadHist(tau=0.01).fit(train_q, train_s).model_size > 850  # binding
-        np.testing.assert_array_equal(incremental._leaf_lows, batch._leaf_lows)
-        np.testing.assert_array_equal(incremental._leaf_highs, batch._leaf_highs)
+        np.testing.assert_array_equal(incremental._lows, batch._lows)
+        np.testing.assert_array_equal(incremental._highs, batch._highs)
         np.testing.assert_allclose(
             incremental.predict_many(test_q), batch.predict_many(test_q), atol=1e-9
         )

@@ -57,9 +57,9 @@ def _batches(queries, labels, k: int):
 def _assert_leaves_equal(est, oracle_arrays):
     lows, highs, volumes = oracle_arrays
     for name, expected in (
-        ("_leaf_lows", lows),
-        ("_leaf_highs", highs),
-        ("_leaf_volumes", volumes),
+        ("_lows", lows),
+        ("_highs", highs),
+        ("_volumes", volumes),
     ):
         actual = getattr(est, name)
         assert actual.shape == expected.shape, name

@@ -71,18 +71,19 @@ def test_roundtrip_bitwise(name, workload, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, overrides",
+    "name, overrides, prefix",
     [
-        ("quadhist", {}),
-        ("kdhist", {}),
-        ("isomer", {}),
-        ("arrangement", {"mode": "histogram", "max_cells": 20_000}),
+        ("quadhist", {}, "leaf"),
+        ("kdhist", {}, "leaf"),
+        ("isomer", {}, "bucket"),
+        ("arrangement", {"mode": "histogram", "max_cells": 20_000}, "cell"),
     ],
     ids=["quadhist", "kdhist", "isomer", "arrangement-histogram"],
 )
-def test_histogram_payload_stores_buckets_once(name, overrides, workload, tmp_path):
+def test_histogram_payload_stores_buckets_once(name, overrides, prefix, workload, tmp_path):
     """The histogram learners persist their bucket arrays and weights
-    once, with no nested ``distribution.`` copy of them."""
+    once, under the names artifacts have always used, with no nested
+    ``distribution.`` copy of them."""
     train_q, train_s, _, _ = workload
     estimator = make_estimator(name, train_size=60, **overrides)
     estimator.fit(train_q[:60], train_s[:60])
@@ -93,8 +94,9 @@ def test_histogram_payload_stores_buckets_once(name, overrides, workload, tmp_pa
         manifest = json.loads(archive.read("manifest.json"))
     with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
         members = list(npz.files)
-    assert "weights" in members
-    assert not [key for key in members if key.startswith("distribution.")]
+    assert sorted(members) == sorted(
+        [f"{prefix}_lows", f"{prefix}_highs", f"{prefix}_volumes", "weights"]
+    )
     assert not [key for key in manifest.get("state", {}) if key.startswith("distribution.")]
 
 

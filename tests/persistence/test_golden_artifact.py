@@ -72,7 +72,7 @@ def test_fresh_fit_reproduces_golden_state(golden):
     assert fresh.model_size == 127 < uncapped.model_size == 157
 
     stored = load_model(artifact)
-    for name in ("_leaf_lows", "_leaf_highs", "_leaf_volumes", "_weights"):
+    for name in ("_lows", "_highs", "_volumes", "_weights"):
         expected, actual = getattr(stored, name), getattr(fresh, name)
         assert actual.dtype == expected.dtype and actual.shape == expected.shape, name
         assert actual.tobytes() == expected.tobytes(), name
