@@ -10,6 +10,9 @@ supervisor-side fleet view end to end:
 * the fleet ``repro_service_queries_total`` equals the traffic
   generated **exactly** (however the kernel balanced it), and the cache
   identity ``hits + misses == queries`` holds;
+* one worker's own ``/metrics`` page, scraped through the shared
+  socket, lints clean, keeps ``hits + misses == queries``, and carries
+  no family the fleet page lacks;
 * ``/workers`` and ``/health`` report a full, healthy complement;
 * every response carries an ``X-Request-Id``.
 
@@ -45,6 +48,15 @@ def _post(base: str, path: str, payload: dict, timeout: float = 10.0):
         return response.headers.get(REQUEST_ID_HEADER)
 
 
+def _scrape(url: str) -> str:
+    with urllib.request.urlopen(url, timeout=10.0) as response:
+        return response.read().decode("utf-8")
+
+
+def _sum(families: dict, name: str) -> float:
+    return sum(value for _, _, value, _ in families.get(name, {"samples": []})["samples"])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=2)
@@ -55,6 +67,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--dump",
         help="write the scraped aggregated exposition to this path "
+        "(CI feeds it to the expolint CLI)",
+    )
+    parser.add_argument(
+        "--dump-worker",
+        help="write one worker's scraped exposition to this path "
         "(CI feeds it to the expolint CLI)",
     )
     args = parser.parse_args(argv)
@@ -105,6 +122,24 @@ def main(argv=None) -> int:
                 failures.append(f"{missing_ids} responses without {REQUEST_ID_HEADER}")
             expected = args.singles + args.batches * args.batch_size
 
+            # One worker's own page, through the shared socket.
+            worker_page = _scrape(f"{base}/metrics")
+            if args.dump_worker:
+                with open(args.dump_worker, "w") as handle:
+                    handle.write(worker_page)
+            worker_problems = lint_exposition(worker_page)
+            if worker_problems:
+                failures.append(f"worker exposition lint: {worker_problems}")
+            worker_families, _ = parse_exposition(worker_page)
+            worker_queries = _sum(worker_families, "repro_service_queries_total")
+            worker_hits = _sum(worker_families, "repro_prediction_cache_hits_total")
+            worker_misses = _sum(worker_families, "repro_prediction_cache_misses_total")
+            if worker_hits + worker_misses != worker_queries:
+                failures.append(
+                    f"worker cache identity broken: {worker_hits} + "
+                    f"{worker_misses} != {worker_queries}"
+                )
+
             # Heartbeats carry the registry snapshots; wait for the fleet
             # view to converge on the generated traffic.
             deadline = time.monotonic() + args.timeout
@@ -127,23 +162,26 @@ def main(argv=None) -> int:
                     f"cache identity broken: {hits} + {misses} != {queries}"
                 )
 
-            with urllib.request.urlopen(f"{ops}/metrics", timeout=10.0) as response:
-                exposition = response.read().decode("utf-8")
+            # A family the worker registered after its last heartbeat
+            # reaches the fleet page with the next one.
+            while True:
+                exposition = _scrape(f"{ops}/metrics")
+                families, parse_problems = parse_exposition(exposition)
+                missing = sorted(set(worker_families) - set(families))
+                if not missing or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+            if missing:
+                failures.append(f"worker families missing from the fleet page: {missing}")
             if args.dump:
                 with open(args.dump, "w") as handle:
                     handle.write(exposition)
             problems = lint_exposition(exposition)
             if problems:
                 failures.append(f"exposition lint: {problems}")
-            families, parse_problems = parse_exposition(exposition)
             if parse_problems:
                 failures.append(f"exposition parse: {parse_problems}")
-            scraped = sum(
-                value
-                for _, _, value, _ in families.get(
-                    "repro_service_queries_total", {"samples": []}
-                )["samples"]
-            )
+            scraped = _sum(families, "repro_service_queries_total")
             if scraped != expected:
                 failures.append(f"scraped queries {scraped} != {expected}")
 
@@ -161,7 +199,9 @@ def main(argv=None) -> int:
             print(
                 f"pool {args.workers} workers, {expected} queries: fleet total "
                 f"{queries:g}, hits {hits:g} + misses {misses:g}, "
-                f"{len(families)} metric families, lint clean: {not problems}"
+                f"{len(families)} metric families, lint clean: {not problems}; "
+                f"one worker: {worker_queries:g} queries, "
+                f"{len(worker_families)} families, lint clean: {not worker_problems}"
             )
         finally:
             if supervisor._sock is not None:

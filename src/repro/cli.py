@@ -48,10 +48,10 @@ The subcommands cover the paper's workflow end to end:
 ``metrics``
     Fetch and print the Prometheus text exposition from a running
     sidecar's ``GET /metrics`` endpoint (see ``docs/observability.md``).
-    ``--aggregate`` scrapes the supervisor ops endpoint instead (default
-    port 9090), returning the merged fleet-wide exposition; ``--lint``
-    runs the exposition linter (:mod:`repro.observability.expolint`) on
-    whatever was scraped and fails on malformed output.
+    A pool's ops endpoint serves the merged fleet-wide exposition on the
+    same path, so ``--port <ops-port>`` scrapes that; ``--lint`` runs the
+    exposition linter (:mod:`repro.observability.expolint`) on whatever
+    was scraped and fails on malformed output.
 
 ``top``
     One-shot fleet dashboard against a pool's ops endpoint: per-worker
@@ -76,7 +76,7 @@ Examples
     python -m repro.cli serve --workers 4 --snapshot-dir ./snapshots \\
         --deadline-ms 250 --queue-depth 64 --ops-port 9090
     python -m repro.cli metrics --port 8080
-    python -m repro.cli metrics --aggregate --port 9090 --lint
+    python -m repro.cli metrics --port 9090 --lint
     python -m repro.cli top --port 9090
 """
 
@@ -321,12 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     met.add_argument("--host", default="127.0.0.1")
     met.add_argument("--port", type=int, default=8080)
-    met.add_argument(
-        "--aggregate",
-        action="store_true",
-        help="scrape the supervisor ops endpoint (fleet-wide aggregated "
-        "exposition) instead of one worker's /metrics",
-    )
     met.add_argument(
         "--lint",
         action="store_true",
@@ -606,12 +600,7 @@ def _scrape(url: str, timeout: float) -> str:
 def _cmd_metrics(args) -> int:
     import urllib.error
 
-    if args.url:
-        url = args.url
-    else:
-        # --aggregate targets the supervisor ops endpoint, which serves
-        # the merged fleet exposition on the same /metrics path.
-        url = f"http://{args.host}:{args.port}/metrics"
+    url = args.url or f"http://{args.host}:{args.port}/metrics"
     try:
         body = _scrape(url, args.timeout)
     except (urllib.error.URLError, OSError) as exc:

@@ -12,7 +12,8 @@ the paper's own two-phase recipe:
 2. **Weight estimation** (identical to Eq. 8): the mixture weights solve
    the simplex-constrained least squares over the design matrix
    ``A[i, j] = mass_j(R_i)``, the probability mass of component ``j``
-   inside query ``i``.
+   inside query ``i``, through the same fallback ladder and solver
+   metrics as every other learner.
 
 Component masses are exact for orthogonal ranges and halfspaces (Gaussian
 CDFs; a 1-D projection for halfspaces since diagonal Gaussians are jointly
@@ -31,14 +32,14 @@ from typing import ClassVar, Dict
 import numpy as np
 from scipy.stats import norm, qmc
 
+from repro.core._solve import solve_weights
 from repro.core.config import GaussianMixtureConfig
 from repro.core.estimator import SelectivityEstimator
 from repro.core.workload import TrainingSet
 from repro.geometry.ranges import Box, Halfspace, Range, unit_box
-from repro.geometry.sampling import rejection_sample, sample_in_box
+from repro.geometry.sampling import sample_support
 from repro.observability.tracing import span
-from repro.solvers.linf import fit_simplex_weights_linf
-from repro.solvers.simplex_ls import SOLVERS, fit_simplex_weights
+from repro.solvers.simplex_ls import SOLVERS, SolveReport
 
 __all__ = ["GaussianMixtureHist"]
 
@@ -96,6 +97,8 @@ class GaussianMixtureHist(SelectivityEstimator):
         self.objective = objective
         self.solver = solver
         self.domain = domain
+        #: How the last weight solve was produced (fallback ladder record).
+        self.solve_report_: SolveReport | None = None
         self._means: np.ndarray | None = None
         self._sigmas: np.ndarray | None = None
         self._weights: np.ndarray | None = None
@@ -111,7 +114,14 @@ class GaussianMixtureHist(SelectivityEstimator):
             raise ValueError("domain dimension does not match the training queries")
         rng = np.random.default_rng(self.seed)
         with span("fit/partition", components=self.components):
-            means = self._design_means(training, domain, rng)
+            means = sample_support(
+                training.queries,
+                training.selectivities,
+                self.components,
+                self.interior_fraction,
+                domain,
+                rng,
+            )
             sigma_choices = rng.choice(
                 len(self.bandwidths), size=(self.components, training.dim)
             )
@@ -125,41 +135,9 @@ class GaussianMixtureHist(SelectivityEstimator):
 
         with span("fit/design-matrix", rows=len(training), buckets=self.components):
             design = np.stack([self._mass_row(q) for q in training.queries])
-        with span("fit/solve", objective=self.objective, rows=len(training)):
-            if self.objective == "linf":
-                weights = fit_simplex_weights_linf(design, training.selectivities)
-            else:
-                weights = fit_simplex_weights(
-                    design, training.selectivities, method=self.solver
-                )
-        self._weights = weights
-
-    def _design_means(
-        self, training: TrainingSet, domain: Box, rng: np.random.Generator
-    ) -> np.ndarray:
-        n_interior = int(round(self.interior_fraction * self.components))
-        n_uniform = self.components - n_interior
-        total_sel = float(training.selectivities.sum())
-        chunks: list[np.ndarray] = []
-        if n_interior > 0 and total_sel > 0:
-            raw = training.selectivities / total_sel * n_interior
-            counts = np.floor(raw).astype(int)
-            shortfall = n_interior - int(counts.sum())
-            if shortfall > 0:
-                order = np.argsort(-(raw - counts))
-                counts[order[:shortfall]] += 1
-            for query, count in zip(training.queries, counts):
-                if count > 0:
-                    chunks.append(rejection_sample(query, int(count), rng, domain))
-        else:
-            n_uniform = self.components
-        if n_uniform > 0:
-            chunks.append(sample_in_box(domain, n_uniform, rng))
-        means = np.concatenate(chunks, axis=0)
-        if means.shape[0] < self.components:
-            extra = sample_in_box(domain, self.components - means.shape[0], rng)
-            means = np.concatenate([means, extra], axis=0)
-        return means[: self.components]
+        self._weights, self.solve_report_ = solve_weights(
+            design, training.selectivities, objective=self.objective, solver=self.solver
+        )
 
     # ------------------------------------------------------------------
     # Component masses

@@ -30,7 +30,7 @@ from repro.distributions.discrete import DiscreteDistribution
 from repro.geometry.index import build_bucket_index
 from repro.geometry.sparse import sparse_containment_matrix
 from repro.geometry.ranges import Box, Range, unit_box
-from repro.geometry.sampling import rejection_sample, sample_in_box
+from repro.geometry.sampling import sample_support
 from repro.core._solve import solve_weights
 from repro.observability.tracing import span
 from repro.solvers.simplex_ls import SOLVERS, SolveReport
@@ -98,7 +98,14 @@ class PtsHist(SelectivityEstimator):
             raise ValueError("domain dimension does not match the training queries")
         rng = np.random.default_rng(self.seed)
         with span("fit/partition", size=self.size):
-            points = self._design_buckets(training, domain, rng)
+            points = sample_support(
+                training.queries,
+                training.selectivities,
+                self.size,
+                self.interior_fraction,
+                domain,
+                rng,
+            )
         index = build_bucket_index(points, points)
         with span("fit/design-matrix", rows=len(training), buckets=len(points)):
             design = sparse_containment_matrix(training.queries, index)
@@ -186,37 +193,6 @@ class PtsHist(SelectivityEstimator):
             rung=self.solve_report_.rung,
         )
         return self
-
-    def _design_buckets(
-        self, training: TrainingSet, domain: Box, rng: np.random.Generator
-    ) -> np.ndarray:
-        """The two-step point-generation procedure of Section 3.3."""
-        n_interior_total = int(round(self.interior_fraction * self.size))
-        n_uniform = self.size - n_interior_total
-        selectivities = training.selectivities
-        total_sel = float(selectivities.sum())
-        chunks: list[np.ndarray] = []
-        if n_interior_total > 0 and total_sel > 0:
-            # Proportional allocation with largest-remainder rounding so the
-            # shares sum exactly to n_interior_total.
-            raw = selectivities / total_sel * n_interior_total
-            counts = np.floor(raw).astype(int)
-            shortfall = n_interior_total - int(counts.sum())
-            if shortfall > 0:
-                order = np.argsort(-(raw - counts))
-                counts[order[:shortfall]] += 1
-            for query, count in zip(training.queries, counts):
-                if count > 0:
-                    chunks.append(rejection_sample(query, int(count), rng, domain))
-        else:
-            n_uniform = self.size
-        if n_uniform > 0:
-            chunks.append(sample_in_box(domain, n_uniform, rng))
-        points = np.concatenate(chunks, axis=0) if chunks else sample_in_box(domain, self.size, rng)
-        if points.shape[0] < self.size:  # only if total_sel == 0 edge cases
-            extra = sample_in_box(domain, self.size - points.shape[0], rng)
-            points = np.concatenate([points, extra], axis=0)
-        return points[: self.size]
 
     def _predict_one(self, query: Range) -> float:
         return self._distribution.selectivity(query)

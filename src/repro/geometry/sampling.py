@@ -1,14 +1,17 @@
 """Uniform sampling from range interiors (Appendix A.2 of the paper).
 
 PtsHist seeds its buckets with points drawn uniformly from the interiors of
-training-query ranges.  For boxes this is a per-dimension uniform draw; for
-halfspaces and balls (and any other range) the paper uses *rejection
-sampling* from the smallest bounding box.  The halfspace bounding box is
-tightened by the interval fixpoint iteration of Appendix A.2, implemented in
-:func:`halfspace_bounding_box`.
+training-query ranges (:func:`sample_support`, which GaussianMixtureHist
+shares for its component means).  For boxes this is a per-dimension
+uniform draw; for halfspaces and balls (and any other range) the paper
+uses *rejection sampling* from the smallest bounding box.  The halfspace
+bounding box is tightened by the interval fixpoint iteration of Appendix
+A.2, implemented in :func:`halfspace_bounding_box`.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +22,7 @@ __all__ = [
     "smallest_bounding_box",
     "halfspace_bounding_box",
     "rejection_sample",
+    "sample_support",
 ]
 
 #: Rejection sampling gives up after this many candidate batches and falls
@@ -144,3 +148,42 @@ def rejection_sample(
     # Recycle accepted points (with replacement) to reach the requested size.
     extra_idx = rng.integers(0, points.shape[0], size=count - points.shape[0])
     return np.concatenate([points, points[extra_idx]], axis=0)
+
+
+def sample_support(
+    ranges: Sequence[Range],
+    selectivities: np.ndarray,
+    size: int,
+    interior_fraction: float,
+    domain: Box,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """``size`` support points by the two-step procedure of Section 3.3.
+
+    ``interior_fraction * size`` points are drawn from the interiors of
+    ``ranges``, each range's share proportional to its selectivity in
+    ``[0, 1]`` (with largest-remainder rounding, so the shares sum to the
+    interior count); the rest are uniform over ``domain``, so that density
+    can reach regions no range covers.  With no positive selectivity
+    every point is uniform.
+    """
+    n_interior = int(round(interior_fraction * size))
+    n_uniform = size - n_interior
+    total_sel = float(selectivities.sum())
+    chunks: list[np.ndarray] = []
+    if n_interior > 0 and total_sel > 0:
+        raw = selectivities / total_sel * n_interior
+        counts = np.floor(raw).astype(int)
+        shortfall = n_interior - int(counts.sum())
+        if shortfall > 0:
+            order = np.argsort(-(raw - counts))
+            counts[order[:shortfall]] += 1
+        for range_, count in zip(ranges, counts):
+            if count > 0:
+                chunks.append(rejection_sample(range_, int(count), rng, domain))
+    else:
+        n_uniform = size
+    if n_uniform > 0:
+        chunks.append(sample_in_box(domain, n_uniform, rng))
+    # Float error in the shares can add an interior point, never drop one.
+    return np.concatenate(chunks, axis=0)[:size]

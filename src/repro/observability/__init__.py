@@ -7,8 +7,13 @@ continuously — the operational requirement behind every query-driven
 estimator's feedback loop:
 
 * :mod:`~repro.observability.metrics` — thread-safe counters, gauges and
-  fixed-bucket histograms in a :class:`MetricsRegistry`, rendered in the
-  Prometheus text exposition format for ``GET /metrics``.
+  fixed-bucket histograms in a :class:`MetricsRegistry`;
+  :func:`snapshot_registry` copies registries into one snapshot and
+  :func:`render_exposition` writes any snapshot in the Prometheus text
+  exposition format.  ``GET /metrics``, the heartbeat and the fleet page
+  all use this one snapshot format and this one renderer.
+* :mod:`~repro.observability.aggregate` — the supervisor's
+  :class:`FleetAggregator`, which merges worker snapshots.
 * :mod:`~repro.observability.tracing` — nestable wall-time spans
   (``with span("fit/solve"):``) forming per-operation trees, bridged
   into the ``repro_span_seconds`` histogram and (optionally) emitted as
@@ -28,12 +33,7 @@ See ``docs/observability.md`` for the metric catalogue and the span
 naming convention.
 """
 
-from repro.observability.aggregate import (
-    FleetAggregator,
-    merge_snapshots,
-    snapshot_registries,
-    snapshot_registry,
-)
+from repro.observability.aggregate import FleetAggregator, merge_snapshots
 from repro.observability.expolint import lint_exposition, parse_exposition
 from repro.observability.logs import (
     JsonFormatter,
@@ -53,8 +53,10 @@ from repro.observability.metrics import (
     MetricsRegistry,
     default_registry,
     enabled,
+    render_exposition,
     set_enabled,
     set_worker_label,
+    snapshot_registry,
     worker_label,
 )
 from repro.observability.tracing import (
@@ -81,7 +83,7 @@ __all__ = [
     "worker_label",
     "FleetAggregator",
     "snapshot_registry",
-    "snapshot_registries",
+    "render_exposition",
     "merge_snapshots",
     "lint_exposition",
     "parse_exposition",

@@ -1,20 +1,20 @@
-"""Fleet-wide metric aggregation: mergeable registry snapshots.
+"""Fleet-wide metric aggregation over registry snapshots.
 
 A pre-fork pool (:mod:`repro.serving`) gives every worker its own
 process-local :class:`~repro.observability.MetricsRegistry`, so a
 ``GET /metrics`` scrape through the kernel-balanced shared socket
 returns one arbitrary worker's counters — useless for fleet-level
 signals like total queries, aggregate cache-hit rate, or tail latency.
-This module makes registries *mergeable*:
+Workers therefore piggyback a
+:func:`~repro.observability.metrics.snapshot_registry` snapshot on the
+heartbeat pipe they already own, and :class:`FleetAggregator` merges
+them on the supervisor side:
 
-* :func:`snapshot_registry` / :func:`snapshot_registries` — a compact,
-  picklable snapshot of every counter, gauge and histogram series.
-  Workers piggyback these on the heartbeat pipe they already own.
-* :class:`FleetAggregator` — the supervisor-side merge.  Counters sum
-  across workers; gauges keep a per-``worker`` label plus a fleet
-  reduction (sum by default, max where that is the meaningful fleet
-  value — e.g. the newest model generation); fixed-bucket histograms
-  merge *exactly* bucket-by-bucket.
+* counters sum across workers, and fixed-bucket histograms merge
+  *exactly* bucket by bucket (one :func:`_add_series` does both);
+* gauges keep one row per ``worker`` plus a bare fleet reduction row
+  (sum by default, max where that is the meaningful fleet value — e.g.
+  the newest model generation).
 
 **Reset tracking.**  A SIGKILLed worker restarts with zeroed counters.
 Naively summing the latest snapshots would make fleet totals go
@@ -27,28 +27,24 @@ into a per-slot monotone *base*, and fleet totals are always
 ``base + current``.  Totals never decrease, and nothing a dead
 incarnation reported is ever lost.
 
-The aggregator renders the merged fleet in the Prometheus text
-exposition format (the supervisor's ops endpoint serves it) and as a
-JSON dict (``/workers``, ``repro top``).
+The merged fleet is itself a snapshot, written by the same
+:func:`~repro.observability.metrics.render_exposition` as every other
+page; the supervisor's ops endpoint serves it.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from typing import Iterable, Mapping
 
 from repro.observability.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
-    _format_labels,
-    _format_value,
+    render_exposition,
+    snapshot_registry,
 )
 
 __all__ = [
-    "snapshot_registry",
-    "snapshot_registries",
     "merge_snapshots",
     "FleetAggregator",
     "GAUGE_MAX_REDUCTIONS",
@@ -70,53 +66,20 @@ GAUGE_MAX_REDUCTIONS = frozenset(
 )
 
 
-def snapshot_registry(registry: MetricsRegistry) -> dict:
-    """Compact, picklable snapshot of every series in ``registry``.
-
-    Shape (all values plain Python scalars/lists/tuples)::
-
-        {
-          "counters":   {name: {"help": ..., "labels": (...),
-                                "series": {key_tuple: value}}},
-          "gauges":     {... same ...},
-          "histograms": {name: {"help": ..., "labels": (...),
-                                "buckets": (...),
-                                "series": {key_tuple: (counts, sum, count)}}},
-        }
+def _add_series(into: dict, series: Mapping) -> None:
+    """Sum ``series`` into ``into``: counter values, or histogram
+    ``(counts, sum, count)`` triples bucket by bucket.  A histogram
+    series with a different number of buckets leaves ``into`` as it is.
     """
-    snap: dict = {"counters": {}, "gauges": {}, "histograms": {}}
-    for metric in registry.collect():
-        if isinstance(metric, Histogram):
-            snap["histograms"][metric.name] = {
-                "help": metric.help,
-                "labels": metric.label_names,
-                "buckets": metric.buckets,
-                "series": {
-                    key: (list(state.counts), state.sum, state.count)
-                    for key, state in metric.series()
-                },
-            }
-        elif isinstance(metric, (Counter, Gauge)):
-            kind = "counters" if isinstance(metric, Counter) else "gauges"
-            snap[kind][metric.name] = {
-                "help": metric.help,
-                "labels": metric.label_names,
-                "series": {key: float(value) for key, value in metric.series()},
-            }
-    return snap
-
-
-def snapshot_registries(*registries: MetricsRegistry) -> dict:
-    """Snapshot several registries into one (first registry wins on a
-    metric-name collision) — the worker-side analogue of rendering the
-    service registry plus the process-global one in a single scrape."""
-    merged: dict = {"counters": {}, "gauges": {}, "histograms": {}}
-    for registry in registries:
-        snap = snapshot_registry(registry)
-        for kind in merged:
-            for name, entry in snap[kind].items():
-                merged[kind].setdefault(name, entry)
-    return merged
+    for key, value in series.items():
+        have = into.get(key)
+        if have is None:
+            into[key] = value
+        elif not isinstance(value, tuple):
+            into[key] = have + value
+        elif len(have[0]) == len(value[0]):
+            counts = [a + b for a, b in zip(have[0], value[0])]
+            into[key] = (counts, have[1] + value[1], have[2] + value[2])
 
 
 def merge_snapshots(snapshots: Iterable[dict]) -> dict:
@@ -124,46 +87,20 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     histogram buckets sum element-wise, gauges keep the last value seen.
 
     Used by tests to state the aggregation-correctness invariant
-    ("merged ≡ sum of the parts") and by offline tooling; the live
-    supervisor path goes through :class:`FleetAggregator`, which adds
-    per-incarnation reset handling on top of exactly this arithmetic.
+    ("merged ≡ sum of the parts"); the live supervisor path goes
+    through :class:`FleetAggregator`, which adds per-incarnation reset
+    handling on top of exactly this arithmetic.  A histogram whose
+    bucket layout differs from the first snapshot's is dropped.
     """
     out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
     for snap in snapshots:
-        for name, entry in snap.get("counters", {}).items():
-            slot = out["counters"].setdefault(
-                name, {"help": entry["help"], "labels": entry["labels"], "series": {}}
-            )
-            for key, value in entry["series"].items():
-                slot["series"][key] = slot["series"].get(key, 0.0) + value
-        for name, entry in snap.get("gauges", {}).items():
-            slot = out["gauges"].setdefault(
-                name, {"help": entry["help"], "labels": entry["labels"], "series": {}}
-            )
-            slot["series"].update(entry["series"])
-        for name, entry in snap.get("histograms", {}).items():
-            slot = out["histograms"].setdefault(
-                name,
-                {
-                    "help": entry["help"],
-                    "labels": entry["labels"],
-                    "buckets": tuple(entry["buckets"]),
-                    "series": {},
-                },
-            )
-            if tuple(entry["buckets"]) != slot["buckets"]:
-                continue  # incompatible layout: first writer wins
-            for key, (counts, acc, total) in entry["series"].items():
-                existing = slot["series"].get(key)
-                if existing is None:
-                    slot["series"][key] = (list(counts), float(acc), int(total))
-                else:
-                    merged_counts = [a + b for a, b in zip(existing[0], counts)]
-                    slot["series"][key] = (
-                        merged_counts,
-                        existing[1] + float(acc),
-                        existing[2] + int(total),
-                    )
+        for kind, merged in out.items():
+            for name, entry in snap.get(kind, {}).items():
+                slot = merged.setdefault(name, {**entry, "series": {}})
+                if kind == "gauges":
+                    slot["series"].update(entry["series"])
+                elif slot.get("buckets") == entry.get("buckets"):
+                    _add_series(slot["series"], entry["series"])
     return out
 
 
@@ -184,22 +121,9 @@ class _SlotState:
         values join the permanent base so fleet totals never regress."""
         if self.current is None:
             return
-        for name, entry in self.current.get("counters", {}).items():
-            slot = self.base["counters"].setdefault(name, {})
-            for key, value in entry["series"].items():
-                slot[key] = slot.get(key, 0.0) + value
-        for name, entry in self.current.get("histograms", {}).items():
-            slot = self.base["histograms"].setdefault(name, {})
-            for key, (counts, acc, total) in entry["series"].items():
-                existing = slot.get(key)
-                if existing is None:
-                    slot[key] = (list(counts), float(acc), int(total))
-                else:
-                    slot[key] = (
-                        [a + b for a, b in zip(existing[0], counts)],
-                        existing[1] + float(acc),
-                        existing[2] + int(total),
-                    )
+        for kind, base in self.base.items():
+            for name, entry in self.current.get(kind, {}).items():
+                _add_series(base.setdefault(name, {}), entry["series"])
         self.current = None
 
 
@@ -207,15 +131,13 @@ class FleetAggregator:
     """Supervisor-side merged view over per-worker registry snapshots.
 
     Thread-safe: the supervisor's monitor thread calls :meth:`observe`
-    while the ops HTTP server calls :meth:`render`/:meth:`to_dict`
-    concurrently.
+    while the ops HTTP server calls :meth:`render` concurrently.
     """
 
     def __init__(self, gauge_max: Iterable[str] = GAUGE_MAX_REDUCTIONS):
         self._lock = threading.Lock()
         self._slots: dict[str, _SlotState] = {}
         self._gauge_max = frozenset(gauge_max)
-        self._updates = 0
 
     # -- ingest ------------------------------------------------------------
 
@@ -236,7 +158,6 @@ class FleetAggregator:
                 state.fold_current_into_base()
                 state.incarnation = incarnation
             state.current = snapshot
-            self._updates += 1
 
     def forget(self, worker: str | int) -> None:
         """Retire a slot permanently (its totals stay in the base)."""
@@ -249,53 +170,28 @@ class FleetAggregator:
 
     def _merged_locked(self) -> dict:
         """Counters/histograms: base + current summed across slots.
-        Gauges: latest value per slot, keyed by worker.  Caller holds
-        the lock."""
+        Gauges: the last slot's values (see :meth:`_gauge_rows`).
+        Caller holds the lock."""
         merged = merge_snapshots(
             state.current for state in self._slots.values() if state.current
         )
         # Fold the retired incarnations' bases into the live sums.
-        for worker, state in self._slots.items():
-            for name, series in state.base["counters"].items():
-                slot = merged["counters"].get(name)
-                if slot is None:
-                    # Every live registry declares its metrics up front,
-                    # but a metric can exist only in a dead incarnation
-                    # (e.g. a renamed series): carry it with no help text.
-                    slot = merged["counters"][name] = {
-                        "help": "",
-                        "labels": self._base_labels(name),
-                        "series": {},
-                    }
-                for key, value in series.items():
-                    slot["series"][key] = slot["series"].get(key, 0.0) + value
-            for name, series in state.base["histograms"].items():
-                slot = merged["histograms"].get(name)
-                if slot is None:
-                    continue  # bucket layout unknown without a live twin
-                for key, (counts, acc, total) in series.items():
-                    existing = slot["series"].get(key)
-                    if existing is None:
-                        slot["series"][key] = (list(counts), float(acc), int(total))
-                    elif len(existing[0]) == len(counts):
-                        slot["series"][key] = (
-                            [a + b for a, b in zip(existing[0], counts)],
-                            existing[1] + float(acc),
-                            existing[2] + int(total),
-                        )
-        # Gauges: re-derive per-worker series (merge_snapshots collapsed
-        # them last-writer-wins, which is wrong across workers).
-        merged["gauges"] = {}
-        for worker, state in sorted(self._slots.items()):
-            if not state.current:
-                continue
-            for name, entry in state.current.get("gauges", {}).items():
-                slot = merged["gauges"].setdefault(
-                    name,
-                    {"help": entry["help"], "labels": entry["labels"], "series": {}},
-                )
-                for key, value in entry["series"].items():
-                    slot["series"][(worker,) + tuple(key)] = value
+        for state in self._slots.values():
+            for kind, base in state.base.items():
+                for name, series in base.items():
+                    entry = merged[kind].get(name)
+                    if entry is None and kind == "counters":
+                        # Every live registry declares its metrics up
+                        # front, but a metric can exist only in a dead
+                        # incarnation (e.g. a renamed series): carry it
+                        # with no help text.
+                        entry = merged[kind][name] = {
+                            "help": "",
+                            "labels": self._base_labels(name),
+                            "series": {},
+                        }
+                    if entry is not None:  # a histogram needs a live twin's buckets
+                        _add_series(entry["series"], series)
         return merged
 
     def _base_labels(self, name: str) -> tuple:
@@ -303,6 +199,39 @@ class FleetAggregator:
             if state.current and name in state.current.get("counters", {}):
                 return state.current["counters"][name]["labels"]
         return ()
+
+    def _gauge_rows(self) -> dict:
+        """Every gauge as one row per worker slot, then one bare fleet row
+        per label set: the sum, or the max for the ``gauge_max`` names.
+        A bare row holds ``None`` for its worker label, which the renderer
+        leaves out.  Caller holds the lock."""
+        rows: dict = {}
+        fleet: dict = {}
+        for worker, state in sorted(self._slots.items()):
+            if not state.current:
+                continue
+            for name, entry in state.current.get("gauges", {}).items():
+                # A series that carries its own worker label is attributed
+                # by it; the slot id would be redundant (and can disagree
+                # during a slot takeover).
+                own = "worker" in entry["labels"]
+                names = tuple(entry["labels"]) if own else ("worker",) + tuple(entry["labels"])
+                at = names.index("worker")
+                family = rows.setdefault(
+                    name, {"help": entry["help"], "labels": names, "series": {}}
+                )
+                start, reduce = (
+                    (float("-inf"), max) if name in self._gauge_max else (0.0, operator.add)
+                )
+                bare = fleet.setdefault(name, {})
+                for key, value in entry["series"].items():
+                    key = tuple(key) if own else (worker,) + tuple(key)
+                    family["series"][key] = value
+                    key = key[:at] + (None,) + key[at + 1 :]
+                    bare[key] = reduce(bare.get(key, start), value)
+        for name, family in rows.items():
+            family["series"].update(sorted(fleet[name].items()))
+        return rows
 
     def total(self, name: str, **labels) -> float:
         """Fleet total of one counter series (or the sum over all its
@@ -329,132 +258,26 @@ class FleetAggregator:
                 for worker, state in sorted(self._slots.items())
             }
 
-    def to_dict(self) -> dict:
-        """JSON-ready merged fleet view (``repro top``, tests)."""
-        with self._lock:
-            merged = self._merged_locked()
-            updates = self._updates
-        out: dict = {"updates": updates, "counters": {}, "gauges": {}, "histograms": {}}
-        for name, entry in sorted(merged["counters"].items()):
-            out["counters"][name] = [
-                {"labels": dict(zip(entry["labels"], key)), "value": value}
-                for key, value in sorted(entry["series"].items())
-            ]
-        for name, entry in sorted(merged["gauges"].items()):
-            out["gauges"][name] = [
-                {
-                    "labels": dict(zip(("worker",) + tuple(entry["labels"]), key)),
-                    "value": value,
-                }
-                for key, value in sorted(entry["series"].items())
-            ]
-        for name, entry in sorted(merged["histograms"].items()):
-            out["histograms"][name] = [
-                {
-                    "labels": dict(zip(entry["labels"], key)),
-                    "count": total,
-                    "sum": acc,
-                }
-                for key, (counts, acc, total) in sorted(entry["series"].items())
-            ]
-        return out
-
     # -- exposition --------------------------------------------------------
 
     def render(self, extra: MetricsRegistry | None = None) -> str:
         """Prometheus text exposition of the merged fleet.
 
         ``extra`` (typically the supervisor's own registry: restarts,
-        alive workers, storm breakers) is appended for metric names not
-        already covered by the fleet merge, so one scrape of the ops
-        endpoint spans both the workers and their supervisor.
+        alive workers, storm breakers) adds the metric names the fleet
+        merge does not already cover, so one scrape of the ops endpoint
+        spans both the workers and their supervisor.
         """
         with self._lock:
             merged = self._merged_locked()
-        chunks: list[str] = []
-        for name, entry in sorted(merged["counters"].items()):
-            chunks.append(self._render_scalar(name, entry, "counter"))
-        for name, entry in sorted(merged["gauges"].items()):
-            chunks.append(self._render_gauge(name, entry))
-        for name, entry in sorted(merged["histograms"].items()):
-            chunks.append(self._render_histogram(name, entry))
-        covered = (
-            set(merged["counters"]) | set(merged["gauges"]) | set(merged["histograms"])
-        )
+            merged["gauges"] = self._gauge_rows()
+        for kind in ("counters", "histograms"):
+            for entry in merged[kind].values():
+                entry["series"] = dict(sorted(entry["series"].items()))
         if extra is not None:
-            for metric in extra.collect():
-                if metric.name not in covered:
-                    chunks.append(metric.render())
-        return "\n".join(chunks) + ("\n" if chunks else "")
-
-    @staticmethod
-    def _render_scalar(name: str, entry: Mapping, kind: str) -> str:
-        lines = [
-            f"# HELP {name} {entry['help']}" if entry["help"] else f"# HELP {name} ",
-            f"# TYPE {name} {kind}",
-        ]
-        label_names = tuple(entry["labels"])
-        for key, value in sorted(entry["series"].items()):
-            lines.append(
-                f"{name}{_format_labels(label_names, key)} "
-                f"{_format_value(float(value))}"
-            )
-        return "\n".join(lines)
-
-    def _render_gauge(self, name: str, entry: Mapping) -> str:
-        lines = [
-            f"# HELP {name} {entry['help']}" if entry["help"] else f"# HELP {name} ",
-            f"# TYPE {name} gauge",
-        ]
-        source_labels = tuple(entry["labels"])
-        worker_already = "worker" in source_labels
-        label_names = source_labels if worker_already else ("worker",) + source_labels
-        reduce_max = name in self._gauge_max
-        reduced: dict[tuple, float] = {}
-        for key, value in sorted(entry["series"].items()):
-            worker, rest = key[0], tuple(key[1:])
-            # A series already carrying a worker label is attributed by
-            # its own label value; the snapshot's slot id would be
-            # redundant (and can disagree during a slot takeover).
-            out_key = rest if worker_already else (worker,) + rest
-            lines.append(
-                f"{name}{_format_labels(label_names, out_key)} "
-                f"{_format_value(float(value))}"
-            )
-            bare_key = tuple(
-                v for n, v in zip(source_labels, rest) if n != "worker"
-            ) if worker_already else rest
-            if reduce_max:
-                reduced[bare_key] = max(reduced.get(bare_key, float("-inf")), value)
-            else:
-                reduced[bare_key] = reduced.get(bare_key, 0.0) + value
-        bare_names = tuple(n for n in source_labels if n != "worker")
-        for key, value in sorted(reduced.items()):
-            lines.append(
-                f"{name}{_format_labels(bare_names, key)} "
-                f"{_format_value(float(value))}"
-            )
-        return "\n".join(lines)
-
-    @staticmethod
-    def _render_histogram(name: str, entry: Mapping) -> str:
-        lines = [
-            f"# HELP {name} {entry['help']}" if entry["help"] else f"# HELP {name} ",
-            f"# TYPE {name} histogram",
-        ]
-        label_names = tuple(entry["labels"])
-        buckets = tuple(entry["buckets"])
-        for key, (counts, acc, total) in sorted(entry["series"].items()):
-            cumulative = 0
-            for bound, count in zip(buckets, counts):
-                cumulative += count
-                labels = _format_labels(
-                    label_names + ("le",), tuple(key) + (_format_value(bound),)
+            taken = {name for entries in merged.values() for name in entries}
+            for kind, entries in snapshot_registry(extra).items():
+                merged[kind].update(
+                    (name, entry) for name, entry in entries.items() if name not in taken
                 )
-                lines.append(f"{name}_bucket{labels} {cumulative}")
-            labels = _format_labels(label_names + ("le",), tuple(key) + ("+Inf",))
-            lines.append(f"{name}_bucket{labels} {total}")
-            plain = _format_labels(label_names, key)
-            lines.append(f"{name}_sum{plain} {_format_value(acc)}")
-            lines.append(f"{name}_count{plain} {total}")
-        return "\n".join(lines)
+        return render_exposition(merged)

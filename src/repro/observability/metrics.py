@@ -7,15 +7,21 @@ Three metric kinds cover everything the serving stack needs to expose:
 * :class:`Gauge` — last-written values (model generation, breaker state,
   drift statistic).
 * :class:`Histogram` — fixed-bucket latency distributions with
-  cumulative Prometheus buckets plus interpolated quantile summaries
-  for human consumption (``/status``, CLI dumps).
+  cumulative Prometheus buckets.
 
 All three support a fixed set of label *names* declared at creation;
 label *values* materialise series lazily on first use.  A
-:class:`MetricsRegistry` owns a namespace of metrics, hands out
-get-or-create handles (so independently imported modules share one
-series per name), and renders the whole namespace in the Prometheus
-text exposition format (version 0.0.4) for ``GET /metrics``.
+:class:`MetricsRegistry` owns a namespace of metrics and hands out
+get-or-create handles, so independently imported modules share one
+series per name.
+
+Every exposition page is written the same way: :func:`snapshot_registry`
+copies one or more registries into a plain, picklable snapshot, and
+:func:`render_exposition` writes a snapshot in the Prometheus text
+exposition format (version 0.0.4), one :func:`render_family` per metric
+name.  The worker's ``GET /metrics``, :meth:`MetricsRegistry.render` and
+the fleet page of :mod:`repro.observability.aggregate` all go through
+these two functions; the heartbeat carries the same snapshot.
 
 Instrumentation is process-global by default (:func:`default_registry`)
 and can be disabled wholesale with :func:`set_enabled` — the benchmark
@@ -31,7 +37,7 @@ import math
 import re
 import threading
 import time
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "Counter",
@@ -44,6 +50,8 @@ __all__ = [
     "enabled",
     "set_worker_label",
     "worker_label",
+    "snapshot_registry",
+    "render_exposition",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -94,10 +102,11 @@ def set_worker_label(label: str | None) -> str | None:
 
     Supervised pool workers call this with their ``REPRO_WORKER_ID`` so
     even a direct scrape through the kernel-balanced shared socket is
-    attributable to a slot.  The label is injected at *render* time —
-    observation hot paths pay nothing — and metrics that already declare
-    a ``worker`` label are left untouched.  Single-process serving never
-    sets it, keeping existing dashboards and tests label-free.
+    attributable to a slot.  The label is injected at *render* time (the
+    ``worker`` argument of :func:`render_exposition`) — observation hot
+    paths pay nothing — and metrics that already declare a ``worker``
+    label are left untouched.  Single-process serving never sets it,
+    keeping existing dashboards and tests label-free.
 
     Returns the previous value (``None`` when unset) for restore.
     """
@@ -130,13 +139,14 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _format_labels(names: Sequence[str], values: Sequence[str]) -> str:
-    if not names:
-        return ""
+def _format_labels(names: Sequence[str], values: Sequence[str | None]) -> str:
+    """``{name="value",...}``; a ``None`` value leaves its label out."""
     pairs = ",".join(
-        f'{name}="{_escape_label_value(value)}"' for name, value in zip(names, values)
+        f'{name}="{_escape_label_value(value)}"'
+        for name, value in zip(names, values)
+        if value is not None
     )
-    return "{" + pairs + "}"
+    return "{" + pairs + "}" if pairs else ""
 
 
 class _Metric:
@@ -187,25 +197,6 @@ class _Metric:
     def _seed(self) -> None:
         """Re-create any series exposed before the first event."""
 
-    def _exposed_labels(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """``(label_names, value_prefix)`` with the process worker label
-        injected — unless unset or the metric already declares one."""
-        worker = _WORKER_LABEL
-        if worker is None or "worker" in self.label_names:
-            return self.label_names, ()
-        return ("worker",) + self.label_names, (worker,)
-
-    def render(self) -> str:
-        lines = [
-            f"# HELP {self.name} {_escape_help(self.help)}",
-            f"# TYPE {self.name} {self.kind}",
-        ]
-        lines.extend(self._sample_lines())
-        return "\n".join(lines)
-
-    def _sample_lines(self) -> Iterator[str]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
 
 class Counter(_Metric):
     """Monotonically increasing total (optionally labelled)."""
@@ -233,14 +224,6 @@ class Counter(_Metric):
         key = self._key(labels)
         with self._lock:
             return float(self._series.get(key, 0.0))
-
-    def _sample_lines(self) -> Iterator[str]:
-        names, prefix = self._exposed_labels()
-        for key, value in self.series():
-            yield (
-                f"{self.name}{_format_labels(names, prefix + key)} "
-                f"{_format_value(float(value))}"
-            )
 
 
 class Gauge(_Metric):
@@ -277,14 +260,6 @@ class Gauge(_Metric):
         key = self._key(labels)
         with self._lock:
             return float(self._series.get(key, 0.0))
-
-    def _sample_lines(self) -> Iterator[str]:
-        names, prefix = self._exposed_labels()
-        for key, value in self.series():
-            yield (
-                f"{self.name}{_format_labels(names, prefix + key)} "
-                f"{_format_value(float(value))}"
-            )
 
 
 class _HistogramState:
@@ -373,77 +348,14 @@ class Histogram(_Metric):
         return _Timer(self, labels)
 
     def snapshot(self, **labels) -> dict:
-        """JSON-ready summary: count, sum, mean and p50/p90/p99."""
+        """JSON-ready summary of one series: count, sum and mean."""
         key = self._key(labels)
         with self._lock:
             state = self._series.get(key)
             if state is None or state.count == 0:
-                return {"count": 0, "sum": 0.0, "mean": None, "quantiles": {}}
-            counts = list(state.counts)
+                return {"count": 0, "sum": 0.0, "mean": None}
             total, acc = state.count, state.sum
-        return {
-            "count": total,
-            "sum": acc,
-            "mean": acc / total,
-            "quantiles": {
-                f"p{int(q * 100)}": self._quantile_from_counts(counts, total, q)
-                for q in (0.5, 0.9, 0.99)
-            },
-        }
-
-    def quantile(self, q: float, **labels) -> float | None:
-        """Interpolated quantile estimate from the bucket counts.
-
-        Linear interpolation inside the containing bucket — the standard
-        ``histogram_quantile`` estimator.  Observations landing in the
-        ``+Inf`` bucket are reported as the largest finite bound (a
-        deliberate underestimate, as in Prometheus).  Returns ``None``
-        before the first observation.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        key = self._key(labels)
-        with self._lock:
-            state = self._series.get(key)
-            if state is None or state.count == 0:
-                return None
-            counts = list(state.counts)
-            total = state.count
-        return self._quantile_from_counts(counts, total, q)
-
-    def _quantile_from_counts(
-        self, counts: list[int], total: int, q: float
-    ) -> float:
-        rank = q * total
-        cumulative = 0.0
-        for i, count in enumerate(counts):
-            previous = cumulative
-            cumulative += count
-            if cumulative >= rank and count > 0:
-                if i >= len(self.buckets):  # +Inf bucket
-                    return self.buckets[-1]
-                lower = 0.0 if i == 0 else self.buckets[i - 1]
-                upper = self.buckets[i]
-                fraction = (rank - previous) / count if count else 0.0
-                return lower + (upper - lower) * min(max(fraction, 0.0), 1.0)
-        return self.buckets[-1]
-
-    def _sample_lines(self) -> Iterator[str]:
-        label_names, prefix = self._exposed_labels()
-        for key, state in self.series():
-            key = prefix + key
-            cumulative = 0
-            for bound, count in zip(self.buckets, state.counts):
-                cumulative += count
-                labels = _format_labels(
-                    label_names + ("le",), key + (_format_value(bound),)
-                )
-                yield f"{self.name}_bucket{labels} {cumulative}"
-            labels = _format_labels(label_names + ("le",), key + ("+Inf",))
-            yield f"{self.name}_bucket{labels} {state.count}"
-            plain = _format_labels(label_names, key)
-            yield f"{self.name}_sum{plain} {_format_value(state.sum)}"
-            yield f"{self.name}_count{plain} {state.count}"
+        return {"count": total, "sum": acc, "mean": acc / total}
 
 
 class MetricsRegistry:
@@ -532,29 +444,7 @@ class MetricsRegistry:
 
     def render(self) -> str:
         """Prometheus text exposition (version 0.0.4) of every metric."""
-        chunks = [metric.render() for metric in self.collect()]
-        return "\n".join(chunks) + ("\n" if chunks else "")
-
-    def to_dict(self) -> dict:
-        """JSON-ready dump (the ``repro metrics`` CLI fallback format)."""
-        out: dict[str, dict] = {}
-        for metric in self.collect():
-            entry: dict[str, object] = {"kind": metric.kind, "help": metric.help}
-            if isinstance(metric, Histogram):
-                entry["series"] = [
-                    {
-                        "labels": dict(zip(metric.label_names, key)),
-                        **metric.snapshot(**dict(zip(metric.label_names, key))),
-                    }
-                    for key, _ in metric.series()
-                ]
-            else:
-                entry["series"] = [
-                    {"labels": dict(zip(metric.label_names, key)), "value": value}
-                    for key, value in metric.series()
-                ]
-            out[metric.name] = entry
-        return out
+        return render_exposition(snapshot_registry(self), worker_label())
 
 
 _DEFAULT_REGISTRY = MetricsRegistry()
@@ -563,3 +453,96 @@ _DEFAULT_REGISTRY = MetricsRegistry()
 def default_registry() -> MetricsRegistry:
     """The process-global registry used by module-level instrumentation."""
     return _DEFAULT_REGISTRY
+
+
+def snapshot_registry(*registries: MetricsRegistry) -> dict:
+    """Compact, picklable snapshot of every series in ``registries``.
+
+    The first registry that declares a metric name wins it, whatever the
+    kind: a page carries each family once, and a service's own series
+    are the authoritative ones.  Shape (plain Python scalars, lists and
+    tuples)::
+
+        {
+          "counters":   {name: {"help": ..., "labels": (...),
+                                "series": {key_tuple: value}}},
+          "gauges":     {... same ...},
+          "histograms": {name: {"help": ..., "labels": (...),
+                                "buckets": (...),
+                                "series": {key_tuple: (counts, sum, count)}}},
+        }
+
+    Series appear in label-value order, which is the order
+    :func:`render_exposition` writes them in.
+    """
+    snap: dict = {"counters": {}, "gauges": {}, "histograms": {}}
+    taken: set[str] = set()
+    for registry in registries:
+        for metric in registry.collect():
+            if metric.name in taken:
+                continue
+            taken.add(metric.name)
+            entry: dict = {"help": metric.help, "labels": metric.label_names}
+            if isinstance(metric, Histogram):
+                entry["buckets"] = metric.buckets
+                entry["series"] = {
+                    key: (list(state.counts), state.sum, state.count)
+                    for key, state in metric.series()
+                }
+            else:
+                entry["series"] = {key: float(value) for key, value in metric.series()}
+            snap[metric.kind + "s"][metric.name] = entry
+    return snap
+
+
+def render_family(name: str, kind: str, entry: dict, worker: str | None = None) -> list[str]:
+    """HELP, TYPE and sample lines of one snapshot entry.
+
+    ``worker`` labels every series unless the family declares a
+    ``worker`` label of its own.  Histogram series are written as
+    cumulative ``_bucket`` lines, then ``_sum`` and ``_count``.
+    """
+    names = tuple(entry["labels"])
+    prefix: tuple = ()
+    if worker is not None and "worker" not in names:
+        names, prefix = ("worker",) + names, (worker,)
+    lines = [f"# HELP {name} {_escape_help(entry['help'])}", f"# TYPE {name} {kind}"]
+    if kind != "histogram":
+        for key, value in entry["series"].items():
+            labels = _format_labels(names, prefix + tuple(key))
+            lines.append(f"{name}{labels} {_format_value(float(value))}")
+        return lines
+    bounds = [_format_value(bound) for bound in entry["buckets"]]
+    for key, (counts, acc, total) in entry["series"].items():
+        key = prefix + tuple(key)
+        cumulative = 0
+        for bound, count in zip(bounds, counts):
+            cumulative += count
+            lines.append(
+                f"{name}_bucket{_format_labels(names + ('le',), key + (bound,))} {cumulative}"
+            )
+        lines.append(f"{name}_bucket{_format_labels(names + ('le',), key + ('+Inf',))} {total}")
+        plain = _format_labels(names, key)
+        lines.append(f"{name}_sum{plain} {_format_value(acc)}")
+        lines.append(f"{name}_count{plain} {total}")
+    return lines
+
+
+def render_exposition(snapshot: dict, worker: str | None = None) -> str:
+    """Prometheus text exposition (version 0.0.4) of a snapshot.
+
+    Families are written in name order; ``worker`` is the value
+    :func:`set_worker_label` holds (see :func:`render_family`).
+    """
+    kinds = (("counters", "counter"), ("gauges", "gauge"), ("histograms", "histogram"))
+    families = sorted(
+        (name, kind, entry)
+        for plural, kind in kinds
+        for name, entry in snapshot[plural].items()
+    )
+    lines = [
+        line
+        for name, kind, entry in families
+        for line in render_family(name, kind, entry, worker)
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")

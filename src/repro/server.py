@@ -110,7 +110,9 @@ from repro.observability import (
     default_registry,
     get_logger,
     log_event,
-    snapshot_registries,
+    render_exposition,
+    snapshot_registry,
+    worker_label,
 )
 from repro.observability.tracing import span
 from repro.persistence.artifact import load_manifest, load_model
@@ -1052,17 +1054,18 @@ class EstimatorService:
         return self._snapshots
 
     def metrics_snapshot(self) -> dict:
-        """Mergeable snapshot of this service's registries (see
+        """Snapshot of this service's registries: the page ``GET
+        /metrics`` renders and the payload each heartbeat carries (see
         :mod:`repro.observability.aggregate`).
 
         Taken under the service state lock, so the query/hit/miss
         counters are captured between requests, never mid-update — the
-        consistency the fleet aggregator's ``hits + misses == queries``
-        identity relies on.  The service registry wins metric-name
-        collisions with the process-global one, mirroring ``/metrics``.
+        ``hits + misses == queries`` identity holds in every snapshot.
+        The service registry wins metric-name collisions with the
+        process-global one.
         """
         with self._lock:
-            return snapshot_registries(self.registry, default_registry())
+            return snapshot_registry(self.registry, default_registry())
 
     @property
     def store_generation(self) -> int:
@@ -1238,29 +1241,6 @@ def _clean_request_id(raw: str | None) -> str:
     return uuid.uuid4().hex[:16]
 
 
-def _render_metrics(service: EstimatorService) -> str:
-    """Exposition text: the service registry plus (if distinct) the
-    process-global registry carrying solver/kernel instrumentation.
-
-    Families the service registry already exposes are skipped from the
-    shared registry — a family may appear once per page (one HELP/TYPE),
-    and the service's own series are the authoritative ones.
-    """
-    registry = service.registry
-    shared = default_registry()
-    if registry is shared:
-        return registry.render()
-    chunks = [registry.render().rstrip("\n")]
-    seen = set(registry.names())
-    chunks.extend(
-        metric.render()
-        for metric in shared.collect()
-        if metric.name not in seen
-    )
-    chunks = [chunk for chunk in chunks if chunk]
-    return "\n".join(chunks) + ("\n" if chunks else "")
-
-
 # Route handlers take the request handler and return the response body:
 # a JSON object, or exposition text for /metrics.
 
@@ -1316,7 +1296,10 @@ _ROUTES = {
     ("POST", "/v1/restore"): (_restore, True),
     ("GET", "/v1/status"): (lambda req: req.service.status(), False),
     ("GET", "/health"): (lambda req: req.service.health(), False),
-    ("GET", "/metrics"): (lambda req: _render_metrics(req.service), False),
+    ("GET", "/metrics"): (
+        lambda req: render_exposition(req.service.metrics_snapshot(), worker_label()),
+        False,
+    ),
 }
 
 #: Endpoint metric labels: any other path is folded into "other", so

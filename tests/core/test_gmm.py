@@ -7,6 +7,7 @@ from scipy.stats import norm
 from repro.core import GaussianMixtureHist
 from repro.geometry import Ball, Box, Halfspace, unit_box
 from repro.geometry.volume import range_volume
+from repro.observability import default_registry
 
 
 class TestComponentMasses:
@@ -91,6 +92,20 @@ class TestFitting:
         inf_train = np.max(np.abs(inf_est.predict_many(train_q) - train_s))
         l2_train = np.max(np.abs(l2_est.predict_many(train_q) - train_s))
         assert inf_train <= l2_train + 1e-6
+
+    def test_solve_goes_through_the_ladder(self, power2d_box_workload):
+        train_q, train_s, _, _ = power2d_box_workload
+        solves = default_registry().counter(
+            "repro_solve_total",
+            "Weight solves by the fallback-ladder rung that produced the answer",
+            labels=("rung",),
+        )
+        before = sum(value for _, value in solves.series())
+        est = GaussianMixtureHist(components=50, seed=0).fit(train_q, train_s)
+        assert est.solve_report_ is not None
+        assert est.solve_report_.requested == "penalty"
+        assert sum(value for _, value in solves.series()) == before + 1
+        assert solves.value(rung=est.solve_report_.rung) >= 1
 
 
 class TestDistributionSemantics:

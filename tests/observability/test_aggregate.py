@@ -16,7 +16,6 @@ from repro.observability import (
     lint_exposition,
     merge_snapshots,
     parse_exposition,
-    snapshot_registries,
     snapshot_registry,
 )
 
@@ -55,14 +54,20 @@ class TestSnapshot:
         registry.counter("repro_service_queries_total", "queries").inc(100)
         assert snap["counters"]["repro_service_queries_total"]["series"][()] == 5.0
 
-    def test_snapshot_registries_first_wins_on_collision(self):
+    def test_snapshot_registry_first_wins_on_collision(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("repro_dup_total", "a").inc(1)
         b.counter("repro_dup_total", "b").inc(9)
         b.counter("repro_only_b_total", "b").inc(4)
-        snap = snapshot_registries(a, b)
+        # The first registry wins a name whatever the kind, so a page
+        # never carries one family twice.
+        a.gauge("repro_dup", "a").set(2)
+        b.counter("repro_dup", "b").inc(5)
+        snap = snapshot_registry(a, b)
         assert snap["counters"]["repro_dup_total"]["series"][()] == 1.0
         assert snap["counters"]["repro_only_b_total"]["series"][()] == 4.0
+        assert snap["gauges"]["repro_dup"]["series"][()] == 2.0
+        assert "repro_dup" not in snap["counters"]
 
 
 class TestMergeSnapshots:
@@ -162,13 +167,19 @@ class TestFleetAggregator:
         agg.observe(
             0, 2, snapshot_registry(_registry_with_traffic(latencies=[0.05]))
         )
-        replay = snapshot_registry(
-            _registry_with_traffic(latencies=[0.005, 0.5, 0.05])
-        )
-        merged = agg.to_dict()["histograms"]["repro_latency_seconds"][0]
-        want = replay["histograms"]["repro_latency_seconds"]["series"][()]
-        assert merged["count"] == want[2]
-        assert merged["sum"] == pytest.approx(want[1])
+        replay = _registry_with_traffic(latencies=[0.005, 0.5, 0.05])
+
+        def samples(text):
+            families, _ = parse_exposition(text)
+            return {
+                (name, tuple(labels.items())): value
+                for name, labels, value, _ in families["repro_latency_seconds"]["samples"]
+            }
+
+        got, want = samples(agg.render()), samples(replay.render())
+        key = ("repro_latency_seconds_sum", ())
+        assert got.pop(key) == pytest.approx(want.pop(key))
+        assert got == want  # every bucket and the count exactly
 
     def test_gauges_get_worker_label_and_sum_reduction(self):
         agg = FleetAggregator()
@@ -213,6 +224,17 @@ class TestFleetAggregator:
         assert [
             v for _, _, v, _ in families["repro_service_queries_total"]["samples"]
         ] == [5.0]
+
+    def test_render_escapes_help_text(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_c_total", "first line\nsecond \\ line").inc()
+        registry.histogram("repro_h_seconds", "hist\nhelp").observe(0.3)
+        agg = FleetAggregator()
+        agg.observe(0, 1, snapshot_registry(registry))
+        text = agg.render()
+        assert lint_exposition(text) == []
+        assert "# HELP repro_c_total first line\\nsecond \\\\ line\n" in text
+        assert text == registry.render()  # one worker, no gauges: the same page
 
     def test_forget_keeps_retired_totals(self):
         agg = FleetAggregator()

@@ -9,7 +9,8 @@ import urllib.request
 import pytest
 
 from repro.core import QuadHist
-from repro.observability.metrics import MetricsRegistry
+from repro.observability import parse_exposition
+from repro.observability.metrics import Gauge, MetricsRegistry
 from repro.server import EstimatorService, serve
 
 _SAMPLE_RE = re.compile(
@@ -161,3 +162,46 @@ class TestMetricsOverHTTP:
             "repro_span_seconds",  # tracing bridge
         ):
             assert expected in names, f"missing {expected}"
+
+    def test_page_is_one_locked_snapshot(self, labeled_feedback):
+        """The page reads the service counters in one hold of the service
+        lock, so an estimate that lands mid-page waits for it and the
+        page keeps ``hits + misses == queries``."""
+        registry = MetricsRegistry()
+        service, _, holdout = _trained_service(
+            labeled_feedback, registry=registry, min_feedback=20
+        )
+        queries = [q for q, _ in holdout[:5]]
+        service.estimate_many(queries)
+        # The probe sorts between the cache-miss counter and the query
+        # counter.  Reading it runs one more estimate on another thread,
+        # which a page read one family at a time would split in two.
+        probe = registry.gauge("repro_probe", "runs one estimate when read")
+        estimates: list[threading.Thread] = []
+
+        def series():
+            thread = threading.Thread(target=service.estimate_many, args=(queries,))
+            thread.start()
+            thread.join(timeout=0.2)
+            estimates.append(thread)
+            return Gauge.series(probe)
+
+        probe.series = series
+        server = serve(service, port=0)
+        try:
+            body = self._scrape(server)
+        finally:
+            server.shutdown()
+        assert len(estimates) == 1
+        estimates[0].join(timeout=10.0)
+        assert not estimates[0].is_alive()
+        families, problems = parse_exposition(body)
+        assert problems == []
+
+        def value(name):
+            return sum(v for _, _, v, _ in families[name]["samples"])
+
+        assert value("repro_prediction_cache_hits_total") + value(
+            "repro_prediction_cache_misses_total"
+        ) == value("repro_service_queries_total")
+        assert registry.get("repro_service_queries_total").value() == 10

@@ -4,6 +4,7 @@ and the versioned HTTP surface."""
 from __future__ import annotations
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -220,6 +221,14 @@ def test_unversioned_estimate_is_404_other(http, workload):
     status, _, body = request("/estimate", "POST", {"query": _box_payload(test_q[0])})
     assert status == 404 and body["type"] == "NotFound"
     requests = service.registry.get("repro_http_requests_total")
+    # The handler counts a request after writing its response, so the
+    # client can hold the response first: wait for the count.
+    deadline = time.monotonic() + 5.0
+    while (
+        requests.value(method="POST", endpoint="other", status="4xx") < 1
+        and time.monotonic() < deadline
+    ):
+        time.sleep(0.001)
     assert requests.value(method="POST", endpoint="other", status="4xx") == 1
     assert requests.value(method="POST", endpoint="/v1/estimate", status="2xx") == 0
 

@@ -27,6 +27,10 @@ class TestParser:
         assert args.url is None
         args = build_parser().parse_args(["metrics", "--url", "http://x:1/metrics"])
         assert args.url == "http://x:1/metrics"
+        # The ops endpoint serves the fleet page on the same path, so
+        # --port <ops-port> is the whole of the old --aggregate flag.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["metrics", "--aggregate"])
 
     def test_generate_defaults(self):
         args = build_parser().parse_args(["generate", "--out", "w.json"])

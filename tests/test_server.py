@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -445,14 +446,19 @@ class TestObservabilityEndpoints:
             self._get_raw(server, "/nope-unknown")
         except urllib.error.HTTPError:
             pass
-        _, _, body = self._get_raw(server, "/metrics")
-        text = body.decode("utf-8")
-        assert (
-            'repro_http_requests_total{method="GET",endpoint="/health",status="2xx"}'
-            in text
-        )
+        health = 'repro_http_requests_total{method="GET",endpoint="/health",status="2xx"}'
         # Unknown paths fold into the "other" label (bounded cardinality).
-        assert 'endpoint="other",status="4xx"' in text
+        other = 'endpoint="other",status="4xx"'
+        # The handler counts a request after writing its response, so the
+        # client can hold the response first: scrape until both show.
+        deadline = time.monotonic() + 5.0
+        while True:
+            text = self._get_raw(server, "/metrics")[2].decode("utf-8")
+            if (health in text and other in text) or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert health in text
+        assert other in text
 
 
 class TestAccessLog:
