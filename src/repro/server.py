@@ -88,6 +88,7 @@ request.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import json
@@ -1245,19 +1246,26 @@ def _clean_request_id(raw: str | None) -> str:
 # a JSON object, or exposition text for /metrics.
 
 
+# The ``parse`` stage is the body read, the JSON decode and the range
+# decode.  ``range_from_dict`` is looked up by its ``repro.server`` name on
+# every call: the e2e tracer (``benchmarks/e2e/tracer.py``) wraps it there.
+
+
 def _estimate(req) -> dict:
-    query = range_from_dict(req.read_json()["query"])
+    with req.timed("parse"):
+        query = range_from_dict(req.read_json()["query"])
     value = req.coalescer.submit(query, deadline=req.deadline, stages=req.stages)
     return {"selectivity": value}
 
 
 def _predict(req) -> dict:
-    encoded = req.read_json()["queries"]
-    if not isinstance(encoded, list):
-        raise DataValidationError(
-            f"'queries' must be a list, got {type(encoded).__name__}"
-        )
-    queries = [range_from_dict(item) for item in encoded]
+    with req.timed("parse"):
+        encoded = req.read_json()["queries"]
+        if not isinstance(encoded, list):
+            raise DataValidationError(
+                f"'queries' must be a list, got {type(encoded).__name__}"
+            )
+        queries = [range_from_dict(item) for item in encoded]
     estimates = req.coalescer.submit_many(
         queries, deadline=req.deadline, stages=req.stages
     )
@@ -1265,13 +1273,16 @@ def _predict(req) -> dict:
 
 
 def _feedback(req) -> dict:
-    data = req.read_json()
-    query = range_from_dict(data["query"])
-    return req.service.feedback(query, float(data["selectivity"]))
+    with req.timed("parse"):
+        data = req.read_json()
+        query = range_from_dict(data["query"])
+        selectivity = float(data["selectivity"])
+    return req.service.feedback(query, selectivity)
 
 
 def _restore(req) -> dict:
-    artifact = req.read_json().get("path")
+    with req.timed("parse"):
+        artifact = req.read_json().get("path")
     if artifact is not None and not isinstance(artifact, str):
         raise DataValidationError(
             f"'path' must be a string, got {type(artifact).__name__}"
@@ -1326,6 +1337,15 @@ def _make_handler(
     controller (deadline budgets, bounded queue, load shedding) and a
     ``draining`` event that turns new requests away with 503 during
     graceful shutdown.  The extras are duck-typed.
+
+    Connections persist (HTTP/1.1 keep-alive) with ``TCP_NODELAY`` set:
+    the head and the body leave in two writes, and without it Nagle's
+    algorithm holds the body until the client's delayed ACK (~40 ms).  A
+    response closes its connection when the client asks, when the
+    request declared a body the handler did not read in full, whose bytes
+    would otherwise be parsed as the next request line, and while the
+    worker drains, which hands its clients back to the shared listen
+    queue.
     """
     registry = service.registry
     http_requests = registry.counter(
@@ -1338,16 +1358,29 @@ def _make_handler(
         "HTTP request handling latency in seconds",
         labels=("endpoint",),
     )
+    http_connections = registry.counter(
+        "repro_http_connections_total",
+        "HTTP connections accepted; requests per connection is "
+        "repro_http_requests_total over this",
+    )
     stage_seconds = registry.histogram(
         "repro_request_stage_seconds",
-        "Per-request latency breakdown: queue (admission wait), coalesce "
-        "(wait behind the in-flight call + siblings), kernel (estimate_many "
-        "call), total",
+        "Per-request latency breakdown: queue (admission wait), parse (body "
+        "read, JSON and range decode), coalesce (wait behind the in-flight "
+        "call + siblings), kernel (estimate_many call), write (response), "
+        "total",
         labels=("stage",),
     )
     access_logger = get_logger("http.access")
 
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True
+
+        def setup(self) -> None:
+            super().setup()
+            http_connections.inc()
+
         def log_request(self, code="-", size="-"):
             pass  # replaced by the structured access line in _guarded
 
@@ -1371,14 +1404,21 @@ def _make_handler(
             headers: dict | None = None,
         ) -> None:
             self._status_code = code
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header(REQUEST_ID_HEADER, self._request_id)
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
+            with self.timed("write"):
+                self.send_response(code)
+                self.send_header("Content-Type", content_type)
+                self.send_header("Content-Length", str(len(body)))
+                self.send_header(REQUEST_ID_HEADER, self._request_id)
+                for name, value in (headers or {}).items():
+                    self.send_header(name, value)
+                if (
+                    self.close_connection  # the client asked to close
+                    or self._unread_body
+                    or (draining is not None and draining.is_set())
+                ):
+                    self.send_header("Connection", "close")  # sets close_connection
+                self.end_headers()
+                self.wfile.write(body)
 
         def _reply(
             self, code: int, payload: dict, headers: dict | None = None
@@ -1387,12 +1427,25 @@ def _make_handler(
                 code, json.dumps(payload).encode(), "application/json", headers
             )
 
+        @contextlib.contextmanager
+        def timed(self, stage: str):
+            """Record the ``with`` body's duration as this request's ``stage``."""
+            start = time.perf_counter()
+            yield
+            self.stages[stage] = time.perf_counter() - start
+
         def read_json(self) -> dict:
+            if "Transfer-Encoding" in self.headers:
+                raise DataValidationError("send the body with a Content-Length, not chunked")
             try:
                 length = int(self.headers.get("Content-Length", 0))
             except (TypeError, ValueError) as exc:
                 raise DataValidationError(f"bad Content-Length header: {exc}") from exc
-            raw = self.rfile.read(length) or b"{}"
+            if length < 0:
+                raise DataValidationError(f"bad Content-Length header: {length}")
+            raw = self.rfile.read(length)
+            self._unread_body = len(raw) < length
+            raw = raw or b"{}"
             try:
                 payload = json.loads(raw)
             except json.JSONDecodeError as exc:
@@ -1437,11 +1490,16 @@ def _make_handler(
             Also owns the request's tracing context: generate-or-echo
             the ``X-Request-Id`` (bound to the thread so every log line
             down-stack carries it) and collect the per-stage latency
-            breakdown (queue wait here, coalesce/kernel from the
-            coalescer) into
-            ``repro_request_stage_seconds`` and the access line.
+            breakdown (queue wait here, parse in the routes,
+            coalesce/kernel from the coalescer, write in _reply_body)
+            into ``repro_request_stage_seconds`` and the access line.
             """
             self._status_code = 0
+            # Until read_json consumes it, a declared body is unread.
+            self._unread_body = (
+                "Transfer-Encoding" in self.headers
+                or self.headers.get("Content-Length", "0") != "0"
+            )
             self._request_id = _clean_request_id(
                 self.headers.get(REQUEST_ID_HEADER)
             )
@@ -1529,12 +1587,49 @@ def _make_handler(
                         },
                     )
 
-        do_GET = do_POST = _guarded
+        def _counted(self) -> None:
+            # Until _guarded has recorded it, the drain waits for this
+            # request (_Server.wait_idle).
+            with self.server.in_flight():
+                self._guarded()
+
+        do_GET = do_POST = _counted
 
     # Read by the route handlers.
     Handler.service = service
     Handler.coalescer = coalescer
     return Handler
+
+
+class _Server(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` that counts the requests it is answering.
+
+    Handler threads stay daemon threads, so ``server_close()`` joins none
+    of them: between requests a kept-alive connection's thread idles in
+    ``readline`` until its client hangs up.  A drain waits for the
+    requests instead (:meth:`wait_idle`).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._idle = threading.Condition()
+        self._in_flight = 0
+
+    @contextlib.contextmanager
+    def in_flight(self):
+        with self._idle:
+            self._in_flight += 1
+        try:
+            yield
+        finally:
+            with self._idle:
+                self._in_flight -= 1
+                self._idle.notify_all()
+
+    def wait_idle(self, timeout: float | None = None) -> bool:
+        """Block until no request is in flight; False when ``timeout`` ran out."""
+        with self._idle:
+            return self._idle.wait_for(lambda: self._in_flight == 0, timeout)
 
 
 def make_server(
@@ -1560,10 +1655,12 @@ def make_server(
     :func:`_make_handler`); without a ``coalescer`` one is built over
     ``service.estimate_many``.
 
-    The returned server is a stock ``ThreadingHTTPServer``; its
-    ``server_close()`` joins in-flight request threads (stdlib
-    ``block_on_close``), which is exactly the "stop accepting, flush
-    in-flight" half of a graceful drain.
+    The returned server is a ``ThreadingHTTPServer`` whose handler
+    threads are daemon threads, so ``server_close()`` joins none of them.
+    Its ``wait_idle(timeout)`` blocks until every request already being
+    handled has answered and been counted: after ``shutdown()`` that is
+    the "finish in-flight" half of a graceful drain
+    (:func:`repro.serving.drain_server`).
     """
     if coalescer is None:
         # Deferred: the repro.serving package imports this module.
@@ -1579,8 +1676,8 @@ def make_server(
         draining=draining,
     )
     if sock is None:
-        return ThreadingHTTPServer((host, port), handler)
-    server = ThreadingHTTPServer(sock.getsockname()[:2], handler, bind_and_activate=False)
+        return _Server((host, port), handler)
+    server = _Server(sock.getsockname()[:2], handler, bind_and_activate=False)
     server.socket.close()  # replace the unbound default with the shared one
     server.socket = sock
     server.server_address = sock.getsockname()
@@ -1604,8 +1701,9 @@ def serve(
     tests and embedded use quiet.  Keyword ``extras`` are forwarded to
     :func:`make_server` (admission controller, coalescer, default
     deadline, drain event, shared socket).  Call ``server.shutdown()`` to
-    stop accepting and ``server.server_close()`` to flush in-flight
-    requests.
+    stop accepting, ``server.wait_idle(timeout)`` to let in-flight
+    requests finish, and ``server.server_close()`` to close the listening
+    socket.
     """
     server = make_server(service, host, port, access_log, **extras)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

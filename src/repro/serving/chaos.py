@@ -12,16 +12,19 @@ What it does:
 1. pre-trains a snapshot (:mod:`repro.serving.warmup`) and boots a
    :class:`~repro.serving.Supervisor` pool over it;
 2. hammers the pool from client threads with mixed ``/v1/estimate`` and
-   ``/v1/predict`` traffic;
+   ``/v1/predict`` traffic: the even-numbered clients keep one
+   connection alive each (reconnecting after any error), the odd ones
+   open a new connection per request;
 3. SIGKILLs one random live worker every ``kill_every`` seconds;
 4. stops killing, verifies the supervisor restores the full complement
    (every worker respawned from the shared snapshot), probes the pool
    until it answers cleanly, then gracefully drains.
 
 The pass condition mirrors the PR's acceptance criterion: **zero HTTP
-5xx responses** — a killed worker may sever in-flight connections
-(counted separately as ``conn_errors``; that is the unavoidable budget
-of SIGKILL) but no request may ever receive a garbage or 5xx *answer* —
+5xx responses** — a killed worker severs its connections, both in
+flight and kept alive between requests (counted separately as
+``conn_errors``; that is the unavoidable budget of SIGKILL) but no
+request may ever receive a garbage or 5xx *answer* —
 plus full recovery and a clean drain inside the wall-clock budget.
 
 The scenario also gates the *fleet aggregation* invariants under the
@@ -36,6 +39,7 @@ reset tracking across incarnations), the final aggregate must satisfy
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import random
 import sys
@@ -56,38 +60,61 @@ from repro.serving.warmup import pretrain_snapshot, sample_query_payloads
 
 __all__ = ["run_kill_workers_scenario", "main"]
 
+_HEADERS = {"Content-Type": "application/json"}
+
 
 def _post(url: str, payload: dict, timeout: float) -> int:
+    """POST on a connection of its own (urllib sends ``Connection: close``)."""
     body = json.dumps(payload).encode()
-    request = urllib.request.Request(
-        url, data=body, headers={"Content-Type": "application/json"}
-    )
+    request = urllib.request.Request(url, data=body, headers=_HEADERS)
     with urllib.request.urlopen(request, timeout=timeout) as response:
         response.read()
         return response.status
 
 
-def _client_loop(base, payloads, stop, counts, lock, timeout):
+def _post_kept_alive(conn: http.client.HTTPConnection, path: str, payload: dict) -> int:
+    """POST on a kept-alive connection; an error closes it, so the next
+    request reconnects."""
+    try:
+        conn.request("POST", path, body=json.dumps(payload).encode(), headers=_HEADERS)
+        response = conn.getresponse()
+        response.read()
+        return response.status
+    except Exception:
+        conn.close()
+        raise
+
+
+def _client_loop(address, payloads, stop, counts, lock, timeout, keep_alive):
     rng = random.Random(threading.get_ident())
+    base = "http://{}:{}".format(*address)
+    conn = http.client.HTTPConnection(*address, timeout=timeout) if keep_alive else None
     i = 0
-    while not stop.is_set():
-        single = rng.random() < 0.5
-        if single:
-            url, payload = f"{base}/v1/estimate", {"query": payloads[i % len(payloads)]}
-        else:
-            batch = [payloads[(i + j) % len(payloads)] for j in range(4)]
-            url, payload = f"{base}/v1/predict", {"queries": batch}
-        i += rng.randrange(1, 7)
-        try:
-            status = _post(url, payload, timeout)
-            key = f"{status // 100}xx"
-        except urllib.error.HTTPError as exc:
-            key = f"{exc.code // 100}xx"
-        except (urllib.error.URLError, HTTPException, ConnectionError, OSError):
-            # Severed mid-flight by a SIGKILL — the budgeted casualty.
-            key = "conn_error"
-        with lock:
-            counts[key] += 1
+    try:
+        while not stop.is_set():
+            single = rng.random() < 0.5
+            if single:
+                path, payload = "/v1/estimate", {"query": payloads[i % len(payloads)]}
+            else:
+                batch = [payloads[(i + j) % len(payloads)] for j in range(4)]
+                path, payload = "/v1/predict", {"queries": batch}
+            i += rng.randrange(1, 7)
+            try:
+                if conn is None:
+                    status = _post(base + path, payload, timeout)
+                else:
+                    status = _post_kept_alive(conn, path, payload)
+                key = f"{status // 100}xx"
+            except urllib.error.HTTPError as exc:
+                key = f"{exc.code // 100}xx"
+            except (urllib.error.URLError, HTTPException, ConnectionError, OSError):
+                # Severed mid-flight by a SIGKILL — the budgeted casualty.
+                key = "conn_error"
+            with lock:
+                counts[key] += 1
+    finally:
+        if conn is not None:
+            conn.close()
 
 
 def run_kill_workers_scenario(
@@ -143,7 +170,7 @@ def run_kill_workers_scenario(
     counts: Counter = Counter()
     lock = threading.Lock()
     stop = threading.Event()
-    kills = 0
+    victims: set = set()  # worker processes this scenario SIGKILLed
     report: dict = {"workers": workers, "duration_s": duration_s}
     try:
         host, port = supervisor.start()
@@ -151,10 +178,13 @@ def run_kill_workers_scenario(
         threads = [
             threading.Thread(
                 target=_client_loop,
-                args=(base, payloads, stop, counts, lock, request_timeout_s),
+                args=(
+                    (host, port), payloads, stop, counts, lock,
+                    request_timeout_s, k % 2 == 0,
+                ),
                 daemon=True,
             )
-            for _ in range(clients)
+            for k in range(clients)
         ]
         for thread in threads:
             thread.start()
@@ -180,13 +210,19 @@ def run_kill_workers_scenario(
                 if live:
                     victim = rng.choice(live)
                     victim.process.kill()  # SIGKILL: no drain, no goodbye
-                    kills += 1
+                    victims.add(victim.process)
 
-        # Kill storm over: the pool must return to full complement.
+        # Kill storm over: the pool must return to full complement.  A
+        # worker SIGKILLed a moment ago can still read as alive, so every
+        # slot must hold a live process this scenario did not kill.
+        def full_complement() -> bool:
+            processes = [slot.process for slot in supervisor._slots]
+            return all(p is not None and p not in victims and p.is_alive() for p in processes)
+
         recovery_deadline = time.monotonic() + recovery_budget_s
         recovered = False
         while time.monotonic() < recovery_deadline:
-            if supervisor.status()["alive"] == workers:
+            if full_complement():
                 recovered = True
                 break
             time.sleep(0.1)
@@ -238,7 +274,7 @@ def run_kill_workers_scenario(
         http_5xx = sum(v for k, v in counts.items() if k == "5xx")
         report.update(
             {
-                "kills": kills,
+                "kills": len(victims),
                 "responses": dict(counts),
                 "total_requests": total,
                 "http_5xx": http_5xx,

@@ -13,9 +13,16 @@ Lifecycle of one worker::
 
     fork → service_factory() (restore from snapshot store, 33-275×
     cheaper than fit) → accept loop + heartbeat thread + generation
-    reloader → SIGTERM → draining flag (new requests get 503) → stop
-    accepting → join in-flight request threads → best-effort snapshot →
-    exit 0
+    reloader → SIGTERM → draining flag (new requests get 503 and
+    ``Connection: close``) → stop accepting → wait, at most
+    ``drain_timeout_s``, for in-flight requests to answer and be counted
+    → best-effort snapshot → final heartbeat → exit 0
+
+Connections are kept alive between requests.  Their idle handler
+threads are daemon threads: they hold neither the drain nor the exit.
+A client whose connection the drain closes, or a SIGKILL severs,
+reaches a sibling on its next connection through the shared listen
+queue.
 
 SIGKILL (crash, OOM, chaos) skips everything after "accept loop"; the
 supervisor notices the silent heartbeat / dead process and respawns —
@@ -96,22 +103,31 @@ class GenerationReloader(threading.Thread):
             self.poll_once()
 
 
-def drain_server(server, service: EstimatorService | None = None) -> None:
-    """Graceful drain: stop accepting, flush in-flight, snapshot.
+def drain_server(
+    server, service: EstimatorService | None = None, timeout: float | None = None
+) -> bool:
+    """Graceful drain: stop accepting, finish in-flight requests, snapshot.
 
-    ``server.shutdown()`` exits the accept loop; ``server_close()`` joins
-    every in-flight request thread (stdlib ``block_on_close``) and closes
-    this process's handle on the listening socket.  The final snapshot is
-    best-effort — an untrained or persistence-less service drains without
-    one.
+    ``server.shutdown()`` exits the accept loop.  ``server.wait_idle``
+    then waits, at most ``timeout`` seconds (``None``: no bound), until
+    every request already being handled has answered and been counted in
+    the metrics; ``server_close()`` closes this process's handle on the
+    listening socket.  Kept-alive connections idling between requests are
+    not waited for.  The final snapshot is best-effort — an untrained or
+    persistence-less service drains without one.  Returns False when
+    ``timeout`` ran out with requests still in flight.
     """
     server.shutdown()
+    idle = server.wait_idle(timeout)
+    if not idle:
+        log_event(_log, "drain_timeout", level=logging.WARNING, timeout_s=timeout)
     server.server_close()
     if service is not None and service.snapshot_store is not None:
         try:
             service.snapshot()
         except Exception:
             pass  # nothing trained yet, or the store is gone — still drain
+    return idle
 
 
 def worker_main(
@@ -243,7 +259,7 @@ def worker_main(
     stop.wait()
 
     draining.set()  # new requests on open connections get 503
-    drain_server(server, service)
+    drain_server(server, service, timeout=config.drain_timeout_s)
     if reloader is not None:
         reloader.stop()
     _send("stopped")

@@ -1,0 +1,234 @@
+"""Persistent HTTP/1.1 connections: reuse, TCP_NODELAY, and the
+responses that must close their connection."""
+
+import contextlib
+import http.client
+import json
+import statistics
+import threading
+import time
+import urllib.request
+from types import SimpleNamespace
+
+import pytest
+
+from repro.core import QuadHist
+from repro.data.io import range_to_dict
+from repro.observability import MetricsRegistry
+from repro.robustness.errors import DeadlineExceededError, OverloadedError
+from repro.server import DEADLINE_HEADER, EstimatorService, serve
+
+_JSON = {"Content-Type": "application/json"}
+
+
+class _ArmedAdmission:
+    """Admits every request, except that an armed error is raised once."""
+
+    def __init__(self):
+        self.error = None
+
+    @contextlib.contextmanager
+    def admit(self, deadline=None):
+        error, self.error = self.error, None
+        if error is not None:
+            raise error
+        yield self
+
+
+@pytest.fixture
+def served(power2d_box_workload, tmp_path):
+    """A trained service behind ``serve()`` with a drain flag and an
+    armable admission controller."""
+    train_q, train_s, _, _ = power2d_box_workload
+    feedback = list(zip(train_q, train_s))
+    service = EstimatorService(
+        lambda: QuadHist(tau=0.02),
+        min_feedback=20,
+        incremental_updates=True,
+        snapshot_dir=str(tmp_path),
+        registry=MetricsRegistry(),
+    )
+    for query, label in feedback[:40]:
+        service.feedback(query, label)
+    service.retrain()
+    draining = threading.Event()
+    admission = _ArmedAdmission()
+    server = serve(service, port=0, draining=draining, admission=admission)
+    yield SimpleNamespace(
+        server=server,
+        service=service,
+        feedback=feedback,
+        draining=draining,
+        admission=admission,
+        address=server.server_address[:2],
+    )
+    server.shutdown()
+    server.server_close()
+
+
+def _estimate_body(query) -> bytes:
+    return json.dumps({"query": range_to_dict(query)}).encode()
+
+
+def _exchange(conn, method, path, body=None, headers=None, **kwargs):
+    conn.request(method, path, body=body, headers={**_JSON, **(headers or {})}, **kwargs)
+    response = conn.getresponse()
+    return response.status, response.read(), response
+
+
+def _connections(service) -> float:
+    return service.registry.get("repro_http_connections_total").value()
+
+
+# Each case sends one request whose body the handler does not read in
+# full (or that reaches a draining worker) and returns the status it
+# must get.  Without ``Connection: close`` on that response, the unread
+# bytes would be parsed as the next request line.
+
+
+def _not_found(conn, s):
+    return _exchange(conn, "POST", "/v1/nope", _estimate_body(s.feedback[0][0])), 404
+
+
+def _draining(conn, s):
+    s.draining.set()
+    try:
+        return _exchange(conn, "POST", "/v1/estimate", _estimate_body(s.feedback[0][0])), 503
+    finally:
+        s.draining.clear()
+
+
+def _bad_deadline(conn, s):
+    body = _estimate_body(s.feedback[0][0])
+    return _exchange(conn, "POST", "/v1/estimate", body, {DEADLINE_HEADER: "soon"}), 400
+
+
+def _expired_deadline(conn, s):
+    body = _estimate_body(s.feedback[0][0])
+    return _exchange(conn, "POST", "/v1/estimate", body, {DEADLINE_HEADER: "0"}), 504
+
+
+def _shed(conn, s):
+    s.admission.error = OverloadedError("queue full", retry_after=1.0)
+    return _exchange(conn, "POST", "/v1/estimate", _estimate_body(s.feedback[0][0])), 429
+
+
+def _queue_deadline(conn, s):
+    s.admission.error = DeadlineExceededError("deadline expired while queued")
+    return _exchange(conn, "POST", "/v1/estimate", _estimate_body(s.feedback[0][0])), 504
+
+
+def _bad_content_length(conn, s):
+    body = _estimate_body(s.feedback[0][0])
+    return _exchange(conn, "POST", "/v1/estimate", body, {"Content-Length": "many"}), 400
+
+
+def _negative_content_length(conn, s):
+    body = _estimate_body(s.feedback[0][0])
+    return _exchange(conn, "POST", "/v1/estimate", body, {"Content-Length": "-1"}), 400
+
+
+def _chunked(conn, s):
+    body = iter([_estimate_body(s.feedback[0][0])])
+    return _exchange(conn, "POST", "/v1/estimate", body, encode_chunked=True), 400
+
+
+def _retrain(conn, s):
+    return _exchange(conn, "POST", "/v1/retrain", b'{"ignored": true}'), 200
+
+
+def _update(conn, s):
+    for query, label in s.feedback[40:50]:
+        s.service.feedback(query, label)
+    return _exchange(conn, "POST", "/v1/update", b'{"ignored": true}'), 200
+
+
+def _snapshot(conn, s):
+    return _exchange(conn, "POST", "/v1/snapshot", b'{"ignored": true}'), 200
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _not_found,
+        _draining,
+        _bad_deadline,
+        _expired_deadline,
+        _shed,
+        _queue_deadline,
+        _bad_content_length,
+        _negative_content_length,
+        _chunked,
+        _retrain,
+        _update,
+        _snapshot,
+    ],
+    ids=lambda case: case.__name__.strip("_"),
+)
+def test_unread_body_closes_the_connection(served, case):
+    conn = http.client.HTTPConnection(*served.address, timeout=5.0)
+    try:
+        (status, body, response), expected = case(conn, served)
+        assert status == expected, body
+        assert response.getheader("Connection") == "close"
+
+        # The next request on the same client connection reconnects and
+        # gets its own answer, not a parse of the leftover bytes.
+        query = served.feedback[60][0]
+        status, body, _ = _exchange(conn, "POST", "/v1/estimate", _estimate_body(query))
+        assert status == 200, body
+        assert json.loads(body)["selectivity"] == served.service.estimate_many([query])[0]
+    finally:
+        conn.close()
+
+
+def test_one_connection_serves_many_requests(served):
+    """50 estimates on one client connection open one server connection,
+    and TCP_NODELAY keeps each round trip far below the ~40 ms a
+    delayed ACK would add to a response sent in two writes."""
+    before = _connections(served.service)
+    conn = http.client.HTTPConnection(*served.address, timeout=5.0)
+    round_trips = []
+    try:
+        for query, _ in served.feedback[:50]:
+            start = time.perf_counter()
+            status, body, response = _exchange(
+                conn, "POST", "/v1/estimate", _estimate_body(query)
+            )
+            round_trips.append(time.perf_counter() - start)
+            assert status == 200, body
+            assert response.getheader("Connection") is None
+    finally:
+        conn.close()
+    assert _connections(served.service) - before == 1
+    assert statistics.median(round_trips) < 0.020
+
+
+def test_connection_close_clients_get_a_connection_each(served):
+    host, port = served.address
+    before = _connections(served.service)
+    for query, _ in served.feedback[:3]:
+        request = urllib.request.Request(
+            f"http://{host}:{port}/v1/estimate", data=_estimate_body(query), headers=_JSON
+        )
+        with urllib.request.urlopen(request, timeout=5.0) as response:
+            assert response.status == 200
+            assert response.headers["Connection"] == "close"
+            response.read()
+    assert _connections(served.service) - before == 3
+
+
+def test_chunked_body_is_rejected_not_ignored(served):
+    """A chunked body was read as ``{}``: a restore naming a missing
+    artifact installed the latest snapshot instead."""
+    conn = http.client.HTTPConnection(*served.address, timeout=5.0)
+    try:
+        body = iter([json.dumps({"path": "/no/such/artifact.rma"}).encode()])
+        status, body, response = _exchange(
+            conn, "POST", "/v1/restore", body, encode_chunked=True
+        )
+    finally:
+        conn.close()
+    assert status == 400, body
+    assert json.loads(body)["type"] == "DataValidationError"
+    assert response.getheader("Connection") == "close"

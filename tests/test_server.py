@@ -580,10 +580,12 @@ class TestRequestTracing:
         assert len(access) == 1
         assert access[0]["request_id"] == "staged-1"
         stages = access[0]["stages"]
-        # No admission controller here, so no queue stage; the coalesce,
-        # kernel and total decomposition must still be present and ordered.
-        assert set(stages) == {"coalesce", "kernel", "total"}
-        assert 0.0 <= stages["coalesce"] + stages["kernel"] <= stages["total"]
+        # No admission controller here, so no queue stage; the parse,
+        # coalesce, kernel, write and total decomposition must still be
+        # present and ordered.
+        assert set(stages) == {"parse", "coalesce", "kernel", "write", "total"}
+        parts = stages["parse"] + stages["coalesce"] + stages["kernel"] + stages["write"]
+        assert 0.0 <= parts <= stages["total"]
 
     def test_stage_histogram_skips_probes_and_stays_unlabelled(
         self, labeled_feedback
