@@ -20,7 +20,9 @@ the share of rows the rule sent sparse (read from
 ``repro_sparse_calls_total``), and the max absolute prediction
 difference (acceptance: ``<= 1e-12``).  A second section times the
 Eq. (8) design-matrix build that dominates ISOMER / arrangement-ERM
-fits, with and without the index, on the same bucket sets.
+fits, with and without the index, on the same bucket sets; those
+matrices must be bitwise equal (acceptance: max difference ``0``).  The
+script exits non-zero when either acceptance fails.
 
 A third section measures the per-unit costs the rule's constants in
 :mod:`repro.geometry.sparse` come from: dense kernel ns per entry per
@@ -320,6 +322,26 @@ def run(config: dict) -> dict:
     }
 
 
+#: Acceptance: sparse and dense predictions differ only in summation order.
+PREDICT_TOL = 1e-12
+
+
+def failures(result: dict) -> list[str]:
+    """The acceptance checks ``result`` fails, as messages."""
+    found = []
+    if not result["max_abs_diff"] <= PREDICT_TOL:
+        found.append(
+            f"sparse-vs-dense prediction diff {result['max_abs_diff']:.2e} > {PREDICT_TOL:g}"
+        )
+    for point in result["design_matrix"]:
+        if point["max_abs_diff"] != 0.0:
+            found.append(
+                f"design matrix at {point['leaves']} leaves differs from dense by "
+                f"{point['max_abs_diff']:.2e} (must be bitwise equal)"
+            )
+    return found
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -346,6 +368,9 @@ def main() -> None:
     print(f"max sparse-vs-dense prediction diff: {result['max_abs_diff']:.2e}")
     print(f"calibration: {json.dumps(result['calibration'])}")
     print(f"wrote {args.output}")
+    problems = failures(result)
+    if problems:
+        raise SystemExit("FAILED: " + "; ".join(problems))
 
 
 if __name__ == "__main__":

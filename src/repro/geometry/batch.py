@@ -26,8 +26,9 @@ Families:
 * **halfspace** — the ``2^d`` inclusion–exclusion identity (closed
   trapezoid form in 2-D), with (near-)zero normal components projected
   out; queries are grouped by that active pattern;
-* **ball** — exact circular-segment areas for d ≤ 2, the fixed Sobol
-  point set of the scalar path above.
+* **ball** — the scalar path's decision tree (empty, contained,
+  boundary); boundary pairs get exact circular-segment areas in 2-D and
+  the fixed Sobol point set of the scalar path above.
 
 Peak memory is bounded: the dense path processes queries in chunks whose
 temporaries hold at most :data:`CHUNK_ELEMENTS` float64 elements.
@@ -207,11 +208,13 @@ def _unit_cube_fraction(coeffs: list, threshold) -> np.ndarray:
 def ball_volume(q, b) -> np.ndarray:
     """``Vol(B ∩ ball)`` for balls ``q = (centers, radii)``.
 
-    Exact for d ≤ 2 (interval overlap; quadrant decomposition of the
-    disc); above, the decision tree of
-    :func:`repro.geometry.volume.box_ball_intersection_volume`: empty
-    overlap, full containment, else the fixed Sobol point set scaled into
-    the box clipped to the ball's bounding box.
+    Exact interval overlap in 1-D.  Above, the decision tree of
+    :func:`repro.geometry.volume.box_ball_intersection_volume`: a box off
+    the ball's bounding box is 0, a box whose farthest corner is inside
+    the ball is its volume, and only the remaining boundary pairs are
+    gathered and evaluated — by the exact circular-segment area in 2-D
+    (:func:`_disc_rect_area`), by the fixed Sobol point set scaled into
+    the box clipped to the ball's bounding box above.
     """
     centers, radii = q
     b_lows, b_highs, b_volumes = b
@@ -226,18 +229,6 @@ def ball_volume(q, b) -> np.ndarray:
     empty = clip_lows[0] > clip_highs[0]
     for k in range(1, d):
         empty = empty | (clip_lows[k] > clip_highs[k])
-    if d == 2:
-        x0 = b_lows[0] - centers[0]
-        y0 = b_lows[1] - centers[1]
-        x1 = b_highs[0] - centers[0]
-        y1 = b_highs[1] - centers[1]
-        area = (
-            _disc_quadrant_area(x1, y1, radii)
-            - _disc_quadrant_area(x0, y1, radii)
-            - _disc_quadrant_area(x1, y0, radii)
-            + _disc_quadrant_area(x0, y0, radii)
-        )
-        return np.where(empty, 0.0, np.maximum(area, 0.0))
     corner = None
     for k in range(d):
         reach = np.maximum(np.abs(b_lows[k] - centers[k]), np.abs(b_highs[k] - centers[k]))
@@ -250,16 +241,20 @@ def ball_volume(q, b) -> np.ndarray:
         def flat(values):
             return np.broadcast_to(values, out.shape).ravel()[pending]
 
-        np.put(
-            out,
-            pending,
-            _qmc_volumes(
-                [flat(v) for v in clip_lows],
-                [flat(v) for v in clip_highs],
-                [flat(centers[k]) for k in range(d)],
+        c = [flat(centers[k]) for k in range(d)]
+        if d == 2:
+            values = _disc_rect_area(
+                flat(b_lows[0]) - c[0],
+                flat(b_lows[1]) - c[1],
+                flat(b_highs[0]) - c[0],
+                flat(b_highs[1]) - c[1],
                 flat(radii),
-            ),
-        )
+            )
+        else:
+            values = _qmc_volumes(
+                [flat(v) for v in clip_lows], [flat(v) for v in clip_highs], c, flat(radii)
+            )
+        np.put(out, pending, values)
     return out
 
 
@@ -284,45 +279,72 @@ def _qmc_volumes(lows: list, highs: list, centers: list, radii) -> np.ndarray:
     return out
 
 
-def _disc_quadrant_area(x, y, radius) -> np.ndarray:
-    """Area of ``{(X, Y): X^2+Y^2 <= r^2, X <= x, Y <= y}`` elementwise.
+def _disc_rect_area(x0, y0, x1, y1, r) -> np.ndarray:
+    """Area of ``[x0, x1] × [y0, y1]`` ∩ the disc of radius ``r`` at 0.
 
-    Vectorised form of :func:`repro.geometry.volume._disc_quadrant_area`
-    over broadcastable ``x``, ``y`` and ``radius``.
+    The quadrant inclusion–exclusion of
+    :func:`repro.geometry.volume._rect_disc_area_2d` over flat arrays, in
+    the scalar quadrant's operation order.  ``G``, the antiderivative of
+    ``sqrt(r² - X²)``, is evaluated once per distinct point: at ``-r``, at
+    each clipped x edge and at the two band ends of each corner.
     """
-    x, y, r = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(radius, dtype=float)
-    )
+    r2 = r * r
     r_safe = np.where(r > 0.0, r, 1.0)
-    xc = np.minimum(x, r)
 
-    def g_anti(t: np.ndarray) -> np.ndarray:
+    def antiderivative(t):
         t = np.clip(t, -r, r)
-        return 0.5 * (t * np.sqrt(np.maximum(r * r - t * t, 0.0)) + r * r * np.arcsin(t / r_safe))
+        return 0.5 * (t * np.sqrt(np.maximum(r2 - t * t, 0.0)) + r2 * np.arcsin(t / r_safe))
 
-    def g_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.where(b > a, g_anti(b) - g_anti(a), 0.0)
+    def integral(a, b, g_a, g_b):
+        """Integral of sqrt(r² - X²) over [a, b] (0 when b <= a)."""
+        return np.where(b > a, g_b - g_a, 0.0)
 
     a = -r
-    b = xc
-    # Branch 1: y >= r -> full vertical extent.
-    full = 2.0 * g_int(a, b)
-    # Branch 2: y in (-r, r).
-    y_clip = np.clip(y, -r, r)
-    x_star = np.sqrt(np.maximum(r * r - y_clip * y_clip, 0.0))
-    lo = np.minimum(np.maximum(a, -x_star), b)
-    hi = np.maximum(np.minimum(b, x_star), a)
-    has_band = hi > lo
-    pos_area = g_int(a, b) + np.where(
-        has_band,
-        y_clip * (hi - lo) + g_int(a, lo) + g_int(hi, b),
-        g_int(a, b),
+    g_a = antiderivative(a)
+
+    def edge(x):
+        """An x edge, the edge clipped at r, G there, and the integral of
+        the disc's columns left of it."""
+        b = np.minimum(x, r)
+        g_b = antiderivative(b)
+        return x, b, g_b, integral(a, b, g_a, g_b)
+
+    def chord(y):
+        """A y edge, the edge clipped into [-r, r], and the half-width of
+        the disc's chord there."""
+        y_clip = np.clip(y, -r, r)
+        return y, y_clip, np.sqrt(np.maximum(r2 - y_clip * y_clip, 0.0))
+
+    def quadrant(x_edge, y_chord):
+        """Area of ``{X² + Y² <= r², X <= x, Y <= y}``."""
+        x, b, g_b, whole = x_edge
+        y, y_clip, x_star = y_chord
+        # The columns reaching above y, (-x*, x*), clamped into [a, b].
+        lo = np.minimum(np.maximum(a, -x_star), b)
+        hi = np.maximum(np.minimum(b, x_star), a)
+        g_lo = antiderivative(lo)
+        g_hi = antiderivative(hi)
+        has_band = hi > lo
+        pos_area = whole + np.where(
+            has_band,
+            y_clip * (hi - lo) + integral(a, lo, g_a, g_lo) + integral(hi, b, g_hi, g_b),
+            whole,
+        )
+        neg_area = np.where(has_band, y_clip * (hi - lo) + integral(lo, hi, g_lo, g_hi), 0.0)
+        partial_area = np.where(y_clip >= 0.0, pos_area, neg_area)
+        area = np.where(y >= r, 2.0 * whole, partial_area)
+        dead = (x <= -r) | (y <= -r) | (r <= 0.0)
+        return np.where(dead, 0.0, np.maximum(area, 0.0))
+
+    left, right = edge(x0), edge(x1)
+    bottom, top = chord(y0), chord(y1)
+    area = (
+        quadrant(right, top)
+        - quadrant(left, top)
+        - quadrant(right, bottom)
+        + quadrant(left, bottom)
     )
-    neg_area = np.where(has_band, y_clip * (hi - lo) + g_int(lo, hi), 0.0)
-    partial_area = np.where(y_clip >= 0.0, pos_area, neg_area)
-    area = np.where(y >= r, full, partial_area)
-    dead = (x <= -r) | (y <= -r) | (r <= 0.0)
-    return np.where(dead, 0.0, np.maximum(area, 0.0))
+    return np.maximum(area, 0.0)
 
 
 def box_contains(q, b) -> np.ndarray:

@@ -93,6 +93,7 @@ import copy
 import functools
 import json
 import logging
+import socket
 import threading
 import time
 import uuid
@@ -1232,6 +1233,16 @@ _REQUEST_ID_MAX_LEN = 128
 
 _EXPOSITION_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: Seconds a kept-alive connection may sit idle before the worker closes
+#: it and frees its handler thread; longer than any gap a client leaves
+#: on a connection it means to reuse.
+IDLE_TIMEOUT_S = 30.0
+
+#: Bound, in seconds, on the staged close of a connection: after the last
+#: response the server reads and discards input until the client's EOF
+#: (:meth:`_Server.shutdown_request`).
+CLOSE_LINGER_S = 1.0
+
 
 def _clean_request_id(raw: str | None) -> str:
     """Echo the caller's id (sanitised) or mint a fresh one."""
@@ -1345,7 +1356,7 @@ def _make_handler(
     request declared a body the handler did not read in full, whose bytes
     would otherwise be parsed as the next request line, and while the
     worker drains, which hands its clients back to the shared listen
-    queue.
+    queue.  A connection idle for :data:`IDLE_TIMEOUT_S` is closed too.
     """
     registry = service.registry
     http_requests = registry.counter(
@@ -1376,6 +1387,7 @@ def _make_handler(
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         disable_nagle_algorithm = True
+        timeout = IDLE_TIMEOUT_S
 
         def setup(self) -> None:
             super().setup()
@@ -1606,8 +1618,8 @@ class _Server(ThreadingHTTPServer):
 
     Handler threads stay daemon threads, so ``server_close()`` joins none
     of them: between requests a kept-alive connection's thread idles in
-    ``readline`` until its client hangs up.  A drain waits for the
-    requests instead (:meth:`wait_idle`).
+    ``readline`` until its client hangs up or :data:`IDLE_TIMEOUT_S`
+    passes.  A drain waits for the requests instead (:meth:`wait_idle`).
     """
 
     def __init__(self, *args, **kwargs):
@@ -1630,6 +1642,32 @@ class _Server(ThreadingHTTPServer):
         """Block until no request is in flight; False when ``timeout`` ran out."""
         with self._idle:
             return self._idle.wait_for(lambda: self._in_flight == 0, timeout)
+
+    def shutdown_request(self, request) -> None:
+        """Close a connection in stages (RFC 9112 §9.6).
+
+        The inherited half-close (``SHUT_WR``) lets the client read the
+        whole response and then EOF.  Input the handler left unread, such
+        as a refused request's body the client is still sending, is then
+        read and discarded until the client's EOF, for at most
+        :data:`CLOSE_LINGER_S`: closing with unread input resets the
+        connection, and the client's next write or read fails before it
+        sees the response.
+        """
+        try:
+            request.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # the client already reset the connection
+        else:
+            deadline = time.monotonic() + CLOSE_LINGER_S
+            try:
+                while (left := deadline - time.monotonic()) > 0:
+                    request.settimeout(left)
+                    if not request.recv(65536):
+                        break
+            except OSError:
+                pass  # timed out, or reset
+        self.close_request(request)
 
 
 def make_server(

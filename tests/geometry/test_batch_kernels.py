@@ -11,13 +11,17 @@ import pytest
 
 import repro.geometry.batch as batch
 from repro.geometry import Ball, Box, Halfspace, unit_box
+from repro.geometry import sparse as sparse_mod
 from repro.geometry.batch import (
     boxes_to_arrays,
     containment_matrix,
     coverage_dot,
     coverage_matrix,
+    fractions,
     intersection_volume_matrix,
 )
+from repro.geometry.index import UniformGridIndex
+from repro.geometry.sparse import sparse_intersection_volume_matrix
 from repro.geometry.volume import (
     box_halfspace_intersection_volume,
     intersection_volume,
@@ -108,6 +112,51 @@ class TestBallKernel:
         ]
         matrix = intersection_volume_matrix(queries, b_lows, b_highs)
         _assert_rows_match(queries, b_lows, b_highs, matrix)
+
+    @pytest.mark.parametrize(
+        "volume_matrix",
+        [intersection_volume_matrix, sparse_intersection_volume_matrix],
+        ids=["dense", "sparse"],
+    )
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_empty_and_contained_pairs_take_scalar_branches(
+        self, rng, monkeypatch, d, volume_matrix
+    ):
+        """A bucket off the ball's bounding box reads 0 and a bucket inside
+        the ball its own volume, bitwise, on both paths: the circular-segment
+        formula cancels on a contained bucket (a 1e-4 bucket inside a
+        radius-0.9 disc read 0.99999999392 of its volume)."""
+        b_lows = rng.random((200, d)) * 0.9
+        b_highs = b_lows + 10.0 ** rng.uniform(-5.0, -1.0, size=(200, d))
+        b_lows = np.vstack([b_lows, np.full(d, 0.5)])
+        b_highs = np.vstack([b_highs, np.full(d, 0.5001)])
+        volumes = np.prod(b_highs - b_lows, axis=1)
+        balls = [
+            Ball(center, float(radius))
+            for center, radius in zip(rng.random((40, d)), rng.uniform(0.05, 0.8, 40))
+        ]
+        balls.append(Ball(np.full(d, 0.5), 0.9))
+        if volume_matrix is sparse_intersection_volume_matrix:
+            monkeypatch.setattr(
+                sparse_mod, "_sparse_rows", lambda n, dense_ns, sparse_ns: np.ones(n, dtype=bool)
+            )
+            matrix = volume_matrix(balls, UniformGridIndex(b_lows, b_highs), volumes)
+        else:
+            matrix = volume_matrix(balls, b_lows, b_highs, volumes)
+
+        checked = 0
+        for i, ball in enumerate(balls):
+            c, r = ball.ball_center, ball.radius
+            empty = np.any(np.maximum(b_lows, c - r) > np.minimum(b_highs, c + r), axis=1)
+            reach = np.maximum(np.abs(b_lows - c), np.abs(b_highs - c))
+            contained = ~empty & (np.sum(reach**2, axis=1) <= r**2 + 1e-15)
+            np.testing.assert_array_equal(matrix[i, empty], 0.0)
+            np.testing.assert_array_equal(matrix[i, contained], volumes[contained])
+            for j in np.flatnonzero(empty | contained):
+                assert matrix[i, j] == intersection_volume(Box(b_lows[j], b_highs[j]), ball)
+            checked += int(contained.sum())
+        assert checked > 100
+        assert fractions(matrix, volumes)[-1, -1] == 1.0
 
 
 class TestDispatcherAndChunking:

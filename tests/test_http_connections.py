@@ -4,6 +4,7 @@ responses that must close their connection."""
 import contextlib
 import http.client
 import json
+import socket
 import statistics
 import threading
 import time
@@ -12,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.server as server_module
 from repro.core import QuadHist
 from repro.data.io import range_to_dict
 from repro.observability import MetricsRegistry
@@ -232,3 +234,66 @@ def test_chunked_body_is_rejected_not_ignored(served):
     assert status == 400, body
     assert json.loads(body)["type"] == "DataValidationError"
     assert response.getheader("Connection") == "close"
+
+
+def _read_response(sock) -> tuple[int, bytes]:
+    """Read one response with a Content-Length body from a raw socket."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed before the response head"
+        data += chunk
+    head, body = data.split(b"\r\n\r\n", 1)
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    while len(body) < int(headers["Content-Length"]):
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed inside the response body"
+        body += chunk
+    return int(lines[0].split()[1]), body
+
+
+def test_refused_body_can_still_be_sent_after_the_response(served):
+    """The server answers a chunked request from its head and closes in
+    stages: it reads and discards the body the client is still streaming,
+    so those writes succeed instead of meeting a reset."""
+    with socket.create_connection(served.address, timeout=5.0) as sock:
+        sock.sendall(
+            b"POST /v1/estimate HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n"
+        )
+        status, body = _read_response(sock)
+        assert status == 400, body
+        assert json.loads(body)["type"] == "DataValidationError"
+        chunk = _estimate_body(served.feedback[0][0])
+        sock.sendall(b"%x\r\n%s\r\n" % (len(chunk), chunk))
+        time.sleep(0.05)  # a closed socket answers the first write with a reset
+        sock.sendall(b"0\r\n\r\n")
+        assert sock.recv(1) == b""  # the server's half-close, after the response
+
+
+def test_idle_connection_is_closed(served, monkeypatch):
+    """A kept-alive connection idle past IDLE_TIMEOUT_S is closed by the
+    server, and its handler thread exits."""
+    monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(server_module, "CLOSE_LINGER_S", 0.2)
+    server = serve(served.service, port=0)
+    try:
+        before = set(threading.enumerate())
+        with socket.create_connection(server.server_address[:2], timeout=5.0) as sock:
+            sock.sendall(b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n")
+            status, _ = _read_response(sock)
+            assert status == 200
+            (handler,) = [
+                t
+                for t in set(threading.enumerate()) - before
+                if "process_request_thread" in t.name
+            ]
+            time.sleep(0.6)
+            sock.settimeout(0.5)
+            assert sock.recv(1) == b""  # closed, not merely silent
+            handler.join(timeout=0.5)
+            assert not handler.is_alive()
+    finally:
+        server.shutdown()
+        server.server_close()
