@@ -148,6 +148,12 @@ def halfspace_volume(q, b, active: tuple[int, ...]) -> np.ndarray:
     identity is ill-conditioned in a tiny coefficient.  The box is mapped
     onto the unit cube and negative coefficients are flipped, as in
     :func:`repro.geometry.volume.box_halfspace_intersection_volume`.
+
+    Then the decision tree of the closed forms: a pair whose threshold is
+    at most 0 is its bucket volume, one whose threshold reaches the
+    coefficient total is 0, and only the remaining boundary pairs are
+    gathered into the closed form, which returns exactly those values on
+    the first two branches.
     """
     normals, offsets = q
     b_lows, b_highs, b_volumes = b
@@ -163,12 +169,34 @@ def halfspace_volume(q, b, active: tuple[int, ...]) -> np.ndarray:
         flipped = flipped + np.minimum(c, 0.0)
     threshold = threshold - flipped
     coeffs = [np.abs(c) for c in coeffs]
-    if len(coeffs) == 2:
-        # Cancellation-free closed form, shared with the scalar kernel.
-        below = _unit_square_halfspace_fraction(coeffs[0], coeffs[1], threshold)
-    else:
-        below = _unit_cube_fraction(coeffs, threshold)
-    return np.maximum(b_volumes * (1.0 - below), 0.0)
+    if len(coeffs) != 2:
+        # Inclusion–exclusion divides by the coefficients' product.
+        # Residual zeros only come from zero-width boxes (volume factor 0).
+        largest = coeffs[0]
+        for c in coeffs[1:]:
+            largest = np.maximum(largest, c)
+        eps = 1e-12 * np.maximum(1.0, largest)
+        coeffs = [np.maximum(c, eps) for c in coeffs]
+    total = coeffs[0]
+    for c in coeffs[1:]:
+        total = total + c
+    contained = threshold <= 0.0
+    out = np.where(contained, b_volumes, 0.0)
+    pending = np.flatnonzero(~contained & ~(threshold >= total))
+    if pending.size:
+
+        def flat(values):
+            return np.broadcast_to(values, out.shape).ravel()[pending]
+
+        t = flat(threshold)
+        c = [flat(v) for v in coeffs]
+        if len(c) == 2:
+            # Cancellation-free closed form, shared with the scalar kernel.
+            below = _unit_square_halfspace_fraction(c[0], c[1], t)
+        else:
+            below = _unit_cube_fraction(c, t)
+        np.put(out, pending, np.maximum(flat(b_volumes) * (1.0 - below), 0.0))
+    return out
 
 
 def _unit_cube_fraction(coeffs: list, threshold) -> np.ndarray:
@@ -176,15 +204,11 @@ def _unit_cube_fraction(coeffs: list, threshold) -> np.ndarray:
 
     ``sum_v (-1)^|v| max(0, t - c·v)^a / (a! prod c)`` over the cube's
     vertices ``v``; each vertex sum extends a smaller one by its highest
-    coordinate, so it is a left-to-right sum of its coefficients.
+    coordinate, so it is a left-to-right sum of its coefficients.  The
+    coefficients are positive, and no threshold at or below 0 or at or
+    above their total reaches it (see :func:`halfspace_volume`).
     """
     a_dim = len(coeffs)
-    largest = coeffs[0]
-    for c in coeffs[1:]:
-        largest = np.maximum(largest, c)
-    # Residual zeros only come from zero-width boxes (volume factor 0).
-    eps = 1e-12 * np.maximum(1.0, largest)
-    coeffs = [np.maximum(c, eps) for c in coeffs]
     sums = [0.0]
     raw = np.maximum(0.0, threshold) ** a_dim
     for vertex in range(1, 1 << a_dim):
@@ -193,16 +217,12 @@ def _unit_cube_fraction(coeffs: list, threshold) -> np.ndarray:
         term = np.maximum(0.0, threshold - sums[vertex]) ** a_dim
         raw = raw - term if bin(vertex).count("1") % 2 else raw + term
     product = coeffs[0]
-    total = coeffs[0]
     for c in coeffs[1:]:
         product = product * c
-        total = total + c
     denom = math.factorial(a_dim) * product
     with np.errstate(divide="ignore", invalid="ignore"):
         below = np.where(denom > 0, raw / denom, 0.0)
-    below = np.clip(below, 0.0, 1.0)
-    below = np.where(threshold <= 0.0, 0.0, below)
-    return np.where(threshold >= total, 1.0, below)
+    return np.clip(below, 0.0, 1.0)
 
 
 def ball_volume(q, b) -> np.ndarray:

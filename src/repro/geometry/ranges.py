@@ -20,6 +20,7 @@ beyond the domain (e.g. halfspaces are unbounded).
 from __future__ import annotations
 
 import abc
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,9 +39,14 @@ __all__ = [
 _EPS = 1e-12
 
 
+# The constructors check their few coordinates as Python floats: a NumPy
+# reduction costs microseconds on a two-element array, and the server
+# builds one range per decoded query.
+
+
 def _as_finite_float(value, name: str) -> float:
     number = float(value)
-    if not np.isfinite(number):
+    if not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {number}")
     return number
 
@@ -49,9 +55,16 @@ def _as_float_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError(f"{name} must be finite, got {arr}")
     return arr
+
+
+def _as_non_negative(value, name: str) -> float:
+    number = _as_finite_float(value, name)
+    if number < 0:
+        raise ValueError(f"{name} must be non-negative, got {number}")
+    return number
 
 
 class Range(abc.ABC):
@@ -123,8 +136,9 @@ class Box(Range):
         highs_arr = _as_float_array(highs, "highs")
         if lows_arr.shape != highs_arr.shape:
             raise ValueError("lows and highs must have the same length")
-        if np.any(lows_arr > highs_arr + _EPS):
-            raise ValueError(f"lows must be <= highs, got {lows_arr} > {highs_arr}")
+        for lo, hi in zip(lows_arr.tolist(), highs_arr.tolist()):
+            if lo > hi + _EPS:
+                raise ValueError(f"lows must be <= highs, got {lows_arr} > {highs_arr}")
         self.lows = lows_arr
         self.highs = np.maximum(highs_arr, lows_arr)
 
@@ -265,7 +279,8 @@ class Halfspace(Range):
 
     def __init__(self, normal: Sequence[float], offset: float):
         normal_arr = _as_float_array(normal, "normal")
-        if np.allclose(normal_arr, 0.0):
+        # Zero to np.allclose's default tolerance in every component.
+        if all(abs(component) <= 1e-8 for component in normal_arr.tolist()):
             raise ValueError("halfspace normal must be non-zero")
         self.normal = normal_arr
         self.offset = _as_finite_float(offset, "offset")
@@ -306,12 +321,8 @@ class Ball(Range):
     __slots__ = ("ball_center", "radius")
 
     def __init__(self, center: Sequence[float], radius: float):
-        center_arr = _as_float_array(center, "center")
-        radius = _as_finite_float(radius, "radius")
-        if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
-        self.ball_center = center_arr
-        self.radius = radius
+        self.ball_center = _as_float_array(center, "center")
+        self.radius = _as_non_negative(radius, "radius")
 
     @property
     def dim(self) -> int:
@@ -401,11 +412,9 @@ class DiscIntersectionRange(Range):
         c = _as_float_array(center, "center")
         if c.shape[0] != 2:
             raise ValueError("disc-intersection queries live over planar discs (2-D centers)")
-        if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
         self.query_center = c
-        self.query_radius = float(radius)
-        self.max_data_radius = float(max_data_radius)
+        self.query_radius = _as_non_negative(radius, "radius")
+        self.max_data_radius = _as_non_negative(max_data_radius, "max_data_radius")
 
     @property
     def dim(self) -> int:

@@ -75,9 +75,9 @@ __all__ = [
 
 #: One (query, bucket) entry of a dense kernel, per family; "contains"
 #: is a membership test of any family.
-DENSE_NS = {"box": 4.5, "halfspace": 29.0, "ball": 56.0, "contains": 9.0}
+DENSE_NS = {"box": 4.5, "halfspace": 22.0, "ball": 56.0, "contains": 9.0}
 #: One estimated bucket entry through a pair kernel and the scatter.
-PAIR_NS = {"box": 33.0, "halfspace": 205.0, "ball": 100.0, "contains": 47.0}
+PAIR_NS = {"box": 33.0, "halfspace": 142.0, "ball": 100.0, "contains": 47.0}
 #: One grid cell or tree node visited, or one bucket entry gathered and
 #: sorted, by a box lookup.
 VISIT_NS = 46.0

@@ -94,6 +94,7 @@ import functools
 import json
 import logging
 import socket
+import struct
 import threading
 import time
 import uuid
@@ -103,9 +104,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from repro.core.estimator import SelectivityEstimator
-from repro.data.io import range_from_dict, range_to_dict
+from repro.data.io import range_from_dict
 from repro.eval.drift import DriftDetector
-from repro.geometry.ranges import Range
+from repro.geometry.ranges import Ball, Box, DiscIntersectionRange, Halfspace, Range
 from repro.observability import (
     MetricsRegistry,
     bind_request_id,
@@ -145,6 +146,9 @@ __all__ = [
 ]
 
 _BREAKER_CODES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
+# Cache-key packing of a range's scalar parameters.
+_DOUBLE = struct.Struct("d")
+_DOUBLES = struct.Struct("2d")
 
 
 class _ServiceMetrics:
@@ -447,7 +451,7 @@ class EstimatorService:
         self._last_retrain_seconds: float | None = None
         self._last_update: dict | None = None
         self._cache_capacity = int(prediction_cache_size)
-        self._prediction_cache: OrderedDict[tuple[int, str], float] = OrderedDict()
+        self._prediction_cache: OrderedDict[tuple[int, str, bytes], float] = OrderedDict()
         self._cache_hits = 0
         self._cache_misses = 0
         self._snapshots = (
@@ -529,12 +533,25 @@ class EstimatorService:
         return results
 
     @staticmethod
-    def _cache_key(generation: int, query) -> tuple[int, str] | None:
-        """Canonical cache key; None (uncacheable) for unserialisable ranges."""
-        try:
-            return generation, json.dumps(range_to_dict(query), sort_keys=True)
-        except (TypeError, ValueError, KeyError):
-            return None
+    def _cache_key(generation: int, query) -> tuple[int, str, bytes] | None:
+        """``(generation, family, bytes of the float parameters)``; None
+        (uncached) for a range :func:`range_to_dict` cannot encode.
+
+        Finite floats print the same JSON exactly when their bits are equal
+        (``-0.0`` and ``0.0`` differ in both), and a family's parameter
+        count fixes how the bytes split, so two queries share a key exactly
+        when their sorted ``range_to_dict`` JSON is equal.
+        """
+        if isinstance(query, Box):
+            return generation, "box", query.lows.tobytes() + query.highs.tobytes()
+        if isinstance(query, Halfspace):
+            return generation, "halfspace", query.normal.tobytes() + _DOUBLE.pack(query.offset)
+        if isinstance(query, Ball):
+            return generation, "ball", query.ball_center.tobytes() + _DOUBLE.pack(query.radius)
+        if isinstance(query, DiscIntersectionRange):
+            scalars = _DOUBLES.pack(query.query_radius, query.max_data_radius)
+            return generation, "disc-intersection", query.query_center.tobytes() + scalars
+        return None
 
     def feedback(self, query, selectivity: float) -> dict:
         """Record one observed (query, true selectivity) pair.

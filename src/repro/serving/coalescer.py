@@ -25,7 +25,10 @@ Leader/follower scheme, no dedicated flusher thread:
 
 Because the fold happens *in front of* the service's generation-keyed
 prediction cache, cache semantics are untouched: every query still
-counts exactly one hit or one miss, and a retrain invalidates as before.
+counts exactly one hit or one miss per ``estimate_many`` call, and a
+retrain invalidates as before.  A batch of several callers that raises
+runs again one caller at a time, so one caller's bad query fails only
+that caller; its queries then count once more.
 """
 
 from __future__ import annotations
@@ -43,14 +46,15 @@ __all__ = ["PredictCoalescer"]
 class _Batch:
     """One pending/running batch; immutable once detached."""
 
-    __slots__ = ("queries", "done", "ready", "results", "error", "kernel_seconds")
+    __slots__ = ("queries", "starts", "done", "ready", "results", "errors", "kernel_seconds")
 
     def __init__(self):
         self.queries: list = []
+        self.starts: list[int] = []  # each caller's first position in ``queries``
         self.done = threading.Event()
         self.ready = threading.Event()
         self.results: list | None = None
-        self.error: BaseException | None = None
+        self.errors: dict[int, BaseException] = {}  # by caller start
         self.kernel_seconds: float = 0.0
 
 
@@ -62,8 +66,9 @@ class PredictCoalescer:
     estimate_many:
         The batched lookup, usually
         :meth:`repro.server.EstimatorService.estimate_many` (thread-safe,
-        cache-fronted).  Any exception it raises is propagated to every
-        caller in the batch.
+        cache-fronted).  When it raises on a batch of several callers,
+        each caller's queries run again alone, so every caller gets its
+        own answer or its own error.
     max_batch:
         A pending batch this large runs at once, without waiting for the
         in-flight call to return.
@@ -126,8 +131,8 @@ class PredictCoalescer:
         Returns results in input order.  Raises
         :class:`DeadlineExceededError` if ``deadline`` expires before a
         follower's batch completes, or whatever ``estimate_many`` raised
-        for the whole batch (e.g. ``ModelUnavailableError`` before first
-        fit).
+        for this caller's queries (e.g. ``ModelUnavailableError`` before
+        first fit).
 
         ``stages``, when given, receives this caller's latency breakdown:
         ``stages["kernel"]`` is the batch's one ``estimate_many`` call and
@@ -147,6 +152,7 @@ class PredictCoalescer:
             if leader:
                 batch = self._pending = _Batch()
             start = len(batch.queries)
+            batch.starts.append(start)
             batch.queries.extend(queries)
             if self._in_flight == 0 or len(batch.queries) >= self.max_batch:
                 self._detach(batch)
@@ -160,8 +166,9 @@ class PredictCoalescer:
                 elapsed = self._clock() - start_ts
                 stages["kernel"] = batch.kernel_seconds
                 stages["coalesce"] = max(0.0, elapsed - batch.kernel_seconds)
-        if batch.error is not None:
-            raise batch.error
+        error = batch.errors.get(start)
+        if error is not None:
+            raise error
         return batch.results[start : start + len(queries)]
 
     # -- leader/follower ---------------------------------------------------
@@ -182,9 +189,12 @@ class PredictCoalescer:
                 self._detach(batch)
         kernel_start = self._clock()
         try:
-            batch.results = [float(v) for v in self._estimate_many(batch.queries)]
-        except BaseException as exc:  # propagate to every caller in the batch
-            batch.error = exc
+            batch.results = self._answer(batch.queries)
+        except BaseException as exc:
+            if isinstance(exc, Exception) and len(batch.starts) > 1:
+                self._answer_each(batch)
+            else:  # one caller, or an interrupt: every caller gets it
+                batch.errors = dict.fromkeys(batch.starts, exc)
         finally:
             batch.kernel_seconds = self._clock() - kernel_start
             with self._lock:
@@ -196,6 +206,20 @@ class PredictCoalescer:
             self._queries_total.inc(size, worker=self.worker)
             self._batch_size.observe(size, worker=self.worker)
             batch.done.set()
+
+    def _answer(self, queries: list) -> list[float]:
+        return [float(v) for v in self._estimate_many(queries)]
+
+    def _answer_each(self, batch: _Batch) -> None:
+        """Run each caller's slice alone: one caller's bad query must not
+        fail the siblings it was folded with."""
+        batch.results = [None] * len(batch.queries)
+        stops = batch.starts[1:] + [len(batch.queries)]
+        for start, stop in zip(batch.starts, stops):
+            try:
+                batch.results[start:stop] = self._answer(batch.queries[start:stop])
+            except Exception as exc:
+                batch.errors[start] = exc
 
     def _follow(self, batch: _Batch, deadline: Deadline) -> None:
         remaining = deadline.remaining()

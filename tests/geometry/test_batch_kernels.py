@@ -97,6 +97,49 @@ class TestHalfspaceKernel:
             row = intersection_volume_matrix([query], b_lows, b_highs)
             assert row[0, 0] == scalar
 
+    @pytest.mark.parametrize(
+        "volume_matrix",
+        [intersection_volume_matrix, sparse_intersection_volume_matrix],
+        ids=["dense", "sparse"],
+    )
+    @pytest.mark.parametrize("active", [1, 2, 3])
+    def test_empty_and_contained_pairs_take_scalar_branches(
+        self, rng, monkeypatch, active, volume_matrix
+    ):
+        """A bucket wholly inside the halfspace reads its own volume and one
+        wholly outside reads 0, bitwise and as the scalar oracle does, with
+        1, 2 and 3 of the 3 normal components non-zero."""
+        b_lows = rng.random((300, 3)) * 0.9
+        b_highs = b_lows + 10.0 ** rng.uniform(-4.0, -1.0, size=(300, 3))
+        volumes = np.prod(b_highs - b_lows, axis=1)
+        normals = rng.normal(size=(30, 3))
+        normals[:, active:] = 0.0
+        # Boundaries through random points of the domain.
+        offsets = (normals * rng.random((30, 3))).sum(axis=1)
+        queries = [Halfspace(n, float(t)) for n, t in zip(normals, offsets)]
+        if volume_matrix is sparse_intersection_volume_matrix:
+            monkeypatch.setattr(
+                sparse_mod, "_sparse_rows", lambda n, dense_ns, sparse_ns: np.ones(n, dtype=bool)
+            )
+            matrix = volume_matrix(queries, UniformGridIndex(b_lows, b_highs), volumes)
+        else:
+            matrix = volume_matrix(queries, b_lows, b_highs, volumes)
+
+        counts = np.zeros(3, dtype=int)
+        for i, query in enumerate(queries):
+            a, t = query.normal, query.offset
+            # The extremes of a·x over each bucket, with a margin for rounding.
+            low = b_lows @ a + np.minimum(a * (b_highs - b_lows), 0.0).sum(axis=1)
+            high = b_lows @ a + np.maximum(a * (b_highs - b_lows), 0.0).sum(axis=1)
+            contained = low > t + 1e-9
+            empty = high < t - 1e-9
+            np.testing.assert_array_equal(matrix[i, contained], volumes[contained])
+            np.testing.assert_array_equal(matrix[i, empty], 0.0)
+            for j in np.flatnonzero(contained | empty):
+                assert matrix[i, j] == intersection_volume(Box(b_lows[j], b_highs[j]), query)
+            counts += contained.sum(), empty.sum(), (~contained & ~empty).sum()
+        assert counts.min() > 50  # contained, empty and boundary pairs all occur
+
 
 class TestBallKernel:
     @pytest.mark.parametrize("d", [1, 2, 3])

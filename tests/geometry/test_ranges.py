@@ -277,3 +277,218 @@ class TestDiscIntersectionRange:
 
     def test_dim_is_three(self):
         assert DiscIntersectionRange([0.5, 0.5], 0.1).dim == 3
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"radius": np.nan}, "radius must be finite, got nan"),
+            ({"radius": np.inf}, "radius must be finite, got inf"),
+            ({"radius": -0.1}, "radius must be non-negative, got -0.1"),
+            (
+                {"radius": 0.1, "max_data_radius": np.nan},
+                "max_data_radius must be finite, got nan",
+            ),
+            (
+                {"radius": 0.1, "max_data_radius": -np.inf},
+                "max_data_radius must be finite, got -inf",
+            ),
+            (
+                {"radius": 0.1, "max_data_radius": -0.5},
+                "max_data_radius must be non-negative, got -0.5",
+            ),
+        ],
+        ids=[
+            "nan-radius",
+            "inf-radius",
+            "negative-radius",
+            "nan-data-radius",
+            "inf-data-radius",
+            "negative-data-radius",
+        ],
+    )
+    def test_invalid_scalars_rejected(self, kwargs, message):
+        # A NaN radius used to fail only at predict time, in bounding_box.
+        with pytest.raises(ValueError) as excinfo:
+            DiscIntersectionRange([0.5, 0.5], **kwargs)
+        assert str(excinfo.value) == message
+
+
+_NAN, _INF = float("nan"), float("inf")
+_EDGE = 0.5 + 1e-12  # the largest low a [.., 0.5] interval accepts
+
+
+# Every constructor rejection, with its exception type and exact message.
+_REJECTIONS = [
+    pytest.param(
+        lambda: Box([_NAN, 0.5], [1.0, 1.0]),
+        ValueError,
+        "lows must be finite, got [nan 0.5]",
+        id="box-nan-low",
+    ),
+    pytest.param(
+        lambda: Box([0.0, 0.0], [1.0, _INF]),
+        ValueError,
+        "highs must be finite, got [ 1. inf]",
+        id="box-inf-high",
+    ),
+    pytest.param(
+        lambda: Box([-_INF, 0.0], [1.0, 1.0]),
+        ValueError,
+        "lows must be finite, got [-inf   0.]",
+        id="box-neg-inf-low",
+    ),
+    pytest.param(
+        lambda: Box([[0.0, 0.0]], [[1.0, 1.0]]),
+        ValueError,
+        "lows must be one-dimensional, got shape (1, 2)",
+        id="box-2d-input",
+    ),
+    pytest.param(
+        lambda: Box(0.5, 0.6),
+        ValueError,
+        "lows must be one-dimensional, got shape ()",
+        id="box-scalar-input",
+    ),
+    pytest.param(
+        lambda: Box([0.0, 0.0], [1.0, 1.0, 1.0]),
+        ValueError,
+        "lows and highs must have the same length",
+        id="box-mismatched",
+    ),
+    pytest.param(
+        lambda: Box([0.5, 0.6], [0.5, 0.5]),
+        ValueError,
+        "lows must be <= highs, got [0.5 0.6] > [0.5 0.5]",
+        id="box-lows-above-highs",
+    ),
+    pytest.param(
+        lambda: Box([np.nextafter(_EDGE, 1.0)], [0.5]),
+        ValueError,
+        "lows must be <= highs, got [0.5] > [0.5]",
+        id="box-one-ulp-past-tolerance",
+    ),
+    pytest.param(
+        lambda: Box(["a"], [1.0]),
+        ValueError,
+        "could not convert string to float: 'a'",
+        id="box-string",
+    ),
+    pytest.param(
+        lambda: Box.from_center([_NAN, 0.5], [0.1, 0.1]),
+        ValueError,
+        "center must be finite, got [nan 0.5]",
+        id="box-from-center-nan",
+    ),
+    pytest.param(
+        lambda: Halfspace([_NAN, 1.0], 0.0),
+        ValueError,
+        "normal must be finite, got [nan  1.]",
+        id="halfspace-nan-normal",
+    ),
+    pytest.param(
+        lambda: Halfspace([1.0, -_INF], 0.0),
+        ValueError,
+        "normal must be finite, got [  1. -inf]",
+        id="halfspace-inf-normal",
+    ),
+    pytest.param(
+        lambda: Halfspace([[1.0, 0.0]], 0.0),
+        ValueError,
+        "normal must be one-dimensional, got shape (1, 2)",
+        id="halfspace-2d-normal",
+    ),
+    pytest.param(
+        lambda: Halfspace([0.0, 0.0], 0.5),
+        ValueError,
+        "halfspace normal must be non-zero",
+        id="halfspace-zero-normal",
+    ),
+    pytest.param(
+        lambda: Halfspace([1e-8, -1e-8], 0.5),
+        ValueError,
+        "halfspace normal must be non-zero",
+        id="halfspace-normal-within-atol",
+    ),
+    pytest.param(
+        lambda: Halfspace([], 0.5),
+        ValueError,
+        "halfspace normal must be non-zero",
+        id="halfspace-empty-normal",
+    ),
+    pytest.param(
+        lambda: Halfspace([1.0, 0.0], _NAN),
+        ValueError,
+        "offset must be finite, got nan",
+        id="halfspace-nan-offset",
+    ),
+    pytest.param(
+        lambda: Halfspace([1.0, 0.0], -_INF),
+        ValueError,
+        "offset must be finite, got -inf",
+        id="halfspace-inf-offset",
+    ),
+    pytest.param(
+        lambda: Ball([_NAN, 0.5], 0.1),
+        ValueError,
+        "center must be finite, got [nan 0.5]",
+        id="ball-nan-center",
+    ),
+    pytest.param(
+        lambda: Ball([0.5, _INF], 0.1),
+        ValueError,
+        "center must be finite, got [0.5 inf]",
+        id="ball-inf-center",
+    ),
+    pytest.param(
+        lambda: Ball([[0.5, 0.5]], 0.1),
+        ValueError,
+        "center must be one-dimensional, got shape (1, 2)",
+        id="ball-2d-center",
+    ),
+    pytest.param(
+        lambda: Ball([0.5, 0.5], -0.1),
+        ValueError,
+        "radius must be non-negative, got -0.1",
+        id="ball-negative-radius",
+    ),
+    pytest.param(
+        lambda: Ball([0.5, 0.5], _NAN),
+        ValueError,
+        "radius must be finite, got nan",
+        id="ball-nan-radius",
+    ),
+    pytest.param(
+        lambda: Ball([0.5, 0.5], _INF),
+        ValueError,
+        "radius must be finite, got inf",
+        id="ball-inf-radius",
+    ),
+    pytest.param(
+        lambda: Ball([0.5, 0.5], "x"),
+        ValueError,
+        "could not convert string to float: 'x'",
+        id="ball-string-radius",
+    ),
+    pytest.param(
+        lambda: Ball([0.5, 0.5], None),
+        TypeError,
+        "float() argument must be a string or a real number, not 'NoneType'",
+        id="ball-none-radius",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, error, message", _REJECTIONS)
+def test_rejection_type_and_message(make, error, message):
+    with pytest.raises(Exception) as excinfo:
+        make()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
+def test_tolerance_edges_are_accepted():
+    box = Box([_EDGE], [0.5])
+    assert box.highs[0] == box.lows[0] == _EDGE  # highs raised to lows
+    half = Halfspace([np.nextafter(1e-8, 1.0), 0.0], 0.5)
+    assert half.normal[0] > 1e-8
+    assert Ball([0.5, 0.5], -0.0).radius == 0.0

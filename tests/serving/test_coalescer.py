@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.core import QuadHist
+from repro.geometry import Box
 from repro.observability import MetricsRegistry
 from repro.robustness import Deadline, DeadlineExceededError
 from repro.serving import PredictCoalescer
@@ -259,8 +260,41 @@ def test_backend_error_propagates_to_every_caller():
     gate.set()
     _join(*(thread for thread, _ in [first] + queued))
     outcomes = [outcome for _, outcome in [first] + queued]
-    assert len(calls) == 2
+    # The failed two-caller batch runs again one caller at a time.
+    assert calls == [[{"x": 0}], [{"x": 1}, {"x": 2}], [{"x": 1}], [{"x": 2}]]
     assert all(outcome.get("error") is boom for outcome in outcomes)
+
+
+def test_one_callers_bad_query_fails_only_that_caller(
+    trained_service, power2d_box_workload
+):
+    """A 3-D box folded into one batch with a valid 2-D query fails only
+    its own caller; the other gets its estimate."""
+    _, _, test_q, _ = power2d_box_workload
+    bad_query = Box([0.1, 0.1, 0.1], [0.5, 0.5, 0.5])
+    expected = trained_service.estimate_many([test_q[0]])[0]
+    with pytest.raises(Exception) as alone:
+        trained_service.estimate_many([bad_query])
+    backend = _GatedBackend(trained_service.estimate_many)
+    coalescer = PredictCoalescer(backend, registry=MetricsRegistry())
+    plug, plug_outcome = _in_background(coalescer.submit, test_q[1], Deadline(10.0))
+    _wait_until(lambda: len(backend.calls) == 1)
+    good, good_outcome = _in_background(coalescer.submit, test_q[0], Deadline(10.0))
+    _wait_until(lambda: _pending_size(coalescer) == 1)
+    bad, bad_outcome = _in_background(coalescer.submit, bad_query, Deadline(10.0))
+    _wait_until(lambda: _pending_size(coalescer) == 2)
+    backend.gate.set()
+    _join(plug, good, bad)
+
+    assert "error" not in plug_outcome
+    assert good_outcome == {"value": expected}
+    error = bad_outcome["error"]
+    assert type(error) is alone.type and str(error) == str(alone.value)
+    assert backend.calls[1:] == [[test_q[0], bad_query], [test_q[0]], [bad_query]]
+    registry = trained_service.registry
+    hits = registry.get("repro_prediction_cache_hits_total").value()
+    misses = registry.get("repro_prediction_cache_misses_total").value()
+    assert hits + misses == registry.get("repro_service_queries_total").value()
 
 
 def test_follower_deadline_expires_behind_in_flight_call():

@@ -11,7 +11,14 @@ import pytest
 
 from repro.core import QuadHist
 from repro.data.io import range_to_dict
-from repro.geometry import Box
+from repro.geometry import (
+    Ball,
+    Box,
+    DiscIntersectionRange,
+    Halfspace,
+    SemiAlgebraicRange,
+    UnionRange,
+)
 from repro.observability import configure_logging, parse_exposition, reset_logging
 from repro.server import EstimatorService, serve
 
@@ -235,8 +242,21 @@ class TestHTTPErrorPaths:
         [
             '{"type": "ball", "center": [0.5, 0.5], "radius": NaN}',
             '{"type": "halfspace", "normal": [1.0, 0.0], "offset": Infinity}',
+            '{"type": "disc-intersection", "center": [0.5, 0.5], "radius": NaN}',
+            '{"type": "disc-intersection", "center": [0.5, 0.5], "radius": -Infinity}',
+            '{"type": "disc-intersection", "center": [0.5, 0.5], "radius": 0.1,'
+            ' "max_data_radius": NaN}',
+            '{"type": "disc-intersection", "center": [0.5, 0.5], "radius": 0.1,'
+            ' "max_data_radius": Infinity}',
         ],
-        ids=["ball-nan-radius", "halfspace-inf-offset"],
+        ids=[
+            "ball-nan-radius",
+            "halfspace-inf-offset",
+            "disc-nan-radius",
+            "disc-negative-inf-radius",
+            "disc-nan-data-radius",
+            "disc-inf-data-radius",
+        ],
     )
     def test_non_finite_query_scalar_is_400(self, server, query):
         # json.loads accepts NaN and Infinity; the range constructors must not.
@@ -342,6 +362,77 @@ class TestBatchEstimation:
     def test_empty_batch(self, labeled_feedback):
         service, _ = self._trained(labeled_feedback)
         assert service.estimate_many([]) == []
+
+
+def _ranges_with_parameters(vector) -> list:
+    """Every encodable range whose float parameters, in encoding order,
+    are ``vector``: lookalikes of different families share their bytes."""
+    n = len(vector)
+    makers = [
+        lambda: Halfspace(vector[:-1], vector[-1]),
+        lambda: Ball(vector[:-1], vector[-1]),
+    ]
+    if n % 2 == 0:
+        makers.append(lambda: Box(vector[: n // 2], vector[n // 2 :]))
+    if n == 4:
+        makers.append(lambda: DiscIntersectionRange(vector[:2], vector[2], vector[3]))
+    ranges = []
+    for make in makers:
+        try:
+            ranges.append(make())
+        except ValueError:
+            pass
+    return ranges
+
+
+class TestCacheKey:
+    """Two queries share a prediction-cache key exactly when their sorted
+    ``range_to_dict`` JSON is equal."""
+
+    def test_keys_equal_exactly_when_json_is_equal(self):
+        rng = np.random.default_rng(11)
+        vectors = []
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            vector = rng.choice([0.0, 0.25, 0.5, 1.0], size=n)
+            drawn = rng.random(n) < 0.5
+            vector[drawn] = rng.random(int(drawn.sum()))
+            vectors.append(vector)
+            k = int(rng.integers(n))
+            # -0.0 for a zero, and the 1-ulp neighbours either side.
+            for twin in (-vector[k], np.nextafter(vector[k], 2.0), np.nextafter(vector[k], -2.0)):
+                neighbour = vector.copy()
+                neighbour[k] = twin
+                vectors.append(neighbour)
+        pool = [r for vector in vectors for r in _ranges_with_parameters(vector) * 2]
+        keys = [EstimatorService._cache_key(7, r) for r in pool]
+        encoded = [json.dumps(range_to_dict(r), sort_keys=True) for r in pool]
+        assert all(key is not None for key in keys)
+        shared = signed_zero = lookalikes = 0
+        for i in range(len(pool)):
+            for j in range(i + 1, len(pool)):
+                assert (keys[i] == keys[j]) == (encoded[i] == encoded[j]), (pool[i], pool[j])
+                shared += keys[i] == keys[j]
+                lookalikes += keys[i][2] == keys[j][2] and keys[i][1] != keys[j][1]
+                signed_zero += encoded[i] != encoded[j] and encoded[i].replace(
+                    "-0.0", "0.0"
+                ) == encoded[j].replace("-0.0", "0.0")
+        assert {key[1] for key in keys} == {"box", "halfspace", "ball", "disc-intersection"}
+        # Each case the key must tell apart, or must not, actually occurs.
+        assert shared > 0 and lookalikes > 0 and signed_zero > 0
+
+    def test_generation_is_part_of_the_key(self):
+        box = Box([0.1, 0.2], [0.4, 0.6])
+        assert EstimatorService._cache_key(1, box) != EstimatorService._cache_key(2, box)
+
+    def test_unencodable_ranges_are_uncached(self):
+        box = Box([0.1, 0.2], [0.4, 0.6])
+        union = UnionRange([box, Box([0.5, 0.5], [0.9, 0.9])])
+        semi = SemiAlgebraicRange(2, [lambda p: p[:, 0] - 0.5])
+        for query in (union, semi):
+            with pytest.raises(TypeError):
+                range_to_dict(query)
+            assert EstimatorService._cache_key(1, query) is None
 
 
 class TestHTTPBatchPredict:
