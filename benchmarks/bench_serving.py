@@ -1,4 +1,4 @@
-"""Serving throughput: worker-pool scaling and request coalescing.
+"""Serving throughput: worker-pool scaling.
 
 Requests/second of the supervised :mod:`repro.serving` pre-fork pool at
 1, 2, … N workers on identical single-query traffic, measured end to end
@@ -7,14 +7,8 @@ over real HTTP with multi-process clients (separate processes so the
 accepts across workers, so throughput should scale with worker count up
 to the machine's core count — ``cpu_count`` is recorded alongside the
 curve, because a 1-core box (some CI runners) physically cannot show a
->1× speedup no matter how correct the pool is.
-
-Each point also reports the coalescer's fold counts, scraped from the
-supervisor's aggregated ``/metrics`` (``repro_coalesced_batches_total`` and
-``repro_coalesced_queries_total``): how many ``predict_many`` calls
-answered how many queries.  An estimate folds only when it reaches the
-coalescer while another call is in flight, so the ratio shows how much
-folding the offered load actually produced.
+>1× speedup no matter how correct the pool is.  The run exits non-zero
+when any request failed.
 
 Results land in ``benchmarks/results/BENCH_serving.json``::
 
@@ -28,7 +22,7 @@ import argparse
 import json
 import multiprocessing
 import os
-import re
+import sys
 import tempfile
 import time
 import urllib.request
@@ -104,13 +98,6 @@ def _drive(base: str, payloads: list, clients: int, duration_s: float) -> dict:
     return totals
 
 
-def _counter_total(text: str, name: str) -> float:
-    total = 0.0
-    for match in re.finditer(rf"^{re.escape(name)}(?:\{{[^}}]*\}})? (\S+)$", text, re.M):
-        total += float(match.group(1))
-    return total
-
-
 POOL_CONFIG = dict(
     max_concurrency=16,
     queue_depth=128,
@@ -128,22 +115,13 @@ def _run_pool(snapshot_dir, workers, clients, duration_s, payloads):
             snapshot_dir=snapshot_dir,
         )
 
-    # The ops endpoint serves the fleet-wide sums; a scrape through the
-    # traffic socket would read one arbitrary worker's counters.
-    config = ServingConfig(workers=workers, ops_port=0, **POOL_CONFIG)
+    config = ServingConfig(workers=workers, **POOL_CONFIG)
     supervisor = Supervisor(factory, config=config, registry=MetricsRegistry())
     try:
         host, port = supervisor.start()
         base = f"http://{host}:{port}"
         _drive(base, payloads, clients=2, duration_s=0.5)  # warm-up
         totals = _drive(base, payloads, clients, duration_s)
-        time.sleep(2 * config.heartbeat_interval_s)  # last snapshots land
-        ops_host, ops_port = supervisor.ops_address
-        url = f"http://{ops_host}:{ops_port}/metrics"
-        with urllib.request.urlopen(url, timeout=10) as response:
-            text = response.read().decode()
-        batches = _counter_total(text, "repro_coalesced_batches_total")
-        queries = _counter_total(text, "repro_coalesced_queries_total")
     finally:
         supervisor.stop(drain=True)
     qps = totals["ok"] / duration_s
@@ -154,11 +132,6 @@ def _run_pool(snapshot_dir, workers, clients, duration_s, payloads):
         "ok": totals["ok"],
         "failed": totals["failed"],
         "requests_per_second": round(qps, 1),
-        "coalesced": {
-            "batches": batches,
-            "queries": queries,
-            "queries_per_batch": round(queries / batches, 3) if batches else None,
-        },
     }
 
 
@@ -191,12 +164,9 @@ def run(config: dict) -> dict:
         scaling.append(point)
         speedup = point["speedup_vs_1_worker"]
         speedup_txt = "n/a (1 cpu)" if speedup is None else f"{speedup}x"
-        coalesced = point["coalesced"]
         print(
             f"workers={workers}: {point['requests_per_second']} req/s "
-            f"(speedup {speedup_txt}, failed {point['failed']}; "
-            f"{coalesced['batches']:.0f} batches folding "
-            f"{coalesced['queries']:.0f} queries)"
+            f"(speedup {speedup_txt}, failed {point['failed']})"
         )
     tmp.cleanup()
 
@@ -205,12 +175,6 @@ def run(config: dict) -> dict:
         "cpu_count": cpu_count,
         "config": config,
         "scaling": scaling,
-        "coalescing": {
-            "queries_per_batch_by_workers": {
-                str(point["workers"]): point["coalesced"]["queries_per_batch"]
-                for point in scaling
-            },
-        },
     }
     if cpu_count == 1:
         result["scaling_note"] = (
@@ -242,12 +206,11 @@ def main() -> None:
         scaling_txt = "worker scaling not claimable on 1 cpu"
     else:
         scaling_txt = f"{top['workers']}-worker speedup: {top['speedup_vs_1_worker']}x"
-    print(
-        f"cpu_count={result['cpu_count']}  {scaling_txt}  "
-        f"queries per batch at {top['workers']} workers: "
-        f"{top['coalesced']['queries_per_batch']}"
-    )
+    print(f"cpu_count={result['cpu_count']}  {scaling_txt}")
     print(f"wrote {args.output}")
+    failed = sum(point["failed"] for point in result["scaling"])
+    if failed:
+        sys.exit(f"{failed} requests failed")
 
 
 if __name__ == "__main__":

@@ -174,8 +174,9 @@ def _calibrate(config: dict) -> dict:
         queries = make(0.1)
         t = timed(lambda: coverage_dot(queries, b_lows, b_highs, volumes, weights))
         dense[kind] = t / (len(queries) * m)
-    t = timed(lambda: containment_matrix(boxes(0.1), b_lows) @ weights)
-    dense["contains"] = t / (len(centers) * m)
+    queries = boxes(0.1)  # built before the timed call, as for the kernels above
+    t = timed(lambda: containment_matrix(queries, b_lows) @ weights)
+    dense["contains"] = t / (len(queries) * m)
 
     def bounds(queries):
         if isinstance(queries[0], Box):

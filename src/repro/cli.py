@@ -34,10 +34,9 @@ The subcommands cover the paper's workflow end to end:
     snapshot store behind a restart-storm breaker.  Both modes share the
     admission/deadline envelope — ``--max-concurrency``,
     ``--queue-depth`` (429 + ``Retry-After`` when full),
-    ``--deadline-ms`` (504 past budget) — plus request coalescing
-    (concurrent estimates fold into the next ``predict_many``), and
-    both drain gracefully on SIGTERM/SIGINT: stop accepting, flush
-    in-flight requests, snapshot, exit 0.  ``--log-json`` switches the
+    ``--deadline-ms`` (504 past budget) — and both drain gracefully on
+    SIGTERM/SIGINT: stop accepting, flush in-flight requests, snapshot,
+    exit 0.  ``--log-json`` switches the
     structured logger to JSON lines (and enables span-trace logging);
     ``--access-log`` emits one log
     line per HTTP request.  With a pool, ``--ops-port`` additionally
@@ -576,7 +575,7 @@ def _cmd_serve(args) -> int:
         )
         return 1 if report["killed"] else 0
 
-    # Single process: same admission/deadline/coalescing envelope and the
+    # Single process: same admission/deadline envelope and the
     # same SIGTERM graceful drain (stop accepting, flush in-flight,
     # snapshot, exit 0) — what systemd/containers expect of `repro serve`.
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

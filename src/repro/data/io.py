@@ -62,6 +62,8 @@ def range_to_dict(range_: Range) -> dict:
 
 def range_from_dict(data: dict) -> Range:
     """Decode a range from its tagged dict encoding."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a range encoding must be a JSON object, got {type(data).__name__}")
     kind = data.get("type")
     if kind == "box":
         return Box(data["lows"], data["highs"])

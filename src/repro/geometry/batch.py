@@ -433,7 +433,11 @@ def _workload(queries) -> list:
 
 
 def _dim_major(rows: list) -> np.ndarray:
-    # One concatenate is ~3x cheaper than np.stack on many small rows.
+    # One concatenate is ~3x cheaper than np.stack on many small rows, but
+    # it would silently re-pair the coordinates of rows of unequal length.
+    dims = set(map(len, rows))
+    if len(dims) > 1:
+        raise ValueError(f"queries of one range family differ in dimension: {sorted(dims)}")
     return np.ascontiguousarray(np.concatenate(rows).reshape(len(rows), -1).T)
 
 
@@ -497,6 +501,21 @@ def kernel_groups(queries: Sequence[Range]) -> tuple[list[KernelGroup], list[int
     return groups, other
 
 
+def check_dimension(groups: list[KernelGroup], d: int) -> None:
+    """Raise ``ValueError`` unless every group's queries are ``d``-dimensional.
+
+    Query operands meet the ``d``-dimensional bucket (or point) operands
+    here; a mismatch would broadcast into a wrong answer or fail deep in
+    a kernel.
+    """
+    for group in groups:
+        if group.ops[0].shape[0] != d:
+            raise ValueError(
+                f"{group.kind} query of dimension {group.ops[0].shape[0]} "
+                f"against {d}-dimensional data"
+            )
+
+
 def bucket_operands(b_lows, b_highs, b_volumes=None) -> tuple:
     """Dimension-major ``(lows, highs, volumes)`` for the volume kernels."""
     b_lows = np.asarray(b_lows, dtype=float)
@@ -548,6 +567,7 @@ def intersection_volume_matrix(
     _KERNEL_QUERIES.inc(n, kernel="volume_matrix")
     out = np.empty((n, m))
     groups, other = kernel_groups(queries)
+    check_dimension(groups, b[0].shape[0])
     for group in groups:
         for start, stop, values in _dense_rows(group.volume, group, b, m, "volume_matrix"):
             out[group.idx[start:stop]] = values
@@ -618,6 +638,7 @@ def coverage_dot(
     with np.errstate(divide="ignore", invalid="ignore"):
         folded = np.where(volumes > 0.0, weights / volumes, 0.0)
     groups, other = kernel_groups(queries)
+    check_dimension(groups, b[0].shape[0])
     for group in groups:
         for start, stop, values in _dense_rows(
             group.volume, group, b, m, "coverage_dot", CACHE_ELEMENTS
@@ -650,6 +671,7 @@ def containment_matrix(queries: Sequence[Range], points: np.ndarray) -> np.ndarr
     out = np.empty((n, p))
     b = (np.ascontiguousarray(pts.T),)
     groups, other = kernel_groups(queries)
+    check_dimension(groups, b[0].shape[0])
     for group in groups:
         for start, stop, inside in _dense_rows(group.contains, group, b, p, "containment"):
             out[group.idx[start:stop]] = inside

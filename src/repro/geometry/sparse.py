@@ -49,6 +49,7 @@ from repro.geometry.batch import (
     GroupedQueries,
     KernelGroup,
     bucket_operands,
+    check_dimension,
     containment_matrix,
     coverage_dot,
     fractions,
@@ -170,6 +171,7 @@ def _split(queries: list, index: BucketIndex, b_volumes, contains: bool):
     ``values`` the group's kernel on those pairs.
     """
     groups, other = kernel_groups(queries)
+    check_dimension(groups, index.b_lows.shape[1])
     if other:
         _SPARSE_CALLS.inc(len(other), kernel="other", path="dense")
     dense_groups = []

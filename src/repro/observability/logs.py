@@ -40,10 +40,10 @@ def bind_request_id(request_id: str | None) -> Iterator[None]:
     """Attach ``request_id`` to every :func:`log_event` on this thread.
 
     The HTTP handler binds the request's ``X-Request-Id`` for the
-    duration of dispatch, so admission waits, coalescer flushes and
-    kernel spans logged anywhere down-stack carry the id without
-    plumbing it through each call signature.  Nestable; ``None`` is a
-    no-op binding (inherits whatever is already bound).
+    duration of dispatch, so admission waits and kernel spans logged
+    anywhere down-stack carry the id without plumbing it through each
+    call signature.  Nestable; ``None`` is a no-op binding (inherits
+    whatever is already bound).
     """
     if request_id is None:
         yield

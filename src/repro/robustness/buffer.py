@@ -111,6 +111,10 @@ class FeedbackBuffer:
         labels = np.asarray([s for _, s in items], dtype=float)
         return queries, labels
 
+    def newest(self):
+        """The most recently appended query, or None when empty."""
+        return self._ring[-1][0] if self._ring else None
+
     def extend(self, pairs: Iterable[tuple]) -> None:
         for query, selectivity in pairs:
             self.append(query, selectivity)

@@ -1,10 +1,10 @@
 """Request deadline budgets.
 
-A deadline is the one robustness primitive every serving layer shares:
-the HTTP adapter stamps one on each request (``X-Deadline-Ms`` header or
-the server-wide default), the admission controller refuses to queue past
-it, and the coalescer caps its batch wait by it.  Work that cannot finish
-inside the budget fails *fast* with
+A deadline is the robustness primitive the serving layers share: the
+HTTP adapter stamps one on each request (``X-Deadline-Ms`` header or the
+server-wide default) and checks it before dispatch, and the admission
+controller refuses to queue past it.  Work that cannot start inside the
+budget fails *fast* with
 :class:`~repro.robustness.errors.DeadlineExceededError` (HTTP 504)
 instead of making the caller — a query optimizer holding up a plan —
 discover the timeout itself.

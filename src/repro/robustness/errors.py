@@ -118,9 +118,9 @@ class OverloadedError(ReproError, RuntimeError):
 
 
 class DeadlineExceededError(ReproError, TimeoutError):
-    """A request's deadline budget expired before an answer was ready
-    (while queued for admission, waiting on a coalesced flush, or before
-    the handler could even start)."""
+    """A request's deadline budget expired before its work started
+    (while queued for admission, or before the handler could even
+    start)."""
 
     http_status = 504
 

@@ -557,7 +557,9 @@ class EstimatorService:
         """Record one observed (query, true selectivity) pair.
 
         Under the ``drop``/``clamp`` policies an invalid pair is
-        quarantined (``accepted: False``) instead of raising.
+        quarantined (``accepted: False``) instead of raising.  A query the
+        served model cannot evaluate is invalid: it would fail every
+        later retrain.
 
         The response is a snapshot taken in the *same* locked section as
         the buffer append, so concurrent feedback threads each see their
@@ -583,8 +585,9 @@ class EstimatorService:
         accepted, query, selectivity = self._screen_pair(query, selectivity)
         with self._lock:
             if accepted:
-                if self._model is not None and self._detector is not None:
-                    estimate = self._model.predict(query)
+                accepted, estimate = self._evaluate_feedback(query)
+            if accepted:
+                if estimate is not None and self._detector is not None:
                     if self._detector.update(estimate, selectivity):
                         self._drift_flag = True
                 self._buffer.append(query, selectivity)
@@ -1215,6 +1218,31 @@ class EstimatorService:
             self._quarantine.merge(report)
         return True, cleaned_q[0], float(cleaned_s[0])
 
+    def _evaluate_feedback(self, query) -> tuple[bool, float | None]:
+        """``(trainable, served estimate)`` of a screened feedback query;
+        the caller holds ``_lock``.
+
+        The served model must evaluate the query; before the first model,
+        its dimension must match the buffered feedback's.  A refused query
+        raises under the strict policy and is quarantined under the others.
+        """
+        try:
+            if self._model is not None:
+                return True, self._model.predict(query)
+            newest = self._buffer.newest()
+            if newest is not None and newest.dim != query.dim:
+                raise ValueError(
+                    f"query of dimension {query.dim} against "
+                    f"{newest.dim}-dimensional buffered feedback"
+                )
+            return True, None
+        except ValueError as exc:
+            if self.sanitize_policy == "raise":
+                raise DataValidationError(f"feedback refused: {exc}") from exc
+            self._quarantine.kept -= 1  # screening had kept it
+            self._quarantine.count("unservable_query")
+            return False, None
+
     def _auto_retrain(self) -> None:
         """Opportunistic retrain from the feedback path: never raises.
 
@@ -1241,8 +1269,8 @@ DEADLINE_HEADER = "X-Deadline-Ms"
 
 #: Correlation header: echoed when the caller supplies one, generated
 #: otherwise.  Every response carries it, and every structured log line
-#: emitted while handling the request (admission wait, coalescer flush,
-#: kernel spans, access line) is tagged with the same id via
+#: emitted while handling the request (admission wait, kernel spans,
+#: access line) is tagged with the same id via
 #: :func:`repro.observability.bind_request_id`.
 REQUEST_ID_HEADER = "X-Request-Id"
 
@@ -1275,14 +1303,16 @@ def _clean_request_id(raw: str | None) -> str:
 
 
 # The ``parse`` stage is the body read, the JSON decode and the range
-# decode.  ``range_from_dict`` is looked up by its ``repro.server`` name on
-# every call: the e2e tracer (``benchmarks/e2e/tracer.py``) wraps it there.
+# decode; the ``kernel`` stage is the request's own ``estimate_many`` call.
+# ``range_from_dict`` is looked up by its ``repro.server`` name on every
+# call: the e2e tracer (``benchmarks/e2e/tracer.py``) wraps it there.
 
 
 def _estimate(req) -> dict:
     with req.timed("parse"):
         query = range_from_dict(req.read_json()["query"])
-    value = req.coalescer.submit(query, deadline=req.deadline, stages=req.stages)
+    with req.timed("kernel"):
+        value = req.service.estimate_many([query])[0]
     return {"selectivity": value}
 
 
@@ -1294,9 +1324,8 @@ def _predict(req) -> dict:
                 f"'queries' must be a list, got {type(encoded).__name__}"
             )
         queries = [range_from_dict(item) for item in encoded]
-    estimates = req.coalescer.submit_many(
-        queries, deadline=req.deadline, stages=req.stages
-    )
+    with req.timed("kernel"):
+        estimates = req.service.estimate_many(queries)
     return {"selectivities": estimates, "count": len(estimates)}
 
 
@@ -1351,20 +1380,20 @@ def _make_handler(
     service: EstimatorService,
     access_log: bool = False,
     *,
-    coalescer,
     admission=None,
     default_deadline_ms: float | None = None,
     draining: threading.Event | None = None,
 ):
     """Build the request handler class bound to one service.
 
-    Every estimate/predict goes through ``coalescer`` (a
-    :class:`repro.serving.PredictCoalescer`).  The handler is
-    *embeddable*: a plain single-process ``serve()`` wires no other
-    extras, while each :mod:`repro.serving` worker injects its admission
-    controller (deadline budgets, bounded queue, load shedding) and a
-    ``draining`` event that turns new requests away with 503 during
-    graceful shutdown.  The extras are duck-typed.
+    Every estimate/predict makes its own ``estimate_many`` call, so up to
+    the admission controller's ``max_concurrency`` of them run at once
+    and none waits behind another.  The handler is *embeddable*: a plain
+    single-process ``serve()`` wires no extras, while each
+    :mod:`repro.serving` worker injects its admission controller
+    (deadline budgets, bounded queue, load shedding) and a ``draining``
+    event that turns new requests away with 503 during graceful
+    shutdown.  The extras are duck-typed.
 
     Connections persist (HTTP/1.1 keep-alive) with ``TCP_NODELAY`` set:
     the head and the body leave in two writes, and without it Nagle's
@@ -1394,9 +1423,8 @@ def _make_handler(
     stage_seconds = registry.histogram(
         "repro_request_stage_seconds",
         "Per-request latency breakdown: queue (admission wait), parse (body "
-        "read, JSON and range decode), coalesce (wait behind the in-flight "
-        "call + siblings), kernel (estimate_many call), write (response), "
-        "total",
+        "read, JSON and range decode), kernel (estimate_many call), write "
+        "(response), total",
         labels=("stage",),
     )
     access_logger = get_logger("http.access")
@@ -1519,9 +1547,9 @@ def _make_handler(
             Also owns the request's tracing context: generate-or-echo
             the ``X-Request-Id`` (bound to the thread so every log line
             down-stack carries it) and collect the per-stage latency
-            breakdown (queue wait here, parse in the routes,
-            coalesce/kernel from the coalescer, write in _reply_body)
-            into ``repro_request_stage_seconds`` and the access line.
+            breakdown (queue wait here, parse and kernel in the routes,
+            write in _reply_body) into ``repro_request_stage_seconds`` and
+            the access line.
             """
             self._status_code = 0
             # Until read_json consumes it, a declared body is unread.
@@ -1540,7 +1568,6 @@ def _make_handler(
                 with bind_request_id(self._request_id):
                     try:
                         if not gated:
-                            self.deadline = Deadline(None)
                             self._respond()
                         else:
                             if draining is not None and draining.is_set():
@@ -1552,11 +1579,11 @@ def _make_handler(
                                     headers={"Retry-After": "1"},
                                 )
                                 return
-                            self.deadline = self._request_deadline()
-                            self.deadline.check()
+                            deadline = self._request_deadline()
+                            deadline.check()
                             if admission is not None:
                                 admit_start = time.perf_counter()
-                                with admission.admit(self.deadline):
+                                with admission.admit(deadline):
                                     self.stages["queue"] = (
                                         time.perf_counter() - admit_start
                                     )
@@ -1626,7 +1653,6 @@ def _make_handler(
 
     # Read by the route handlers.
     Handler.service = service
-    Handler.coalescer = coalescer
     return Handler
 
 
@@ -1695,7 +1721,6 @@ def make_server(
     *,
     sock=None,
     admission=None,
-    coalescer=None,
     default_deadline_ms: float | None = None,
     draining: threading.Event | None = None,
 ) -> ThreadingHTTPServer:
@@ -1707,8 +1732,7 @@ def make_server(
     accepts from the same shared listen queue, so a killed worker never
     strands connections that the kernel has not yet handed to it.  The
     remaining keyword extras are forwarded to the request handler (see
-    :func:`_make_handler`); without a ``coalescer`` one is built over
-    ``service.estimate_many``.
+    :func:`_make_handler`).
 
     The returned server is a ``ThreadingHTTPServer`` whose handler
     threads are daemon threads, so ``server_close()`` joins none of them.
@@ -1717,16 +1741,10 @@ def make_server(
     the "finish in-flight" half of a graceful drain
     (:func:`repro.serving.drain_server`).
     """
-    if coalescer is None:
-        # Deferred: the repro.serving package imports this module.
-        from repro.serving.coalescer import PredictCoalescer
-
-        coalescer = PredictCoalescer(service.estimate_many, registry=service.registry)
     handler = _make_handler(
         service,
         access_log,
         admission=admission,
-        coalescer=coalescer,
         default_deadline_ms=default_deadline_ms,
         draining=draining,
     )
@@ -1754,8 +1772,8 @@ def serve(
     the ``repro.http.access`` logger (see
     :func:`repro.observability.configure_logging`); the default keeps
     tests and embedded use quiet.  Keyword ``extras`` are forwarded to
-    :func:`make_server` (admission controller, coalescer, default
-    deadline, drain event, shared socket).  Call ``server.shutdown()`` to
+    :func:`make_server` (admission controller, default deadline, drain
+    event, shared socket).  Call ``server.shutdown()`` to
     stop accepting, ``server.wait_idle(timeout)`` to let in-flight
     requests finish, and ``server.server_close()`` to close the listening
     socket.

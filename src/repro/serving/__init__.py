@@ -4,7 +4,7 @@ The :mod:`repro.server` module gives one process one HTTP estimator;
 this package scales and hardens it into a supervised pre-fork pool:
 
 * :mod:`~repro.serving.config` — one frozen :class:`ServingConfig`
-  carrying every pool/admission/coalescing/supervision knob;
+  carrying every pool/admission/supervision knob;
 * :mod:`~repro.serving.supervisor` — binds the listening socket, forks
   N workers over it, restarts crashed or wedged workers with exponential
   backoff behind a per-slot restart-storm circuit breaker, merges the
@@ -17,9 +17,6 @@ this package scales and hardens it into a supervised pre-fork pool:
   generation reloads, SIGTERM graceful drain;
 * :mod:`~repro.serving.admission` — bounded concurrency with a finite
   waiting room, deadline-aware queueing, 429 + ``Retry-After`` shedding;
-* :mod:`~repro.serving.coalescer` — natural batching: concurrent
-  single-query requests that queue behind an in-flight ``predict_many``
-  fold into the next one;
 * :mod:`~repro.serving.warmup` — pre-train a snapshot so pools boot
   warm; :mod:`~repro.serving.chaos` — SIGKILL-under-load scenario.
 
@@ -27,7 +24,6 @@ See ``docs/serving.md`` for the supervision tree and tuning guidance.
 """
 
 from repro.serving.admission import AdmissionController
-from repro.serving.coalescer import PredictCoalescer
 from repro.serving.config import ServingConfig
 from repro.serving.supervisor import Supervisor, WorkerSlot
 from repro.serving.warmup import pretrain_snapshot, sample_query_payloads
@@ -36,7 +32,6 @@ from repro.serving.worker import GenerationReloader, drain_server, worker_main
 __all__ = [
     "AdmissionController",
     "GenerationReloader",
-    "PredictCoalescer",
     "ServingConfig",
     "Supervisor",
     "WorkerSlot",

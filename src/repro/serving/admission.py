@@ -91,11 +91,6 @@ class AdmissionController:
         with self._cond:
             return self._waiting
 
-    def note_deadline_expired(self, stage: str) -> None:
-        """Meter a deadline expiry detected outside the queue (coalescer
-        flush wait, pre-dispatch check)."""
-        self._deadline_total.inc(worker=self.worker, stage=stage)
-
     # -- the gate ----------------------------------------------------------
 
     @contextmanager

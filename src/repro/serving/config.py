@@ -3,12 +3,10 @@
 One frozen dataclass shared by the supervisor, the workers, and the CLI,
 so a pool's whole operating envelope is a single picklable value.  The
 defaults favour a small sidecar next to a query optimizer: shallow
-queues (shed early, the planner can fall back to its native estimator),
-coalescing that never holds an idle request back (batches form only
-behind an in-flight kernel call), and restart supervision that tolerates
-crashes but refuses to fork-bomb a box with a poisoned snapshot (the
-restart-storm breaker reuses :class:`repro.robustness.CircuitBreaker`
-semantics).
+queues (shed early, the planner can fall back to its native estimator)
+and restart supervision that tolerates crashes but refuses to fork-bomb
+a box with a poisoned snapshot (the restart-storm breaker reuses
+:class:`repro.robustness.CircuitBreaker` semantics).
 
 See ``docs/serving.md`` for the tuning table.
 """
@@ -36,9 +34,6 @@ class ServingConfig:
     deadline_ms: float | None = 1000.0
     #: Advisory ``Retry-After`` (seconds) sent with shed responses.
     shed_retry_after_s: float = 1.0
-    #: Size at which a coalesced batch runs without waiting for the
-    #: in-flight ``predict_many`` call to return.
-    max_batch: int = 512
     #: Seconds between worker heartbeats to the supervisor.
     heartbeat_interval_s: float = 0.25
     #: Silence past which a live worker counts as wedged and is killed.
@@ -73,7 +68,6 @@ class ServingConfig:
         positive = {
             "workers": self.workers,
             "max_concurrency": self.max_concurrency,
-            "max_batch": self.max_batch,
             "restart_storm_threshold": self.restart_storm_threshold,
         }
         for name, value in positive.items():

@@ -3,8 +3,8 @@
 A worker is the unit of fault isolation in the pool: it owns one
 :class:`~repro.server.EstimatorService` (warm-started from the shared
 :class:`~repro.persistence.SnapshotStore`), one admission controller,
-one coalescer, and one HTTP server accepting from the supervisor's
-shared listening socket.  Everything here also works single-process —
+and one HTTP server accepting from the supervisor's shared listening
+socket.  Everything here also works single-process —
 the CLI's ``serve`` without ``--workers`` runs exactly this module's
 machinery minus the fork, which is how ``repro serve`` under
 systemd/containers gets the same SIGTERM drain semantics as the pool.
@@ -45,7 +45,6 @@ from repro.observability import (
 )
 from repro.server import EstimatorService, make_server
 from repro.serving.admission import AdmissionController
-from repro.serving.coalescer import PredictCoalescer
 from repro.serving.config import ServingConfig
 
 __all__ = ["worker_main", "GenerationReloader", "drain_server"]
@@ -188,19 +187,12 @@ def worker_main(
         worker=label,
         registry=registry,
     )
-    coalescer = PredictCoalescer(
-        service.estimate_many,
-        max_batch=config.max_batch,
-        worker=label,
-        registry=registry,
-    )
     draining = threading.Event()
     server = make_server(
         service,
         access_log=config.access_log,
         sock=sock,
         admission=admission,
-        coalescer=coalescer,
         default_deadline_ms=config.deadline_ms,
         draining=draining,
     )

@@ -41,6 +41,11 @@ class TestRangeDicts:
         with pytest.raises(ValueError):
             range_from_dict({"type": "triangle"})
 
+    @pytest.mark.parametrize("encoded", ["box", [0.1, 0.2], 1, None])
+    def test_non_object_rejected_naming_its_type(self, encoded):
+        with pytest.raises(TypeError, match=f"got {type(encoded).__name__}"):
+            range_from_dict(encoded)
+
 
 class TestWorkloadFiles:
     def test_roundtrip(self, tmp_path, rng):

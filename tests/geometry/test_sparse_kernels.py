@@ -158,3 +158,48 @@ def test_containment_matches_dense(cls):
     assert np.array_equal(got, dense)
     dot = sparse_containment_dot(queries, index, weights)
     assert np.max(np.abs(dot - dense @ weights)) <= TOL
+
+
+_WRONG_DIMENSION = {
+    "box-1d": Box([0.1], [0.5]),
+    "box-3d": Box([0.1] * 3, [0.5] * 3),
+    "halfspace-3d": Halfspace([1.0, 0.0, 0.0], 0.5),
+    "ball-3d": Ball([0.5] * 3, 0.2),
+}
+
+
+@pytest.mark.parametrize("query", _WRONG_DIMENSION.values(), ids=_WRONG_DIMENSION.keys())
+def test_dimension_mismatch_raises_on_every_path(query):
+    """A query of another dimension than the buckets is a ValueError on the
+    dense and the sparse path, never a broadcast answer or an IndexError."""
+    rng = np.random.default_rng(7)
+    lows, highs = _buckets(rng, m=40)
+    index = UniformGridIndex(lows, highs)
+    weights = np.ones(40) / 40
+    calls = [
+        lambda: intersection_volume_matrix([query], lows, highs),
+        lambda: coverage_dot([query], lows, highs, None, weights),
+        lambda: containment_matrix([query], lows),
+        lambda: sparse_coverage_dot([query], index, None, weights),
+        lambda: sparse_containment_dot([query], index, weights),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="dimension"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "queries",
+    [
+        [Box([0.1], [0.5]), Box([0.1] * 3, [0.5] * 3)],
+        [Ball([0.5], 0.1), Ball([0.5] * 3, 0.1)],
+    ],
+    ids=["boxes", "balls"],
+)
+def test_one_family_of_mixed_dimensions_raises(queries):
+    """A 1-D and a 3-D row concatenate to two 2-D rows; they must not be
+    read as such."""
+    rng = np.random.default_rng(8)
+    lows, highs = _buckets(rng, m=40)
+    with pytest.raises(ValueError, match="differ in dimension"):
+        coverage_dot(queries, lows, highs, None, np.ones(40) / 40)

@@ -7,11 +7,12 @@ import pytest
 from repro.serving import ServingConfig
 
 
-def test_defaults_are_valid_and_coalescing():
+def test_defaults_are_valid():
     config = ServingConfig()
     assert config.workers == 2
-    assert config.max_batch == 512  # coalescing is always on; this caps a fold
+    assert config.max_concurrency == 8
     assert config.to_dict()["queue_depth"] == 32
+    assert "max_batch" not in config.to_dict()
 
 
 def test_rejects_bad_values():

@@ -1,4 +1,4 @@
-"""Deadline budgets: the primitive shared by admission and coalescing."""
+"""Deadline budgets: the primitive the HTTP adapter and admission share."""
 
 from __future__ import annotations
 

@@ -38,7 +38,7 @@ def held(power2d_box_workload):
         release.wait(10.0)
         return estimate_many(queries, *args, **kwargs)
 
-    service.estimate_many = held_estimate_many  # the coalescer binds it in serve()
+    service.estimate_many = held_estimate_many  # the routes look it up per request
     server = serve(service, port=0)
     yield SimpleNamespace(
         server=server,

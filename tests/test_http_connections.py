@@ -297,3 +297,58 @@ def test_idle_connection_is_closed(served, monkeypatch):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_a_held_read_does_not_hold_another(power2d_box_workload):
+    """Each read makes its own ``estimate_many`` call: while one estimate
+    is held inside its call, an estimate on another connection answers
+    with the in-process value."""
+    train_q, train_s, _, _ = power2d_box_workload
+    service = EstimatorService(lambda: QuadHist(tau=0.02), registry=MetricsRegistry())
+    for query, label in zip(train_q[:40], train_s[:40]):
+        service.feedback(query, label)
+    service.retrain()
+    held_query, other_query = train_q[50], train_q[51]
+    expected = service.estimate_many([other_query])[0]
+    entered, release = threading.Event(), threading.Event()
+    estimate_many = service.estimate_many
+
+    def hold_the_first_call(queries):
+        if not entered.is_set():
+            entered.set()
+            release.wait(10.0)
+        return estimate_many(queries)
+
+    service.estimate_many = hold_the_first_call  # before serve(): nothing bound at start-up misses it
+    server = serve(service, port=0)
+    address = server.server_address[:2]
+    held: dict = {}
+
+    def send_held():
+        conn = http.client.HTTPConnection(*address, timeout=15.0)
+        try:
+            held["status"], held["body"], _ = _exchange(
+                conn, "POST", "/v1/estimate", _estimate_body(held_query)
+            )
+        finally:
+            conn.close()
+
+    client = threading.Thread(target=send_held)
+    client.start()
+    try:
+        assert entered.wait(5.0)
+        conn = http.client.HTTPConnection(*address, timeout=3.0)
+        try:
+            status, body, _ = _exchange(conn, "POST", "/v1/estimate", _estimate_body(other_query))
+        finally:
+            conn.close()
+        assert status == 200, body
+        assert json.loads(body)["selectivity"] == expected
+        assert client.is_alive() and "status" not in held  # still inside its call
+    finally:
+        release.set()
+        client.join(10.0)
+        server.shutdown()
+        server.server_close()
+    assert held["status"] == 200, held["body"]
+    assert json.loads(held["body"])["selectivity"] == estimate_many([held_query])[0]

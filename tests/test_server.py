@@ -94,6 +94,40 @@ class TestServiceAPI:
         assert service.status()["trained"]
         assert service.status()["feedback_pending"] == 0
 
+    @pytest.mark.parametrize("policy", ["drop", "clamp"])
+    def test_feedback_the_model_cannot_evaluate_is_quarantined(
+        self, labeled_feedback, policy
+    ):
+        feedback, _ = labeled_feedback
+        service = _service(sanitize_policy=policy)
+        for query, label in feedback[:30]:
+            service.feedback(query, label)
+        service.retrain()
+        response = service.feedback(Ball([0.5, 0.5, 0.5], 0.2), 0.1)
+        assert response["accepted"] is False
+        quarantine = service.status()["quarantine"]
+        assert quarantine["reasons"] == {"unservable_query": 1}
+        assert quarantine["total"] == quarantine["kept"] + quarantine["quarantined"]
+        assert service.status()["feedback_pending"] == 0
+        service.retrain()  # nothing unservable was buffered
+
+    @pytest.mark.parametrize("policy", ["raise", "drop"])
+    def test_feedback_of_another_dimension_is_refused_before_the_first_model(
+        self, labeled_feedback, policy
+    ):
+        feedback, _ = labeled_feedback
+        service = _service(sanitize_policy=policy)
+        other = Box([0.1, 0.1, 0.1], [0.5, 0.5, 0.5])
+        for query, label in feedback[:30]:
+            service.feedback(query, label)
+        if policy == "raise":
+            with pytest.raises(ValueError, match="dimension"):
+                service.feedback(other, 0.1)
+        else:
+            assert service.feedback(other, 0.1)["accepted"] is False
+        assert service.status()["feedback_pending"] == 30
+        service.retrain()
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             _service(retrain_every=0)
@@ -266,6 +300,23 @@ class TestHTTPErrorPaths:
         assert excinfo.value.code == 400
         assert "must be finite" in self._error_body(excinfo)["error"]
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/estimate", {"query": "box"}),
+            ("/v1/predict", {"queries": [1]}),
+            ("/v1/feedback", {"query": [0.1, 0.2], "selectivity": 0.1}),
+        ],
+        ids=["estimate-string", "predict-number", "feedback-list"],
+    )
+    def test_non_object_query_is_400(self, server, path, body):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post_raw(server, path, json.dumps(body).encode())
+        assert excinfo.value.code == 400
+        error = self._error_body(excinfo)
+        assert error["type"] == "TypeError"
+        assert "must be a JSON object" in error["error"]
+
     def test_unknown_post_path_is_404_json(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._post_raw(server, "/train", b"{}")
@@ -285,6 +336,67 @@ class TestHTTPErrorPaths:
         assert set(status) >= {"generation", "breaker", "buffer", "quarantine"}
         assert status["breaker"]["state"] == "closed"
         assert status["generation"] == 0
+
+
+_OTHER_DIMENSIONS = {
+    "1d": {"type": "box", "lows": [0.1], "highs": [0.5]},
+    "3d": {"type": "box", "lows": [0.1, 0.1, 0.1], "highs": [0.5, 0.5, 0.5]},
+}
+
+
+class TestWrongDimensionQueries:
+    """A query of another dimension than the served 2-D model gets a 400
+    on every route, and feedback never buffers it."""
+
+    @pytest.fixture
+    def server(self, labeled_feedback):
+        feedback, _ = labeled_feedback
+        service = _service(min_feedback=20)
+        for query, label in feedback[:40]:
+            service.feedback(query, label)
+        service.retrain()
+        server = serve(service, port=0)
+        yield server, service
+        server.shutdown()
+        server.server_close()
+
+    def _post(self, server, path, payload):
+        host, port = server.server_address
+        request = urllib.request.Request(
+            f"http://{host}:{port}{path}",
+            data=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=5) as response:
+                return response.status, json.loads(response.read())
+        except urllib.error.HTTPError as exc:
+            with exc:
+                return exc.code, json.loads(exc.read())
+
+    @pytest.mark.parametrize("route", ["estimate", "predict", "feedback"])
+    @pytest.mark.parametrize("query", _OTHER_DIMENSIONS.values(), ids=_OTHER_DIMENSIONS.keys())
+    def test_is_400(self, server, route, query):
+        server, service = server
+        payload = {
+            "estimate": {"query": query},
+            "predict": {"queries": [query]},
+            "feedback": {"query": query, "selectivity": 0.1},
+        }[route]
+        status, body = self._post(server, f"/v1/{route}", payload)
+        assert status == 400, body
+        assert "dimension" in body["error"]
+        assert service.status()["feedback_pending"] == 0
+
+    @pytest.mark.parametrize("query", _OTHER_DIMENSIONS.values(), ids=_OTHER_DIMENSIONS.keys())
+    def test_retrain_after_refused_feedback_succeeds(self, server, query):
+        server, service = server
+        status, _ = self._post(server, "/v1/feedback", {"query": query, "selectivity": 0.1})
+        assert status == 400
+        status, body = self._post(server, "/v1/retrain", {})
+        assert status == 200, body
+        assert body["generation"] == 2
 
 
 class TestBatchEstimation:
@@ -672,10 +784,10 @@ class TestRequestTracing:
         assert access[0]["request_id"] == "staged-1"
         stages = access[0]["stages"]
         # No admission controller here, so no queue stage; the parse,
-        # coalesce, kernel, write and total decomposition must still be
-        # present and ordered.
-        assert set(stages) == {"parse", "coalesce", "kernel", "write", "total"}
-        parts = stages["parse"] + stages["coalesce"] + stages["kernel"] + stages["write"]
+        # kernel, write and total decomposition must still be present and
+        # ordered.
+        assert set(stages) == {"parse", "kernel", "write", "total"}
+        parts = stages["parse"] + stages["kernel"] + stages["write"]
         assert 0.0 <= parts <= stages["total"]
 
     def test_stage_histogram_skips_probes_and_stays_unlabelled(
