@@ -7,7 +7,11 @@ over real HTTP with multi-process clients (separate processes so the
 accepts across workers, so throughput should scale with worker count up
 to the machine's core count — ``cpu_count`` is recorded alongside the
 curve, because a 1-core box (some CI runners) physically cannot show a
->1× speedup no matter how correct the pool is.  The run exits non-zero
+>1× speedup no matter how correct the pool is.  Each client holds one
+kept-alive connection, as the workers expect, and reconnects after a
+failure.  The full run boots every worker count three times, in
+interleaved rounds, and reports the median and the range, so host load
+shows as spread rather than as a scaling change.  The run exits non-zero
 when any request failed.
 
 Results land in ``benchmarks/results/BENCH_serving.json``::
@@ -19,13 +23,14 @@ Results land in ``benchmarks/results/BENCH_serving.json``::
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import multiprocessing
 import os
+import statistics
 import sys
 import tempfile
 import time
-import urllib.request
 from pathlib import Path
 
 from repro.core.config import QuadHistConfig
@@ -42,48 +47,55 @@ FULL = {
     "worker_counts": [1, 2, 4],
     "clients": 8,
     "duration_s": 4.0,
+    "rounds": 3,
 }
 SMOKE = {
     "mode": "smoke",
     "worker_counts": [1, 2],
     "clients": 4,
     "duration_s": 1.5,
+    "rounds": 1,
 }
+_HEADERS = {"Content-Type": "application/json"}
 
 
-def _client_proc(base: str, payloads: list, duration_s: float, out) -> None:
-    """One load-generating process: single-query estimates."""
+def _client_proc(address: tuple, payloads: list, duration_s: float, out) -> None:
+    """One load-generating process: single-query estimates over one
+    kept-alive connection, reopened after a failure."""
+    bodies = [json.dumps({"query": payload}).encode() for payload in payloads]
+    conn = http.client.HTTPConnection(*address, timeout=10)
     ok = 0
     failed = 0
     i = 0
     deadline = time.monotonic() + duration_s
     while time.monotonic() < deadline:
-        payload = {"query": payloads[i % len(payloads)]}
+        body = bodies[i % len(bodies)]
         i += 1
-        body = json.dumps(payload).encode()
-        request = urllib.request.Request(
-            f"{base}/v1/estimate",
-            data=body,
-            headers={"Content-Type": "application/json"},
-        )
         try:
-            with urllib.request.urlopen(request, timeout=10) as response:
-                response.read()
-                ok += response.status == 200
-        except Exception:
+            conn.request("POST", "/v1/estimate", body=body, headers=_HEADERS)
+            response = conn.getresponse()
+            response.read()
+        except (OSError, http.client.HTTPException):
+            conn.close()  # the next request reconnects
             failed += 1
+            continue
+        if response.status == 200:
+            ok += 1
+        else:
+            failed += 1
+    conn.close()
     out.send({"ok": ok, "failed": failed})
     out.close()
 
 
-def _drive(base: str, payloads: list, clients: int, duration_s: float) -> dict:
+def _drive(address: tuple, payloads: list, clients: int, duration_s: float) -> dict:
     ctx = multiprocessing.get_context("fork")
     pipes = []
     procs = []
     for _ in range(clients):
         recv, send = ctx.Pipe(duplex=False)
         proc = ctx.Process(
-            target=_client_proc, args=(base, payloads, duration_s, send)
+            target=_client_proc, args=(address, payloads, duration_s, send)
         )
         proc.start()
         send.close()
@@ -118,10 +130,9 @@ def _run_pool(snapshot_dir, workers, clients, duration_s, payloads):
     config = ServingConfig(workers=workers, **POOL_CONFIG)
     supervisor = Supervisor(factory, config=config, registry=MetricsRegistry())
     try:
-        host, port = supervisor.start()
-        base = f"http://{host}:{port}"
-        _drive(base, payloads, clients=2, duration_s=0.5)  # warm-up
-        totals = _drive(base, payloads, clients, duration_s)
+        address = supervisor.start()
+        _drive(address, payloads, clients=2, duration_s=0.5)  # warm-up
+        totals = _drive(address, payloads, clients, duration_s)
     finally:
         supervisor.stop(drain=True)
     qps = totals["ok"] / duration_s
@@ -141,15 +152,36 @@ def run(config: dict) -> dict:
     pretrain_snapshot(tmp.name)
     payloads = sample_query_payloads(64, seed=5)
 
+    runs = {workers: [] for workers in config["worker_counts"]}
+    for round_ in range(config["rounds"]):
+        for workers in config["worker_counts"]:
+            point = _run_pool(
+                tmp.name,
+                workers,
+                clients=config["clients"],
+                duration_s=config["duration_s"],
+                payloads=payloads,
+            )
+            runs[workers].append(point)
+            print(
+                f"round {round_ + 1}, workers={workers}: "
+                f"{point['requests_per_second']} req/s (failed {point['failed']})"
+            )
+    tmp.cleanup()
+
     scaling = []
-    for workers in config["worker_counts"]:
-        point = _run_pool(
-            tmp.name,
-            workers,
-            clients=config["clients"],
-            duration_s=config["duration_s"],
-            payloads=payloads,
-        )
+    for workers, points in runs.items():
+        rates = [point["requests_per_second"] for point in points]
+        point = {
+            "workers": workers,
+            "clients": config["clients"],
+            "duration_s": config["duration_s"],
+            "ok": sum(p["ok"] for p in points),
+            "failed": sum(p["failed"] for p in points),
+            "requests_per_second": round(statistics.median(rates), 1),
+            "requests_per_second_range": [min(rates), max(rates)],
+            "requests_per_second_runs": rates,
+        }
         baseline = scaling[0]["requests_per_second"] if scaling else None
         if cpu_count == 1 and workers > 1:
             # A single core cannot demonstrate worker scaling: publishing
@@ -165,10 +197,10 @@ def run(config: dict) -> dict:
         speedup = point["speedup_vs_1_worker"]
         speedup_txt = "n/a (1 cpu)" if speedup is None else f"{speedup}x"
         print(
-            f"workers={workers}: {point['requests_per_second']} req/s "
+            f"workers={workers}: median {point['requests_per_second']} req/s "
+            f"over {len(rates)} runs, range {min(rates)}-{max(rates)} "
             f"(speedup {speedup_txt}, failed {point['failed']})"
         )
-    tmp.cleanup()
 
     # cpu_count leads the report: every number below is conditioned on it.
     result = {

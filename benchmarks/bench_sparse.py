@@ -15,16 +15,19 @@ two axes that decide the win:
 
 For each cell we time ``predict_many`` with the index attached (the cost
 rule picks each row's path) vs. stripped (``est._index = None`` runs the
-dense path only), and record the index's lookup-work estimate per query,
-the share of rows the rule sent sparse (read from
-``repro_sparse_calls_total``), and the max absolute prediction
-difference (acceptance: ``<= 1e-12``).  A second section times the
-Eq. (8) design-matrix build that dominates ISOMER / arrangement-ERM
-fits, with and without the index, on the same bucket sets; those
-matrices must be bitwise equal (acceptance: max difference ``0``).  The
-script exits non-zero when either acceptance fails.
+dense path only), the two sides alternating so that host load hits both
+alike (the median of the alternations, and the range), and record the
+index's lookup-work estimate per query, the share of rows the rule sent
+sparse (read from ``repro_sparse_calls_total``), and the max absolute
+prediction difference (acceptance: ``<= 1e-12``).  A second section
+times the Eq. (8) design-matrix build that dominates ISOMER /
+arrangement-ERM fits, with and without the index, on the same bucket
+sets; those matrices must be bitwise equal (acceptance: max difference
+``0``).  A third checks data-centred ball and halfspace queries the same
+way at every leaf count, with every row forced through the sparse pair
+kernels.  The script exits non-zero when any acceptance fails.
 
-A third section measures the per-unit costs the rule's constants in
+A last section measures the per-unit costs the rule's constants in
 :mod:`repro.geometry.sparse` come from: dense kernel ns per entry per
 family and, with every row forced sparse, the fixed ns of a call, the
 lookup's ns per estimated visit or entry, and the remaining ns per
@@ -66,6 +69,8 @@ FULL = {
     "extents": [0.01, 0.05, 0.2],
     "eval_queries": 2_000,
     "design_queries": 800,
+    "family_queries": 200,
+    "alternations": 7,
     "calibration_buckets": 4096,
 }
 SMOKE = {
@@ -76,6 +81,8 @@ SMOKE = {
     "extents": [0.05, 0.2],
     "eval_queries": 300,
     "design_queries": 150,
+    "family_queries": 60,
+    "alternations": 5,
     "calibration_buckets": 1024,
 }
 
@@ -96,9 +103,25 @@ def _fixed_extent_queries(rng, n: int, extent: float) -> list[Box]:
     return [Box(low, low + extent) for low in lows]
 
 
+def _alternating(repeats: int, first, second) -> tuple[list, list, object, object]:
+    """Time ``first`` and ``second`` in turn, ``repeats`` times each."""
+    times = ([], [])
+    results = [None, None]
+    for _ in range(repeats):
+        for k, fn in enumerate((first, second)):
+            start = time.perf_counter()
+            results[k] = fn()
+            times[k].append(time.perf_counter() - start)
+    return times[0], times[1], results[0], results[1]
+
+
+def _dataset(config: dict):
+    return power_like(rows=config["rows"], seed=7).project([0, 3])
+
+
 def _fit_quadhist(config: dict, max_leaves: int) -> QuadHist:
     rng = np.random.default_rng(20220612)
-    data = power_like(rows=config["rows"], seed=7).project([0, 3])
+    data = _dataset(config)
     spec = WorkloadSpec(query_kind="box", center_kind="data")
     train = generate_workload(
         config["train_queries"], data.dim, rng, spec=spec, dataset=data
@@ -131,6 +154,51 @@ class _ForcedSparse:
 
     def __exit__(self, *exc):
         sparse._sparse_rows = self._rule
+
+
+def _family_checks(config: dict, est: QuadHist, rng) -> list[dict]:
+    """Data-centred balls and halfspaces through both paths of one model.
+
+    Every row is forced sparse, so the sparse pair kernels run on all of
+    them: predictions must match the dense path's within
+    :data:`PREDICT_TOL` and design matrices bitwise.  The share the cost
+    rule itself sends sparse is recorded beside.
+    """
+    data = _dataset(config)
+    index = est._index
+    volumes = np.prod(index.b_highs - index.b_lows, axis=1)
+    calls = default_registry().get("repro_sparse_calls_total")
+    points = []
+    for family in ("ball", "halfspace"):
+        spec = WorkloadSpec(query_kind=family, center_kind="data")
+        queries = generate_workload(
+            config["family_queries"], data.dim, rng, spec=spec, dataset=data
+        )
+        before = calls.value(kernel=family, path="sparse"), calls.value(kernel=family, path="dense")
+        est.predict_many(queries)
+        went = calls.value(kernel=family, path="sparse") - before[0]
+        share = went / (went + calls.value(kernel=family, path="dense") - before[1])
+        est._index = None
+        p_dense = est.predict_many(queries)
+        est._index = index
+        with _ForcedSparse():
+            p_sparse = est.predict_many(queries)
+            a_sparse = sparse_coverage_matrix(queries, index, volumes)
+        a_dense = coverage_matrix(queries, index.b_lows, index.b_highs, volumes)
+        point = {
+            "leaves": est.model_size,
+            "family": family,
+            "queries": len(queries),
+            "sparse_share": round(share, 4),
+            "max_abs_diff": float(np.max(np.abs(p_sparse - p_dense))),
+            "design_max_abs_diff": float(np.max(np.abs(a_sparse - a_dense))),
+        }
+        points.append(point)
+        print(
+            f"  {family}: rule sparse_share={share:.2f}  forced-sparse vs dense "
+            f"maxdiff {point['max_abs_diff']:.1e}, design {point['design_max_abs_diff']:.1e}"
+        )
+    return points
 
 
 def _calibrate(config: dict) -> dict:
@@ -240,6 +308,7 @@ def run(config: dict) -> dict:
     rng = np.random.default_rng(99)
     sweep = []
     design = []
+    families = []
     for max_leaves in config["leaf_counts"]:
         est = _fit_quadhist(config, max_leaves)
         m = est.model_size
@@ -259,10 +328,21 @@ def run(config: dict) -> dict:
             est.predict_many(queries)
             sparse_rows = _box_rows("sparse") - before[0]
             share = sparse_rows / (sparse_rows + _box_rows("dense") - before[1])
-            t_sparse, p_sparse = _best_of(5, lambda: est.predict_many(queries))
-            est._index = None
-            t_dense, p_dense = _best_of(5, lambda: est.predict_many(queries))
-            est._index = index
+
+            def routed():
+                est._index = index
+                return est.predict_many(queries)
+
+            def dense():
+                est._index = None
+                try:
+                    return est.predict_many(queries)
+                finally:
+                    est._index = index
+
+            ts, td, p_sparse, p_dense = _alternating(config["alternations"], routed, dense)
+            t_sparse, t_dense = float(np.median(ts)), float(np.median(td))
+            ratios = [d / s for s, d in zip(ts, td)]
 
             diff = float(np.max(np.abs(np.asarray(p_sparse) - np.asarray(p_dense))))
             point = {
@@ -276,14 +356,19 @@ def run(config: dict) -> dict:
                 "sparse_share": round(share, 4),
                 "sparse_seconds": round(t_sparse, 4),
                 "dense_seconds": round(t_dense, 4),
+                "sparse_seconds_range": [round(min(ts), 4), round(max(ts), 4)],
+                "dense_seconds_range": [round(min(td), 4), round(max(td), 4)],
                 "speedup": round(t_dense / t_sparse, 2),
+                "speedup_range": [round(min(ratios), 2), round(max(ratios), 2)],
                 "max_abs_diff": diff,
             }
             sweep.append(point)
             print(
                 f"  extent={extent}: visits={visits:.1f} sparse_share={share:.2f}  "
-                f"sparse {t_sparse:.3f}s vs dense {t_dense:.3f}s  "
-                f"speedup {point['speedup']}x  maxdiff {diff:.1e}"
+                f"sparse {t_sparse:.4f}s vs dense {t_dense:.4f}s (medians of "
+                f"{len(ts)})  speedup {point['speedup']}x "
+                f"[{point['speedup_range'][0]}-{point['speedup_range'][1]}]  "
+                f"maxdiff {diff:.1e}"
             )
 
         # Eq. (8) design-matrix build — the cost that dominates the
@@ -309,6 +394,7 @@ def run(config: dict) -> dict:
             f"  design matrix: sparse {t_sp:.3f}s vs dense {t_de:.3f}s  "
             f"speedup {design_point['speedup']}x"
         )
+        families.extend(_family_checks(config, est, rng))
 
     big = [p for p in sweep if p["leaves"] >= 10_000]
     headline = max((p["speedup"] for p in big), default=None)
@@ -319,6 +405,7 @@ def run(config: dict) -> dict:
         "max_abs_diff": max(p["max_abs_diff"] for p in sweep),
         "predict_sweep": sweep,
         "design_matrix": design,
+        "families": families,
         "calibration": _calibrate(config),
     }
 
@@ -339,6 +426,18 @@ def failures(result: dict) -> list[str]:
             found.append(
                 f"design matrix at {point['leaves']} leaves differs from dense by "
                 f"{point['max_abs_diff']:.2e} (must be bitwise equal)"
+            )
+    for point in result["families"]:
+        where = f"{point['family']} rows at {point['leaves']} leaves"
+        if not point["max_abs_diff"] <= PREDICT_TOL:
+            found.append(
+                f"{where}: sparse-vs-dense prediction diff {point['max_abs_diff']:.2e} "
+                f"> {PREDICT_TOL:g}"
+            )
+        if point["design_max_abs_diff"] != 0.0:
+            found.append(
+                f"{where}: design matrix differs from dense by "
+                f"{point['design_max_abs_diff']:.2e} (must be bitwise equal)"
             )
     return found
 

@@ -41,6 +41,11 @@ class UniformEstimator(SelectivityEstimator):
         )
 
     def _predict_one(self, query: Range) -> float:
+        if query.dim != self._resolved_domain.dim:
+            raise ValueError(
+                f"query of dimension {query.dim} against "
+                f"{self._resolved_domain.dim}-dimensional data"
+            )
         domain_volume = self._resolved_domain.volume()
         if domain_volume <= 0.0:
             return 0.0

@@ -176,6 +176,10 @@ class GaussianMixtureHist(SelectivityEstimator):
     # ------------------------------------------------------------------
 
     def _predict_one(self, query: Range) -> float:
+        if query.dim != self._means.shape[1]:
+            raise ValueError(
+                f"query of dimension {query.dim} against {self._means.shape[1]}-dimensional data"
+            )
         return float(self._mass_row(query) @ self._weights)
 
     @property

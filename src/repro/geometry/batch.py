@@ -119,6 +119,49 @@ def boxes_to_arrays(boxes: Sequence[Box]) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+class Staged(NamedTuple):
+    """A kernel's values with its boundary pairs gathered, not yet evaluated.
+
+    The ball and halfspace kernels decide most pairs with a few
+    comparisons; the rest, the pairs the range's boundary crosses, need
+    an exact area whose cost is mostly fixed per call.  A caller holding
+    several blocks evaluates all their boundary pairs in one call.
+    """
+
+    out: np.ndarray  # decided values; boundary pairs read 0 until filled
+    pending: np.ndarray  # flat positions of the boundary pairs in ``out``
+    evaluate: Callable | None  # (*operands) -> the boundary pairs' values
+    operands: tuple  # one flat array per operand, a pair per entry
+
+
+_NO_PAIRS = np.empty(0, dtype=np.intp)
+
+
+def _staged(out, pending, evaluate, *operands) -> Staged:
+    """Gather each operand, broadcast against ``out``, at ``pending``.
+
+    Each operand is indexed along its own axes only: a ``(c, 1)`` query
+    operand by the pairs' rows, an ``(m,)`` bucket operand by their
+    columns.  Raveling its broadcast view would copy all ``c × m``.
+    """
+    if not pending.size:
+        return Staged(out, pending, None, ())
+    at = np.unravel_index(pending, out.shape)
+    flat = []
+    for v in map(np.asarray, operands):
+        lead = out.ndim - v.ndim
+        picked = v[tuple(0 if n == 1 else at[lead + k] for k, n in enumerate(v.shape))]
+        flat.append(picked if picked.shape == pending.shape else np.full(pending.shape, picked))
+    return Staged(out, pending, evaluate, tuple(flat))
+
+
+def _fill(staged: Staged) -> np.ndarray:
+    """``staged.out`` with its boundary pairs evaluated."""
+    if staged.pending.size:
+        np.put(staged.out, staged.pending, staged.evaluate(*staged.operands))
+    return staged.out
+
+
 def box_volume(q, b) -> np.ndarray:
     """``Vol(B ∩ Q)`` for boxes ``q = (lows, highs)``.
 
@@ -155,6 +198,11 @@ def halfspace_volume(q, b, active: tuple[int, ...]) -> np.ndarray:
     gathered into the closed form, which returns exactly those values on
     the first two branches.
     """
+    return _fill(_halfspace_staged(q, b, active))
+
+
+def _halfspace_staged(q, b, active: tuple[int, ...]) -> Staged:
+    """:func:`halfspace_volume` up to its boundary pairs' closed form."""
     normals, offsets = q
     b_lows, b_highs, b_volumes = b
     dot = normals[0] * b_lows[0]
@@ -162,7 +210,7 @@ def halfspace_volume(q, b, active: tuple[int, ...]) -> np.ndarray:
         dot = dot + normals[k] * b_lows[k]
     threshold = offsets - dot
     if not active:
-        return np.where(threshold <= 0.0, b_volumes, 0.0)
+        return Staged(np.where(threshold <= 0.0, b_volumes, 0.0), _NO_PAIRS, None, ())
     coeffs = [normals[k] * (b_highs[k] - b_lows[k]) for k in active]
     flipped = np.minimum(coeffs[0], 0.0)
     for c in coeffs[1:]:
@@ -183,20 +231,17 @@ def halfspace_volume(q, b, active: tuple[int, ...]) -> np.ndarray:
     contained = threshold <= 0.0
     out = np.where(contained, b_volumes, 0.0)
     pending = np.flatnonzero(~contained & ~(threshold >= total))
-    if pending.size:
+    return _staged(out, pending, _halfspace_boundary, b_volumes, threshold, *coeffs)
 
-        def flat(values):
-            return np.broadcast_to(values, out.shape).ravel()[pending]
 
-        t = flat(threshold)
-        c = [flat(v) for v in coeffs]
-        if len(c) == 2:
-            # Cancellation-free closed form, shared with the scalar kernel.
-            below = _unit_square_halfspace_fraction(c[0], c[1], t)
-        else:
-            below = _unit_cube_fraction(c, t)
-        np.put(out, pending, np.maximum(flat(b_volumes) * (1.0 - below), 0.0))
-    return out
+def _halfspace_boundary(volumes, threshold, *coeffs) -> np.ndarray:
+    """``Vol(B ∩ H)`` of gathered boundary pairs from their closed form."""
+    if len(coeffs) == 2:
+        # Cancellation-free closed form, shared with the scalar kernel.
+        below = _unit_square_halfspace_fraction(coeffs[0], coeffs[1], threshold)
+    else:
+        below = _unit_cube_fraction(list(coeffs), threshold)
+    return np.maximum(volumes * (1.0 - below), 0.0)
 
 
 def _unit_cube_fraction(coeffs: list, threshold) -> np.ndarray:
@@ -236,13 +281,18 @@ def ball_volume(q, b) -> np.ndarray:
     (:func:`_disc_rect_area`), by the fixed Sobol point set scaled into
     the box clipped to the ball's bounding box above.
     """
+    return _fill(_ball_staged(q, b))
+
+
+def _ball_staged(q, b) -> Staged:
+    """:func:`ball_volume` up to its boundary pairs' area."""
     centers, radii = q
     b_lows, b_highs, b_volumes = b
     d = len(centers)
     if d == 1:
         lo = np.maximum(b_lows[0], centers[0] - radii)
         hi = np.minimum(b_highs[0], centers[0] + radii)
-        return np.maximum(hi - lo, 0.0)
+        return Staged(np.maximum(hi - lo, 0.0), _NO_PAIRS, None, ())
     clip_lows = [np.maximum(b_lows[k], centers[k] - radii) for k in range(d)]
     clip_highs = [np.minimum(b_highs[k], centers[k] + radii) for k in range(d)]
     # Boxes off the ball's bounding box are exactly 0, as pruned pairs are.
@@ -256,31 +306,20 @@ def ball_volume(q, b) -> np.ndarray:
     contained = corner <= radii**2 + 1e-15
     out = np.where(~empty & contained, b_volumes, 0.0)
     pending = np.flatnonzero(~empty & ~contained)
-    if pending.size:
-
-        def flat(values):
-            return np.broadcast_to(values, out.shape).ravel()[pending]
-
-        c = [flat(centers[k]) for k in range(d)]
-        if d == 2:
-            values = _disc_rect_area(
-                flat(b_lows[0]) - c[0],
-                flat(b_lows[1]) - c[1],
-                flat(b_highs[0]) - c[0],
-                flat(b_highs[1]) - c[1],
-                flat(radii),
-            )
-        else:
-            values = _qmc_volumes(
-                [flat(v) for v in clip_lows], [flat(v) for v in clip_highs], c, flat(radii)
-            )
-        np.put(out, pending, values)
-    return out
+    if d == 2:
+        corners = (b_lows[0], b_lows[1], b_highs[0], b_highs[1])
+        return _staged(out, pending, _disc_rect_area, *corners, *centers, radii)
+    return _staged(out, pending, _qmc_volumes, *clip_lows, *clip_highs, *centers, radii)
 
 
-def _qmc_volumes(lows: list, highs: list, centers: list, radii) -> np.ndarray:
-    """Quasi-MC ``Vol(box ∩ ball)`` for flat arrays of pending pairs."""
-    d = len(lows)
+def _qmc_volumes(*operands) -> np.ndarray:
+    """Quasi-MC ``Vol(box ∩ ball)`` for flat arrays of pending pairs: the
+    ``d`` clipped lows, ``d`` clipped highs and ``d`` centre coordinates,
+    then the radii."""
+    d = len(operands) // 3
+    lows, highs, centers, radii = (
+        operands[:d], operands[d : 2 * d], operands[2 * d : 3 * d], operands[-1]
+    )
     unit = _qmc_unit_points(d, QMC_POINTS)  # the scalar path's point set
     points = unit.shape[0]
     out = np.empty(radii.shape[0])
@@ -299,15 +338,16 @@ def _qmc_volumes(lows: list, highs: list, centers: list, radii) -> np.ndarray:
     return out
 
 
-def _disc_rect_area(x0, y0, x1, y1, r) -> np.ndarray:
-    """Area of ``[x0, x1] × [y0, y1]`` ∩ the disc of radius ``r`` at 0.
+def _disc_rect_area(x0, y0, x1, y1, cx, cy, r) -> np.ndarray:
+    """Area of ``[x0, x1] × [y0, y1]`` ∩ the disc of radius ``r`` at ``(cx, cy)``.
 
-    The quadrant inclusion–exclusion of
-    :func:`repro.geometry.volume._rect_disc_area_2d` over flat arrays, in
-    the scalar quadrant's operation order.  ``G``, the antiderivative of
+    The box is moved so that the disc sits at 0, then the quadrant
+    inclusion–exclusion of :func:`repro.geometry.volume._rect_disc_area_2d`
+    runs over flat arrays, in the scalar quadrant's operation order.  ``G``, the antiderivative of
     ``sqrt(r² - X²)``, is evaluated once per distinct point: at ``-r``, at
     each clipped x edge and at the two band ends of each corner.
     """
+    x0, y0, x1, y1 = x0 - cx, y0 - cy, x1 - cx, y1 - cy
     r2 = r * r
     r_safe = np.where(r > 0.0, r, 1.0)
 
@@ -413,6 +453,7 @@ class KernelGroup(NamedTuple):
     volume: Callable  # (ops, bucket operands) -> Vol(B ∩ R)
     contains: Callable  # (ops, (points,)) -> 1(p ∈ R)
     width: int  # float64 temporaries per pair, for chunking
+    staged: Callable | None = None  # (ops, bucket operands) -> Staged
 
 
 class GroupedQueries(list):
@@ -489,6 +530,7 @@ def kernel_groups(queries: Sequence[Range]) -> tuple[list[KernelGroup], list[int
                     partial(halfspace_volume, active=dims),
                     halfspace_contains,
                     (1 << len(dims)) + 2 * len(dims) + 4,
+                    partial(_halfspace_staged, active=dims),
                 )
             )
     if balls:
@@ -497,7 +539,11 @@ def kernel_groups(queries: Sequence[Range]) -> tuple[list[KernelGroup], list[int
             np.array([queries[i].radius for i in balls]),
         )
         width = 8 + 3 * ops[0].shape[0]
-        groups.append(KernelGroup("ball", np.asarray(balls), ops, ball_volume, ball_contains, width))
+        groups.append(
+            KernelGroup(
+                "ball", np.asarray(balls), ops, ball_volume, ball_contains, width, _ball_staged
+            )
+        )
     return groups, other
 
 
@@ -534,6 +580,46 @@ def _dense_rows(fn, group: KernelGroup, b, m: int, kernel: str, budget=None):
     for start, stop in _query_chunks(group.idx.size, m * group.width, kernel, budget):
         block = tuple(a[..., start:stop, None] for a in group.ops)
         yield start, stop, fn(block, b)
+
+
+def _gathered_rows(group: KernelGroup, b, m: int):
+    """``_dense_rows`` of a kernel with a boundary stage, for the fused dot.
+
+    Each ``CACHE_ELEMENTS`` block is decided as it comes and held; the
+    boundary pairs of all held blocks are then evaluated in one call,
+    whose cost is mostly fixed (a 2-D ball block against a few thousand
+    buckets is two query rows).  The held values, times the kernel's
+    temporaries per pair, stay within ``CHUNK_ELEMENTS``, so that call's
+    temporaries stay within a dense block's budget.
+    """
+    held, size = [], 0
+    limit = CHUNK_ELEMENTS // group.width
+    for start, stop, staged in _dense_rows(
+        group.staged, group, b, m, "coverage_dot", CACHE_ELEMENTS
+    ):
+        if held and size + staged.out.size > limit:
+            yield from _evaluated(held)
+            held, size = [], 0
+        held.append((start, stop, staged))
+        size += staged.out.size
+    yield from _evaluated(held)
+
+
+def _evaluated(held: list):
+    """Evaluate held blocks' boundary pairs in one call; yield the blocks.
+
+    The boundary stage is elementwise, so a pair's value does not depend
+    on the pairs it is evaluated with.
+    """
+    waiting = [staged for _, _, staged in held if staged.pending.size]
+    if waiting:
+        operands = [np.concatenate(parts) for parts in zip(*(s.operands for s in waiting))]
+        values = waiting[0].evaluate(*operands)
+        ends = np.cumsum([s.pending.size for s in waiting])[:-1]
+        for staged, part in zip(waiting, np.split(values, ends)):
+            np.put(staged.out, staged.pending, part)
+    for start, stop, staged in held:
+        yield start, stop, staged.out
 
 
 def _other_volumes(query: Range, b) -> np.ndarray:
@@ -626,7 +712,10 @@ def coverage_dot(
     traffic, not arithmetic.  Box rows fold the bucket normalisation into
     the weights once: a box overlap never exceeds the bucket volume, by
     monotonicity of floating-point min/sub/mul, so the divide + clip is a
-    per-entry no-op for them.
+    per-entry no-op for them.  Ball and halfspace rows evaluate the
+    boundary pairs of many blocks in one call (:func:`_gathered_rows`)
+    before each block's product, so values and products are those of the
+    per-block kernels.
     """
     queries = _workload(queries)
     b = bucket_operands(b_lows, b_highs, b_volumes)
@@ -640,9 +729,11 @@ def coverage_dot(
     groups, other = kernel_groups(queries)
     check_dimension(groups, b[0].shape[0])
     for group in groups:
-        for start, stop, values in _dense_rows(
-            group.volume, group, b, m, "coverage_dot", CACHE_ELEMENTS
-        ):
+        if group.staged is None:
+            rows = _dense_rows(group.volume, group, b, m, "coverage_dot", CACHE_ELEMENTS)
+        else:
+            rows = _gathered_rows(group, b, m)
+        for start, stop, values in rows:
             if group.kind == "box" and len(group.ops[0]) == 1:
                 out[group.idx[start:stop]] = values @ folded
             elif group.kind == "box":

@@ -75,8 +75,10 @@ __all__ = [
 # a fresh measurement.  Only their ratios matter.
 
 #: One (query, bucket) entry of a dense kernel, per family; "contains"
-#: is a membership test of any family.
-DENSE_NS = {"box": 4.5, "halfspace": 22.0, "ball": 56.0, "contains": 9.0}
+#: is a membership test of any family.  A dense ball or halfspace group
+#: evaluates the boundary pairs of all its blocks in one call, whose cost
+#: is mostly fixed; a sparse call pays one more.
+DENSE_NS = {"box": 4.5, "halfspace": 20.0, "ball": 30.0, "contains": 9.0}
 #: One estimated bucket entry through a pair kernel and the scatter.
 PAIR_NS = {"box": 33.0, "halfspace": 142.0, "ball": 100.0, "contains": 47.0}
 #: One grid cell or tree node visited, or one bucket entry gathered and
@@ -129,15 +131,20 @@ def _route(group: KernelGroup, index: BucketIndex, contains: bool):
     cost = "contains" if contains else group.kind
     pad = _CONTAIN_PAD if contains else 0.0
     m = index.m
+    dense_ns = DENSE_NS[cost] * m
     if group.kind == "halfspace":
         normals, offsets = group.ops
+        # Every sparse halfspace row pays the corner test, so both sides
+        # are compared without it; when it alone costs a dense row, the
+        # rule skips the estimate.
+        dense_ns -= CORNER_NS * m
 
         def estimate():
             # Candidates ~ m × the share of the bucket region kept.
             region = float(np.prod(index.hi - index.lo))
             kept = group.volume(group.ops, (index.lo, index.hi, region))
             share = kept / region if region > 0.0 else 1.0
-            return CORNER_NS * m + PAIR_NS[cost] * m * share
+            return PAIR_NS[cost] * m * share
 
         def lookup(sel):
             keep = index.halfspace_candidates(normals[:, sel].T, offsets[sel])
@@ -158,7 +165,7 @@ def _route(group: KernelGroup, index: BucketIndex, contains: bool):
             indptr, cols = index.candidates_for_boxes(lows[sel], highs[sel])
             return np.repeat(np.arange(sel.size), np.diff(indptr)), cols
 
-    return _sparse_rows(group.idx.size, DENSE_NS[cost] * m, estimate), lookup
+    return _sparse_rows(group.idx.size, dense_ns, estimate), lookup
 
 
 def _split(queries: list, index: BucketIndex, b_volumes, contains: bool):

@@ -1222,19 +1222,21 @@ class EstimatorService:
         """``(trainable, served estimate)`` of a screened feedback query;
         the caller holds ``_lock``.
 
-        The served model must evaluate the query; before the first model,
-        its dimension must match the buffered feedback's.  A refused query
-        raises under the strict policy and is quarantined under the others.
+        The query's dimension must match the buffered feedback's, and the
+        served model, if any, must evaluate it: a learner that answers any
+        query (``mean``) would otherwise let one row fail every later
+        retrain.  A refused query raises under the strict policy and is
+        quarantined under the others.
         """
         try:
-            if self._model is not None:
-                return True, self._model.predict(query)
             newest = self._buffer.newest()
             if newest is not None and newest.dim != query.dim:
                 raise ValueError(
                     f"query of dimension {query.dim} against "
                     f"{newest.dim}-dimensional buffered feedback"
                 )
+            if self._model is not None:
+                return True, self._model.predict(query)
             return True, None
         except ValueError as exc:
             if self.sanitize_policy == "raise":

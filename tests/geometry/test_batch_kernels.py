@@ -240,6 +240,116 @@ class TestDispatcherAndChunking:
         )
 
 
+def _grid(per_dim: int, d: int):
+    """``per_dim**d`` equal cells tiling the unit cube."""
+    edges = np.linspace(0.0, 1.0, per_dim + 1)[:-1]
+    lows = np.stack(np.meshgrid(*[edges] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    return lows, lows + 1.0 / per_dim
+
+
+def _staged_queries(kind: str, d: int, rng, n: int) -> list:
+    """``n`` rows of one kernel group whose boundary crosses some buckets."""
+    if kind == "ball":
+        return [Ball(c, float(r)) for c, r in zip(rng.random((n, d)), rng.uniform(0.05, 0.4, n))]
+    # Every component non-zero, so all rows share one active pattern.
+    normals = rng.normal(size=(n, d)) + 0.5
+    return [Halfspace(a, float(a @ p)) for a, p in zip(normals, rng.random((n, d)))]
+
+
+def _no_boundary(kind: str, d: int, n: int) -> list:
+    """``n`` rows of the same group without a single boundary pair."""
+    if kind == "ball":
+        return [Ball(np.full(d, 3.0), 0.5)] * n  # off every bucket
+    return [Halfspace(np.full(d, 1.0), -1.0)] * n  # contains every bucket
+
+
+def _per_block_dot(queries, b_lows, b_highs, volumes, weights):
+    """``fractions(intersection_volume_matrix(block)) @ weights`` per
+    ``CACHE_ELEMENTS`` block of the fused dot: the per-block kernels."""
+    (group,), _ = batch.kernel_groups(queries)
+    step = max(1, batch.CACHE_ELEMENTS // (len(volumes) * group.width))
+    out = np.empty(len(queries))
+    for start in range(0, len(queries), step):
+        block = queries[start : start + step]
+        values = intersection_volume_matrix(block, b_lows, b_highs, volumes)
+        out[start : start + step] = fractions(values, volumes) @ weights
+    return out, step, group.width
+
+
+class _Spy:
+    """Count the calls (and gathered pairs) of a module function."""
+
+    def __init__(self, monkeypatch, name: str):
+        self.pairs = []
+        inner = getattr(batch, name)
+
+        def spy(*args):
+            self.pairs.append(args[0].size)
+            return inner(*args)
+
+        monkeypatch.setattr(batch, name, spy)
+
+
+_BOUNDARY = {"ball": "_disc_rect_area", "halfspace": "_unit_square_halfspace_fraction"}
+
+
+class TestOneBoundaryCall:
+    """A ball or halfspace group of the fused dot evaluates the boundary
+    pairs of many blocks in one call, and every value stays bitwise that
+    of the per-block kernels."""
+
+    @pytest.mark.parametrize("kind", ["ball", "halfspace"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rows_equal_per_block_products(self, rng, kind, d):
+        b_lows, b_highs = _grid(12 if d == 2 else 6, d)
+        b_lows[5] = b_highs[5]  # a zero-volume bucket
+        volumes = np.prod(b_highs - b_lows, axis=1)
+        weights = rng.normal(size=len(volumes))
+        (group,), _ = batch.kernel_groups(_staged_queries(kind, d, rng, 1))
+        step = max(1, batch.CACHE_ELEMENTS // (len(volumes) * group.width))
+        # One whole block, and a row inside another, without boundary pairs.
+        queries = _no_boundary(kind, d, step) + _staged_queries(kind, d, rng, 3 * step)
+        queries[2 * step] = _no_boundary(kind, d, 1)[0]
+        expected, _, _ = _per_block_dot(queries, b_lows, b_highs, volumes, weights)
+        got = coverage_dot(queries, b_lows, b_highs, volumes, weights)
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("kind", ["ball", "halfspace"])
+    def test_one_call_per_chunk_of_held_values(self, rng, monkeypatch, kind):
+        """Budgets patched small: the values held for one boundary call,
+        times the kernel's temporaries per pair, stay within
+        ``CHUNK_ELEMENTS``, and each such chunk makes one call."""
+        b_lows, b_highs = _grid(10, 2)
+        volumes = np.prod(b_highs - b_lows, axis=1)
+        weights = rng.normal(size=len(volumes))
+        queries = _staged_queries(kind, 2, rng, 40)
+        monkeypatch.setattr(batch, "CACHE_ELEMENTS", 3000)
+        expected, step, width = _per_block_dot(queries, b_lows, b_highs, volumes, weights)
+        monkeypatch.setattr(batch, "CHUNK_ELEMENTS", 25 * width * len(volumes))
+        spy = _Spy(monkeypatch, _BOUNDARY[kind])
+        got = coverage_dot(queries, b_lows, b_highs, volumes, weights)
+        np.testing.assert_array_equal(got, expected)
+        assert step == 2  # blocks of two rows
+        # 12 blocks of 2 rows fit the 25-row budget, so 40 rows take 2 calls.
+        assert len(spy.pairs) == 2
+        assert max(spy.pairs) <= batch.CHUNK_ELEMENTS // width
+
+    @pytest.mark.parametrize("kind", ["ball", "halfspace"])
+    def test_bulk_sized_group_makes_one_call(self, rng, monkeypatch, kind):
+        """13 rows against 3,600 buckets run in blocks of two or three rows,
+        and with the default budgets their boundary pairs take one call."""
+        b_lows, b_highs = _grid(60, 2)
+        volumes = np.prod(b_highs - b_lows, axis=1)
+        weights = rng.random(len(volumes))
+        queries = _staged_queries(kind, 2, rng, 13)
+        expected, step, _ = _per_block_dot(queries, b_lows, b_highs, volumes, weights)
+        spy = _Spy(monkeypatch, _BOUNDARY[kind])
+        got = coverage_dot(queries, b_lows, b_highs, volumes, weights)
+        np.testing.assert_array_equal(got, expected)
+        assert step < 4
+        assert len(spy.pairs) == 1
+
+
 class TestCoverage:
     def test_zero_volume_bucket_contributes_zero(self):
         buckets = [Box([0.0, 0.0], [0.5, 1.0]), Box([0.5, 0.2], [0.5, 0.8])]

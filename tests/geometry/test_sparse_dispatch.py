@@ -8,9 +8,11 @@ every row is counted in ``repro_sparse_calls_total{kernel,path}``.
 
 import numpy as np
 
+import repro.geometry.batch as batch
+import repro.geometry.sparse as sparse_mod
 from repro.geometry.batch import coverage_dot
 from repro.geometry.index import UniformGridIndex
-from repro.geometry.ranges import Box
+from repro.geometry.ranges import Box, Halfspace
 from repro.geometry.sparse import sparse_coverage_dot
 from repro.observability import default_registry
 
@@ -66,3 +68,28 @@ def test_mixed_batch_splits_rows_between_paths():
     _predict([queries[i] for i in order], index)
     assert _calls("sparse") - sparse_before == tiny
     assert _calls("dense") - dense_before == 20
+
+
+def test_halfspace_rows_skip_the_estimate_when_the_corner_test_costs_a_dense_row(monkeypatch):
+    """Every sparse halfspace row pays the corner test; when that alone
+    costs a dense row, no row can go sparse, and the rule routes the group
+    dense without evaluating the halfspace kernel for its estimate."""
+    import repro.geometry.batch as batch
+    import repro.geometry.sparse as sparse_mod
+    from repro.geometry.ranges import Halfspace
+
+    index = UniformGridIndex(*_grid_buckets(64))  # 4096 buckets
+    dense_ns = dict(sparse_mod.DENSE_NS, halfspace=sparse_mod.CORNER_NS)
+    monkeypatch.setattr(sparse_mod, "DENSE_NS", dense_ns)
+    evaluated = []
+    inner = batch.halfspace_volume
+    monkeypatch.setattr(
+        batch, "halfspace_volume", lambda *a, **k: evaluated.append(1) or inner(*a, **k)
+    )
+    rng = np.random.default_rng(2)
+    queries = [Halfspace(n, float(n @ [0.9, 0.9])) for n in rng.normal(size=(40, 2)) + 1.0]
+    calls = default_registry().get("repro_sparse_calls_total")
+    before = calls.value(kernel="halfspace", path="dense")
+    _predict(queries, index)
+    assert calls.value(kernel="halfspace", path="dense") - before == 40
+    assert evaluated == []

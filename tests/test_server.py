@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import QuadHist
+from repro.core.registry import available_estimators, make_estimator
 from repro.data.io import range_to_dict
 from repro.geometry import (
     Ball,
@@ -20,6 +21,7 @@ from repro.geometry import (
     UnionRange,
 )
 from repro.observability import configure_logging, parse_exposition, reset_logging
+from repro.robustness import DataValidationError
 from repro.server import EstimatorService, serve
 
 
@@ -127,6 +129,36 @@ class TestServiceAPI:
             assert service.feedback(other, 0.1)["accepted"] is False
         assert service.status()["feedback_pending"] == 30
         service.retrain()
+
+    @pytest.mark.parametrize("policy", ["raise", "drop"])
+    @pytest.mark.parametrize("name", available_estimators())
+    def test_every_learner_refuses_feedback_of_another_dimension(
+        self, labeled_feedback, name, policy
+    ):
+        """A 1-D box against a served 2-D model: refused (a 400 over HTTP)
+        or quarantined, never buffered, so later retrains still succeed,
+        also for learners that answer any query with a constant."""
+        feedback, _ = labeled_feedback
+        service = EstimatorService(
+            lambda: make_estimator(name), sanitize_policy=policy, min_feedback=20
+        )
+        for query, label in feedback[:30]:
+            service.feedback(query, label)
+        service.retrain()
+        other = Box([0.1], [0.5])
+        if policy == "raise":
+            with pytest.raises(DataValidationError):
+                service.feedback(other, 0.1)
+        else:
+            assert service.feedback(other, 0.1)["accepted"] is False
+            assert service.status()["quarantine"]["reasons"] == {"unservable_query": 1}
+        assert service.status()["feedback_pending"] == 0
+        if name != "mean":  # the constant answers every query
+            with pytest.raises(ValueError):
+                service.estimate_many([other])
+        for query, label in feedback[30:60]:
+            service.feedback(query, label)
+        assert service.retrain()["generation"] == 2
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
