@@ -1,9 +1,10 @@
-"""Sub-linear predict: sparse coverage kernels vs. the dense PR-2 path.
+"""Sub-linear predict: sparse coverage dots vs. the dense PR-2 path.
 
 The spatial bucket index (:mod:`repro.geometry.index`) plus the sparse
-coverage kernels (:mod:`repro.geometry.sparse`) replace the dense
+prediction dots (:mod:`repro.geometry.sparse`) replace the dense
 ``O(n x m)`` prediction contraction with work proportional to the number
-of (query, bucket) pairs that actually overlap.  This bench sweeps the
+of (query, bucket) pairs that actually overlap.  Design matrices are
+always built dense, so only predictions are timed.  This bench sweeps the
 two axes that decide the win:
 
 * **leaf count** ``m`` — a QuadHist refined to 1k/4k/16k leaves on a
@@ -20,12 +21,11 @@ alike (the median of the alternations, and the range), and record the
 index's lookup-work estimate per query, the share of rows the rule sent
 sparse (read from ``repro_sparse_calls_total``), and the max absolute
 prediction difference (acceptance: ``<= 1e-12``).  A second section
-times the Eq. (8) design-matrix build that dominates ISOMER /
-arrangement-ERM fits, with and without the index, on the same bucket
-sets; those matrices must be bitwise equal (acceptance: max difference
-``0``).  A third checks data-centred ball and halfspace queries the same
-way at every leaf count, with every row forced through the sparse pair
-kernels.  The script exits non-zero when any acceptance fails.
+checks data-centred ball and halfspace queries the same way at every leaf
+count, with every routed row forced through the sparse pair kernels:
+every ball row must go sparse and match, and no halfspace row may go
+sparse, forced or not.  The script exits non-zero when any acceptance
+fails.
 
 A last section measures the per-unit costs the rule's constants in
 :mod:`repro.geometry.sparse` come from: dense kernel ns per entry per
@@ -53,10 +53,9 @@ from repro.data.selectivity import label_queries
 from repro.data.synthetic import power_like
 from repro.data.workloads import WorkloadSpec, generate_workload
 from repro.geometry import sparse
-from repro.geometry.batch import containment_matrix, coverage_dot, coverage_matrix
+from repro.geometry.batch import containment_matrix, coverage_dot
 from repro.geometry.index import UniformGridIndex, build_bucket_index
-from repro.geometry.ranges import Ball, Box, Halfspace
-from repro.geometry.sparse import sparse_coverage_matrix
+from repro.geometry.ranges import Ball, Box
 from repro.observability import default_registry
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
@@ -68,7 +67,6 @@ FULL = {
     "leaf_counts": [1024, 4096, 16384],
     "extents": [0.01, 0.05, 0.2],
     "eval_queries": 2_000,
-    "design_queries": 800,
     "family_queries": 200,
     "alternations": 7,
     "calibration_buckets": 4096,
@@ -80,7 +78,6 @@ SMOKE = {
     "leaf_counts": [256, 1024],
     "extents": [0.05, 0.2],
     "eval_queries": 300,
-    "design_queries": 150,
     "family_queries": 60,
     "alternations": 5,
     "calibration_buckets": 1024,
@@ -159,14 +156,13 @@ class _ForcedSparse:
 def _family_checks(config: dict, est: QuadHist, rng) -> list[dict]:
     """Data-centred balls and halfspaces through both paths of one model.
 
-    Every row is forced sparse, so the sparse pair kernels run on all of
-    them: predictions must match the dense path's within
-    :data:`PREDICT_TOL` and design matrices bitwise.  The share the cost
-    rule itself sends sparse is recorded beside.
+    The share of rows the cost rule sends sparse is recorded, then every
+    routed row is forced sparse: ball predictions must then all run
+    sparse and match the dense path's within :data:`PREDICT_TOL`, and
+    halfspace rows must stay dense.
     """
     data = _dataset(config)
     index = est._index
-    volumes = np.prod(index.b_highs - index.b_lows, axis=1)
     calls = default_registry().get("repro_sparse_calls_total")
     points = []
     for family in ("ball", "halfspace"):
@@ -174,29 +170,32 @@ def _family_checks(config: dict, est: QuadHist, rng) -> list[dict]:
         queries = generate_workload(
             config["family_queries"], data.dim, rng, spec=spec, dataset=data
         )
-        before = calls.value(kernel=family, path="sparse"), calls.value(kernel=family, path="dense")
-        est.predict_many(queries)
-        went = calls.value(kernel=family, path="sparse") - before[0]
-        share = went / (went + calls.value(kernel=family, path="dense") - before[1])
+
+        def routed():
+            before = [calls.value(kernel=family, path=path) for path in ("sparse", "dense")]
+            predictions = est.predict_many(queries)
+            went = calls.value(kernel=family, path="sparse") - before[0]
+            stayed = calls.value(kernel=family, path="dense") - before[1]
+            return predictions, went / (went + stayed)
+
+        _, share = routed()
+        with _ForcedSparse():
+            p_sparse, forced_share = routed()
         est._index = None
         p_dense = est.predict_many(queries)
         est._index = index
-        with _ForcedSparse():
-            p_sparse = est.predict_many(queries)
-            a_sparse = sparse_coverage_matrix(queries, index, volumes)
-        a_dense = coverage_matrix(queries, index.b_lows, index.b_highs, volumes)
         point = {
             "leaves": est.model_size,
             "family": family,
             "queries": len(queries),
             "sparse_share": round(share, 4),
+            "forced_sparse_share": round(forced_share, 4),
             "max_abs_diff": float(np.max(np.abs(p_sparse - p_dense))),
-            "design_max_abs_diff": float(np.max(np.abs(a_sparse - a_dense))),
         }
         points.append(point)
         print(
-            f"  {family}: rule sparse_share={share:.2f}  forced-sparse vs dense "
-            f"maxdiff {point['max_abs_diff']:.1e}, design {point['design_max_abs_diff']:.1e}"
+            f"  {family}: rule sparse_share={share:.2f}, forced {forced_share:.2f}; "
+            f"forced vs dense maxdiff {point['max_abs_diff']:.1e}"
         )
     return points
 
@@ -206,9 +205,8 @@ def _calibrate(config: dict) -> dict:
 
     Dense: kernel time per (query, bucket) entry.  Sparse, with every row
     forced sparse: the fixed cost of a one-query call; the lookup's cost
-    per estimated visit or gathered entry; the remaining time per
-    estimated entry (pair kernel and scatter); and, for halfspaces, the
-    corner test per bucket and the rest per candidate.
+    per estimated visit or gathered entry; and the remaining time per
+    estimated entry (pair kernel and scatter).
     """
     rng = np.random.default_rng(3)
     side = int(round(np.sqrt(config["calibration_buckets"])))
@@ -222,7 +220,6 @@ def _calibrate(config: dict) -> dict:
     index = UniformGridIndex(b_lows, b_highs)
     points = UniformGridIndex(b_lows, b_lows)
     centers = rng.uniform(0.1, 0.9, size=(400, 2))
-    normals = rng.normal(size=(400, 2))
 
     def boxes(ext):
         return [Box(c - ext / 2, c + ext / 2) for c in centers]
@@ -230,15 +227,11 @@ def _calibrate(config: dict) -> dict:
     def balls(ext):
         return [Ball(c, ext / 2) for c in centers]
 
-    def halfspaces(ext):
-        # Offsets past the centre by ``ext`` along the normal keep less.
-        return [Halfspace(n, float(n @ c) + ext * np.linalg.norm(n)) for n, c in zip(normals, centers)]
-
     def timed(fn):
         return _best_of(3, fn)[0] * 1e9
 
     dense = {}
-    for kind, make in (("box", boxes), ("halfspace", halfspaces), ("ball", balls)):
+    for kind, make in (("box", boxes), ("ball", balls)):
         queries = make(0.1)
         t = timed(lambda: coverage_dot(queries, b_lows, b_highs, volumes, weights))
         dense[kind] = t / (len(queries) * m)
@@ -272,17 +265,6 @@ def _calibrate(config: dict) -> dict:
                 visit.append(t_lookup / (visits.sum() + entries.sum()))
                 per_entry.append((t_call - t_lookup - call) / entries.sum())
             pair[kind] = float(np.median(per_entry))
-        per_bucket, per_candidate = [], []
-        for ext in (-0.2, 0.0, 0.2):
-            queries = halfspaces(ext)
-            n_arr = np.stack([q.normal for q in queries])
-            o_arr = np.array([q.offset for q in queries])
-            t_corner = timed(lambda: index.halfspace_candidates(n_arr, o_arr))
-            kept = index.halfspace_candidates(n_arr, o_arr).sum()
-            t_call = timed(lambda: sparse.sparse_coverage_dot(queries, index, volumes, weights))
-            per_bucket.append(t_corner / (len(queries) * m))
-            per_candidate.append((t_call - t_corner - call) / kept)
-        pair["halfspace"] = float(np.median(per_candidate))
 
     def rounded(values: dict) -> dict:
         return {k: round(v, 2) for k, v in values.items()}
@@ -293,13 +275,11 @@ def _calibrate(config: dict) -> dict:
             "DENSE_NS": sparse.DENSE_NS,
             "PAIR_NS": sparse.PAIR_NS,
             "VISIT_NS": sparse.VISIT_NS,
-            "CORNER_NS": sparse.CORNER_NS,
             "CALL_NS": sparse.CALL_NS,
         },
         "dense_ns": rounded(dense),
         "pair_ns": rounded(pair),
         "visit_ns": round(float(np.median(visit)), 2),
-        "corner_ns": round(float(np.median(per_bucket)), 2),
         "call_ns": round(call, 1),
     }
 
@@ -307,7 +287,6 @@ def _calibrate(config: dict) -> dict:
 def run(config: dict) -> dict:
     rng = np.random.default_rng(99)
     sweep = []
-    design = []
     families = []
     for max_leaves in config["leaf_counts"]:
         est = _fit_quadhist(config, max_leaves)
@@ -371,29 +350,6 @@ def run(config: dict) -> dict:
                 f"maxdiff {diff:.1e}"
             )
 
-        # Eq. (8) design-matrix build — the cost that dominates the
-        # ISOMER / arrangement-ERM weight-estimation fits.
-        fit_queries = _fixed_extent_queries(rng, config["design_queries"], 0.05)
-        volumes = np.prod(index.b_highs - index.b_lows, axis=1)
-        t_sp, a_sp = _best_of(
-            2, lambda: sparse_coverage_matrix(fit_queries, index, volumes)
-        )
-        t_de, a_de = _best_of(
-            2, lambda: coverage_matrix(fit_queries, index.b_lows, index.b_highs, volumes)
-        )
-        design_point = {
-            "leaves": m,
-            "queries": len(fit_queries),
-            "sparse_seconds": round(t_sp, 4),
-            "dense_seconds": round(t_de, 4),
-            "speedup": round(t_de / t_sp, 2),
-            "max_abs_diff": float(np.max(np.abs(a_sp - a_de))),
-        }
-        design.append(design_point)
-        print(
-            f"  design matrix: sparse {t_sp:.3f}s vs dense {t_de:.3f}s  "
-            f"speedup {design_point['speedup']}x"
-        )
         families.extend(_family_checks(config, est, rng))
 
     big = [p for p in sweep if p["leaves"] >= 10_000]
@@ -404,7 +360,6 @@ def run(config: dict) -> dict:
         "min_speedup": min(p["speedup"] for p in sweep),
         "max_abs_diff": max(p["max_abs_diff"] for p in sweep),
         "predict_sweep": sweep,
-        "design_matrix": design,
         "families": families,
         "calibration": _calibrate(config),
     }
@@ -421,12 +376,6 @@ def failures(result: dict) -> list[str]:
         found.append(
             f"sparse-vs-dense prediction diff {result['max_abs_diff']:.2e} > {PREDICT_TOL:g}"
         )
-    for point in result["design_matrix"]:
-        if point["max_abs_diff"] != 0.0:
-            found.append(
-                f"design matrix at {point['leaves']} leaves differs from dense by "
-                f"{point['max_abs_diff']:.2e} (must be bitwise equal)"
-            )
     for point in result["families"]:
         where = f"{point['family']} rows at {point['leaves']} leaves"
         if not point["max_abs_diff"] <= PREDICT_TOL:
@@ -434,11 +383,12 @@ def failures(result: dict) -> list[str]:
                 f"{where}: sparse-vs-dense prediction diff {point['max_abs_diff']:.2e} "
                 f"> {PREDICT_TOL:g}"
             )
-        if point["design_max_abs_diff"] != 0.0:
-            found.append(
-                f"{where}: design matrix differs from dense by "
-                f"{point['design_max_abs_diff']:.2e} (must be bitwise equal)"
-            )
+        if point["family"] == "halfspace" and (
+            point["sparse_share"] != 0.0 or point["forced_sparse_share"] != 0.0
+        ):
+            found.append(f"{where}: went sparse (halfspace rows must run dense)")
+        if point["family"] == "ball" and point["forced_sparse_share"] != 1.0:
+            found.append(f"{where}: forced rows stayed dense (the check ran no sparse pair)")
     return found
 
 

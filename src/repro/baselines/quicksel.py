@@ -36,10 +36,7 @@ from repro.core.estimator import SelectivityEstimator
 from repro.core.workload import TrainingSet
 from repro.geometry.batch import coverage_dot, intersection_volume_matrix
 from repro.geometry.index import BucketIndex, build_bucket_index
-from repro.geometry.sparse import (
-    sparse_coverage_dot,
-    sparse_intersection_volume_matrix,
-)
+from repro.geometry.sparse import sparse_coverage_dot
 from repro.geometry.ranges import Box, Range, unit_box
 
 __all__ = ["QuickSel"]
@@ -110,14 +107,9 @@ class QuickSel(SelectivityEstimator):
 
     def _coverage_matrix(self, queries: Sequence[Range]) -> np.ndarray:
         """``Vol(G_j ∩ R_i) / Vol(G_j)`` for a whole workload at once."""
-        if self._index is not None:
-            overlaps = sparse_intersection_volume_matrix(
-                queries, self._index, self._kernel_volumes
-            )
-        else:
-            overlaps = intersection_volume_matrix(
-                queries, self._kernel_lows, self._kernel_highs, self._kernel_volumes
-            )
+        overlaps = intersection_volume_matrix(
+            queries, self._kernel_lows, self._kernel_highs, self._kernel_volumes
+        )
         return np.clip(overlaps / self._kernel_volumes[None, :], 0.0, 1.0)
 
     def _solve_qp(self, variance: np.ndarray, design: np.ndarray, s: np.ndarray) -> np.ndarray:

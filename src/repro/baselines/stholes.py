@@ -53,9 +53,7 @@ from repro.core.estimator import SelectivityEstimator
 from repro.core.incremental import UpdateReport, assemble_design
 from repro.core.workload import TrainingSet
 from repro.geometry.batch import intersection_volume_matrix
-from repro.geometry.index import BucketIndex, build_bucket_index
 from repro.geometry.ranges import Box, Range, unit_box
-from repro.geometry.sparse import sparse_intersection_volume_matrix
 from repro.observability.tracing import span
 from repro.solvers.simplex_ls import SolveReport
 
@@ -113,7 +111,6 @@ class STHoles(SelectivityEstimator):
         self.update_report_: UpdateReport | None = None
         self._root: _Bucket | None = None
         self._count = 0
-        self._index: BucketIndex | None = None
         self._history: TrainingSet | None = None
         #: Cached ``Vol(box_j ∩ R_i)`` matrix over the current history.
         #: Bucket boxes are immutable once drilled (drilling only adds
@@ -217,18 +214,13 @@ class STHoles(SelectivityEstimator):
                 fresh = ~reused
                 n_fresh = int(fresh.sum())
                 if n_fresh and n_old:
-                    sub_index = build_bucket_index(
-                        self._box_lows[fresh], self._box_highs[fresh]
-                    )
-                    fresh_block = sparse_intersection_volume_matrix(
-                        combined.queries[:n_old], sub_index
+                    fresh_block = intersection_volume_matrix(
+                        combined.queries[:n_old], self._box_lows[fresh], self._box_highs[fresh]
                     )
                 else:
                     fresh_block = np.zeros((n_old, n_fresh))
                 if n_new:
-                    new_rows = sparse_intersection_volume_matrix(
-                        new.queries, self._index
-                    )
+                    new_rows = self._box_overlap_matrix(new.queries)
                 else:
                     new_rows = np.zeros((0, m_new))
                 overlaps = assemble_design(cached, reused, origin, fresh_block, new_rows)
@@ -410,7 +402,7 @@ class STHoles(SelectivityEstimator):
 
     def _flatten(self) -> None:
         """Lay the tree out in pre-order: the bucket list, each bucket's
-        parent row (``-1`` for the root), boxes, region volumes and index.
+        parent row (``-1`` for the root), boxes and region volumes.
         A parent precedes its children, which keep their child order."""
         self._buckets = list(self._root.walk())
         row = {id(b): i for i, b in enumerate(self._buckets)}
@@ -421,7 +413,6 @@ class STHoles(SelectivityEstimator):
         self._box_lows = np.stack([b.box.lows for b in self._buckets])
         self._box_highs = np.stack([b.box.highs for b in self._buckets])
         self._region_volumes = np.array([b.region_volume() for b in self._buckets])
-        self._index = build_bucket_index(self._box_lows, self._box_highs)
 
     def _estimate_weights(self, training: TrainingSet) -> None:
         self._flatten()
@@ -431,8 +422,6 @@ class STHoles(SelectivityEstimator):
 
     def _box_overlap_matrix(self, queries: Sequence[Range]) -> np.ndarray:
         """``Vol(box_j ∩ R_i)`` per (query, bucket box) — the cacheable part."""
-        if self._index is not None:
-            return sparse_intersection_volume_matrix(queries, self._index)
         return intersection_volume_matrix(queries, self._box_lows, self._box_highs)
 
     def _fractions_from_overlaps(self, box_overlaps: np.ndarray) -> np.ndarray:
@@ -508,8 +497,5 @@ class STHoles(SelectivityEstimator):
         self._buckets = buckets
         self._parents = parents
         self._count = len(buckets)
-        # Rebuilt deterministically from the persisted bucket arrays; the
-        # index itself is never serialised.  A restored model keeps its
-        # constructor's empty history and overlap cache: it cannot
-        # partial_fit.
-        self._index = build_bucket_index(self._box_lows, self._box_highs)
+        # A restored model keeps its constructor's empty history and
+        # overlap cache: it cannot partial_fit.

@@ -31,8 +31,7 @@ from repro.core.quadhist import BucketHistogram
 from repro.core.workload import TrainingSet
 from repro.distributions.discrete import DiscreteDistribution
 from repro.geometry.arrangement import box_arrangement_cells, sign_vector_cells
-from repro.geometry.index import build_bucket_index
-from repro.geometry.sparse import sparse_containment_matrix
+from repro.geometry.batch import containment_matrix
 from repro.geometry.ranges import Box, Range, unit_box
 from repro.core._solve import solve_weights
 from repro.observability.tracing import span
@@ -110,14 +109,12 @@ class ArrangementERM(BucketHistogram):
                     list(training.queries), rng, domain=domain, samples=self.samples
                 )
                 partition_span.annotate(cells=len(points))
-            point_index = build_bucket_index(points, points)
             with span("fit/design-matrix", rows=len(training), buckets=len(points)):
-                design = sparse_containment_matrix(training.queries, point_index)
+                design = containment_matrix(training.queries, points)
             weights, self.solve_report_ = solve_weights(
                 design, training.selectivities, solver=self.solver
             )
-            self._discrete = DiscreteDistribution(points, weights)
-            self._discrete._index = point_index
+            self._discrete = DiscreteDistribution(points, weights).attach_index()
 
     def _predict_one(self, query: Range) -> float:
         if self.mode == "histogram":

@@ -48,9 +48,7 @@ import numpy as np
 from repro.core._solve import solve_weights
 from repro.core.workload import TrainingSet
 from repro.geometry import batch
-from repro.geometry.index import build_bucket_index
 from repro.geometry.ranges import Box, Range, unit_box
-from repro.geometry.sparse import sparse_coverage_matrix
 from repro.geometry.volume import range_volume
 from repro.observability.tracing import span
 
@@ -436,14 +434,18 @@ class IncrementalTreeHistogram:
                 fresh_columns=n_fresh,
             ):
                 if n_fresh and n_old:
-                    sub_index = build_bucket_index(self._lows[fresh], self._highs[fresh])
-                    fresh_block = sparse_coverage_matrix(
-                        combined.queries[:n_old], sub_index, self._volumes[fresh]
+                    fresh_block = batch.coverage_matrix(
+                        combined.queries[:n_old],
+                        self._lows[fresh],
+                        self._highs[fresh],
+                        self._volumes[fresh],
                     )
                 else:
                     fresh_block = np.zeros((n_old, n_fresh))
                 if n_new:
-                    new_rows = sparse_coverage_matrix(new.queries, self._index, self._volumes)
+                    new_rows = batch.coverage_matrix(
+                        new.queries, self._lows, self._highs, self._volumes
+                    )
                 else:
                     new_rows = np.zeros((0, m_new))
                 design = assemble_design(cached, reused, origin, fresh_block, new_rows)

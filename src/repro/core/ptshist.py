@@ -27,8 +27,7 @@ from repro.core.estimator import SelectivityEstimator
 from repro.core.incremental import UpdateReport
 from repro.core.workload import TrainingSet
 from repro.distributions.discrete import DiscreteDistribution
-from repro.geometry.index import build_bucket_index
-from repro.geometry.sparse import sparse_containment_matrix
+from repro.geometry.batch import containment_matrix
 from repro.geometry.ranges import Box, Range, unit_box
 from repro.geometry.sampling import sample_support
 from repro.core._solve import solve_weights
@@ -106,16 +105,14 @@ class PtsHist(SelectivityEstimator):
                 domain,
                 rng,
             )
-        index = build_bucket_index(points, points)
         with span("fit/design-matrix", rows=len(training), buckets=len(points)):
-            design = sparse_containment_matrix(training.queries, index)
+            design = containment_matrix(training.queries, points)
         self._history = training
         self._design_cache = design
         weights, self.solve_report_ = solve_weights(
             design, training.selectivities, objective=self.objective, solver=self.solver
         )
-        self._distribution = DiscreteDistribution(points, weights)
-        self._distribution._index = index
+        self._distribution = DiscreteDistribution(points, weights).attach_index()
 
     def partial_fit(
         self,
@@ -154,17 +151,12 @@ class PtsHist(SelectivityEstimator):
             list(self._history.queries) + list(new.queries),
             np.concatenate([self._history.selectivities, new.selectivities]),
         )
-        index = self._distribution._index
-        if index is None:
-            index = build_bucket_index(
-                self._distribution.points, self._distribution.points
-            )
-            self._distribution._index = index
+        points = self._distribution.points
         with span(
             "fit/design-matrix", rows=len(new), buckets=self._distribution.size,
             incremental=True,
         ):
-            new_rows = sparse_containment_matrix(new.queries, index)
+            new_rows = containment_matrix(new.queries, points)
         design = np.concatenate([self._design_cache, new_rows], axis=0)
         w0 = self._distribution.weights if warm_start else None
         weights, self.solve_report_ = solve_weights(
@@ -177,7 +169,9 @@ class PtsHist(SelectivityEstimator):
         self._history = combined
         self._design_cache = design
         size = self._distribution.size
-        self._distribution = DiscreteDistribution(self._distribution.points, weights)
+        index = self._distribution._index
+        self._distribution = DiscreteDistribution(points, weights)
+        # The support is frozen, so its index carries over.
         self._distribution._index = index
         self.update_report_ = UpdateReport(
             rows_appended=len(new),

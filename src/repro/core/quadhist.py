@@ -42,9 +42,9 @@ from repro.core.estimator import SelectivityEstimator
 from repro.core.incremental import IncrementalTreeHistogram
 from repro.core.workload import TrainingSet
 from repro.distributions.histogram import HistogramDistribution
-from repro.geometry.batch import coverage_dot
+from repro.geometry.batch import coverage_dot, coverage_matrix
 from repro.geometry.index import BucketIndex, build_bucket_index
-from repro.geometry.sparse import sparse_coverage_dot, sparse_coverage_matrix
+from repro.geometry.sparse import sparse_coverage_dot
 from repro.geometry.ranges import Box, Range
 from repro.observability.tracing import span
 from repro.solvers.simplex_ls import SOLVERS, SolveReport
@@ -57,9 +57,10 @@ class BucketHistogram(SelectivityEstimator):
 
     A subclass designs the buckets, hands their boxes to
     :meth:`_set_buckets` and sets ``_weights``.  This base builds the
-    Eq. (8) design matrix, predicts ``Σ_j w_j · Vol(B_j ∩ R)/Vol(B_j)``
-    through the bucket index (the dense kernel when ``_index`` is None),
-    views the model as a ``HistogramDistribution``, and persists it as
+    Eq. (8) design matrix with the dense kernel, predicts
+    ``Σ_j w_j · Vol(B_j ∩ R)/Vol(B_j)`` through the bucket index (the
+    dense kernel when ``_index`` is None), views the model as a
+    ``HistogramDistribution``, and persists it as
     ``{prefix}_lows``, ``{prefix}_highs``, ``{prefix}_volumes`` and
     ``weights``, ``prefix`` being the class's ``_state_prefix``.
     """
@@ -85,7 +86,7 @@ class BucketHistogram(SelectivityEstimator):
     def _design(self, queries: Sequence[Range]) -> np.ndarray:
         """The Eq. (8) design matrix ``Vol(B_j ∩ R_i)/Vol(B_j)``."""
         with span("fit/design-matrix", rows=len(queries), buckets=int(self._volumes.shape[0])):
-            return sparse_coverage_matrix(queries, self._index, self._volumes)
+            return coverage_matrix(queries, self._lows, self._highs, self._volumes)
 
     def _predict_batch(self, queries: Sequence[Range]) -> np.ndarray:
         if self._index is not None:

@@ -15,7 +15,7 @@ import numpy as np
 from repro.geometry.batch import containment_matrix
 from repro.geometry.index import BucketIndex, build_bucket_index
 from repro.geometry.ranges import Range
-from repro.geometry.sparse import sparse_containment_dot, sparse_containment_matrix
+from repro.geometry.sparse import sparse_containment_dot
 
 __all__ = ["DiscreteDistribution"]
 
@@ -79,7 +79,7 @@ class DiscreteDistribution:
         """Build (or rebuild) the spatial index over the support points.
 
         Estimators call this once after fit/load; batch selectivity then
-        routes through the sparse membership kernels.  Never serialised —
+        routes through the sparse membership dot.  Never serialised —
         rebuilt deterministically from the points.
         """
         self._index = build_bucket_index(self.points, self.points)
@@ -99,8 +99,6 @@ class DiscreteDistribution:
 
     def membership_matrix(self, ranges: Sequence[Range]) -> np.ndarray:
         """Indicator matrix ``1(B_j in R_i)`` — the Eq. (7) design matrix."""
-        if self._index is not None:
-            return sparse_containment_matrix(ranges, self._index)
         return containment_matrix(ranges, self.points)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -49,13 +49,7 @@ from repro.geometry.index import (
     UniformGridIndex,
     build_bucket_index,
 )
-from repro.geometry.sparse import (
-    sparse_containment_dot,
-    sparse_containment_matrix,
-    sparse_coverage_dot,
-    sparse_coverage_matrix,
-    sparse_intersection_volume_matrix,
-)
+from repro.geometry.sparse import sparse_containment_dot, sparse_coverage_dot
 
 __all__ = [
     "Ball",
@@ -87,8 +81,5 @@ __all__ = [
     "PackedRTreeIndex",
     "build_bucket_index",
     "sparse_coverage_dot",
-    "sparse_coverage_matrix",
-    "sparse_intersection_volume_matrix",
     "sparse_containment_dot",
-    "sparse_containment_matrix",
 ]

@@ -1,12 +1,14 @@
 """Spatial index over bucket bounding boxes for sub-linear candidate pruning.
 
-Every estimator's predict path reduces to Eq. (8)'s coverage matrix
-``Vol(B_j ∩ R_i)/Vol(B_j)``, but a typical range query intersects a small
-fraction of the buckets: the other entries are exactly zero, and the dense
-kernels in :mod:`repro.geometry.batch` spend almost all of their time
-computing them.  This module answers the only question the sparse kernels
-(:mod:`repro.geometry.sparse`) need: *which buckets can a query's bounding
-box possibly touch?*
+Every estimator's predict path reduces each row of the coverage matrix
+``Vol(B_j ∩ R_i)/Vol(B_j)`` to one weighted sum (Eqs. 6–7), but a typical
+range query intersects a small fraction of the buckets: the other entries
+are exactly zero, and the dense kernels in :mod:`repro.geometry.batch`
+spend almost all of their time computing them.  This module answers the
+only question the sparse prediction dots (:mod:`repro.geometry.sparse`)
+need: *which buckets can a query's bounding box possibly touch?*  Design
+matrices need every entry, so they are built dense and never consult the
+index.
 
 Two interchangeable structures, selected automatically by
 :func:`build_bucket_index`:
@@ -34,7 +36,10 @@ Both expose the same query API:
   entries gathered), which the sparse/dense rule reads before any lookup;
 * :meth:`~BucketIndex.halfspace_candidates` — boolean keep-mask per
   (halfspace, bucket) from the corner-support test ``max_{x∈B} a·x ≥ b``
-  (no spatial traversal needed, just cached centers/half-widths).
+  (no spatial traversal needed, just cached centers/half-widths).  No
+  kernel calls it: its test costs more per bucket than a dense halfspace
+  entry, so halfspace rows always run dense.  It stays while
+  ``benchmarks/e2e/tracer.py`` shims it.
 
 Correctness contract: the candidate set is a **superset** of the buckets
 whose boxes intersect the (finite) query box, so every pruned pair has
@@ -43,7 +48,7 @@ changes a prediction, it only skips work.  Queries with non-finite bounds
 get an empty candidate set.
 
 The index is a fit-time structure: estimators build it once after bucket
-design and rebuild it (deterministically, from the persisted bucket
+design, for prediction only, and rebuild it (deterministically, from the persisted bucket
 arrays) when a model is restored from an ``.rma`` artifact — it is never
 serialised itself.
 """

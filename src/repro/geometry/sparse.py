@@ -1,41 +1,43 @@
-"""Sparse coverage kernels: evaluate Eq. (8) only on candidate pairs.
+"""Sparse prediction kernels: evaluate Eqs. (6)–(7) only on candidate pairs.
 
 The dense path of :mod:`repro.geometry.batch` computes every entry of the
-``(n_queries × n_buckets)`` volume matrix even though most entries of a
-typical workload are exactly zero.  Given a
-:class:`~repro.geometry.index.BucketIndex` over the bucket bounding
-boxes, this module runs the same per-family kernels **only on the
-candidate (query, bucket) pairs** the index reports, and scatters (or
-reduces) the results:
+``(n_queries × n_buckets)`` coverage matrix even though most entries of a
+typical workload are exactly zero.  Prediction reduces each row to one
+number, so given a :class:`~repro.geometry.index.BucketIndex` over the
+bucket bounding boxes, this module runs the same per-family kernels
+**only on the candidate (query, bucket) pairs** the index reports and
+reduces them per query:
 
 * :func:`sparse_coverage_dot` — the prediction hot path,
   ``coverage_matrix(...) @ weights`` without touching pruned pairs;
-* :func:`sparse_coverage_matrix` / :func:`sparse_intersection_volume_matrix`
-  — dense ``ndarray`` outputs for the design-matrix builders (pruned
-  entries are exact zeros, so the solvers see the same matrix);
-* :func:`sparse_containment_dot` / :func:`sparse_containment_matrix` —
-  the Eq. (7) membership analogues for point-support models.
+* :func:`sparse_containment_dot` — the Eq. (7) membership analogue for
+  point-support models.
+
+Design matrices are built by the dense entry points
+(:func:`~repro.geometry.batch.coverage_matrix`,
+:func:`~repro.geometry.batch.intersection_volume_matrix`,
+:func:`~repro.geometry.batch.containment_matrix`): Eq. (8) needs every
+entry, so the index could only skip kernel arithmetic, at the price of an
+estimate, a zero fill and a scatter.
 
 Numerical contract: a candidate pair goes through the dense path's own
-kernel, and pruned pairs are pairs that kernel evaluates to exactly
-``0.0`` (bounding boxes disjoint, or a halfspace that misses the bucket's
-supporting corner).  The volume and membership matrices are therefore
-bitwise equal to the dense ones; a fused dot differs only in summation
-order.
+kernel, and pruned pairs are pairs whose bounding boxes are disjoint,
+which that kernel evaluates to exactly ``0.0``; the pair values are
+bitwise the dense matrix entries, and a fused dot differs from the dense
+one only in summation order.
 
 Which rows run sparse is one cost comparison per query row, made before
 any lookup.  Dense work is ``m`` kernel entries.  Sparse work is the
 index's O(n·d) estimate of the cells it would visit and the bucket
 entries it would gather (:meth:`~repro.geometry.index.BucketIndex
-.lookup_estimate`), each gathered entry then evaluated as a pair; for a
-halfspace it is one corner test per bucket plus the candidates, estimated
-from the share of the bucket region the halfspace keeps.  A call pays a
-fixed cost on top, so rows go sparse only when their summed saving beats
-it.  Range families without a kernel (unions, semi-algebraic sets) always
-run dense.  The per-unit costs are constants, measured as described
-below; ``repro_sparse_calls_total{kernel,path}`` counts every row's
-outcome and ``repro_sparse_candidates`` / ``repro_sparse_pruned_frac``
-the pairs the index emitted.
+.lookup_estimate`), each gathered entry then evaluated as a pair.  A call
+pays a fixed cost on top, so rows go sparse only when their summed saving
+beats it.  Box and ball rows are routed; halfspaces (which have no finite
+bounding box) and range families without a kernel (unions, semi-algebraic
+sets) always run dense.  The per-unit costs are constants, measured as
+described below; ``repro_sparse_calls_total{kernel,path}`` counts every
+predicted row's outcome and ``repro_sparse_candidates`` /
+``repro_sparse_pruned_frac`` the pairs the index emitted.
 """
 
 from __future__ import annotations
@@ -53,41 +55,34 @@ from repro.geometry.batch import (
     containment_matrix,
     coverage_dot,
     fractions,
-    intersection_volume_matrix,
     kernel_groups,
 )
 from repro.geometry.index import BucketIndex
 from repro.geometry.ranges import _EPS
 from repro.observability.metrics import default_registry
 
-__all__ = [
-    "sparse_coverage_dot",
-    "sparse_coverage_matrix",
-    "sparse_intersection_volume_matrix",
-    "sparse_containment_dot",
-    "sparse_containment_matrix",
-]
+__all__ = ["sparse_coverage_dot", "sparse_containment_dot"]
 
 # Per-unit costs of the rule, in nanoseconds, measured by
 # ``python benchmarks/bench_sparse.py`` on a 2-core host (Python 3.11,
 # NumPy 2.4).  Its "calibration" section in
 # benchmarks/results/BENCH_sparse.json records the values in use next to
-# a fresh measurement.  Only their ratios matter.
+# a fresh measurement.  Only their ratios matter: a re-measured constant
+# is the median over runs of its ratio to the dense box entry, times the
+# 4.5 ns in use for that entry.
 
 #: One (query, bucket) entry of a dense kernel, per family; "contains"
-#: is a membership test of any family.  A dense ball or halfspace group
-#: evaluates the boundary pairs of all its blocks in one call, whose cost
-#: is mostly fixed; a sparse call pays one more.
-DENSE_NS = {"box": 4.5, "halfspace": 20.0, "ball": 30.0, "contains": 9.0}
+#: is a membership test of any family.  A dense ball group evaluates the
+#: boundary pairs of all its blocks in one call, whose cost is mostly
+#: fixed; a sparse call pays one more.
+DENSE_NS = {"box": 4.5, "ball": 30.0, "contains": 1.8}
 #: One estimated bucket entry through a pair kernel and the scatter.
-PAIR_NS = {"box": 33.0, "halfspace": 142.0, "ball": 100.0, "contains": 47.0}
+PAIR_NS = {"box": 33.0, "ball": 100.0, "contains": 76.0}
 #: One grid cell or tree node visited, or one bucket entry gathered and
 #: sorted, by a box lookup.
 VISIT_NS = 46.0
-#: One bucket of the halfspace corner test.
-CORNER_NS = 28.0
 #: Fixed cost of one sparse call per family: lookup set-up and scatter.
-CALL_NS = 200_000.0
+CALL_NS = 290_000.0
 
 _SPARSE_CANDIDATES = default_registry().counter(
     "repro_sparse_candidates",
@@ -128,44 +123,27 @@ def _sparse_rows(n: int, dense_ns: float, sparse_ns) -> np.ndarray:
 
 def _route(group: KernelGroup, index: BucketIndex, contains: bool):
     """Sparse-row mask of one group, and its candidate lookup."""
+    if group.kind == "halfspace":
+        # No finite bounding box, and the corner test that could prune its
+        # buckets costs more per bucket than a dense halfspace entry.
+        return np.zeros(group.idx.size, dtype=bool), None
     cost = "contains" if contains else group.kind
     pad = _CONTAIN_PAD if contains else 0.0
-    m = index.m
-    dense_ns = DENSE_NS[cost] * m
-    if group.kind == "halfspace":
-        normals, offsets = group.ops
-        # Every sparse halfspace row pays the corner test, so both sides
-        # are compared without it; when it alone costs a dense row, the
-        # rule skips the estimate.
-        dense_ns -= CORNER_NS * m
-
-        def estimate():
-            # Candidates ~ m × the share of the bucket region kept.
-            region = float(np.prod(index.hi - index.lo))
-            kept = group.volume(group.ops, (index.lo, index.hi, region))
-            share = kept / region if region > 0.0 else 1.0
-            return PAIR_NS[cost] * m * share
-
-        def lookup(sel):
-            keep = index.halfspace_candidates(normals[:, sel].T, offsets[sel])
-            return np.nonzero(keep)
-
+    if group.kind == "box":
+        lows, highs = group.ops[0].T - pad, group.ops[1].T + pad
     else:
-        if group.kind == "box":
-            lows, highs = group.ops[0].T - pad, group.ops[1].T + pad
-        else:
-            centers, radii = group.ops
-            lows, highs = (centers - (radii + pad)).T, (centers + (radii + pad)).T
+        centers, radii = group.ops
+        lows, highs = (centers - (radii + pad)).T, (centers + (radii + pad)).T
 
-        def estimate():
-            visits, entries = index.lookup_estimate(lows, highs)
-            return VISIT_NS * (visits + entries) + PAIR_NS[cost] * entries
+    def estimate():
+        visits, entries = index.lookup_estimate(lows, highs)
+        return VISIT_NS * (visits + entries) + PAIR_NS[cost] * entries
 
-        def lookup(sel):
-            indptr, cols = index.candidates_for_boxes(lows[sel], highs[sel])
-            return np.repeat(np.arange(sel.size), np.diff(indptr)), cols
+    def lookup(sel):
+        indptr, cols = index.candidates_for_boxes(lows[sel], highs[sel])
+        return np.repeat(np.arange(sel.size), np.diff(indptr)), cols
 
-    return _sparse_rows(group.idx.size, dense_ns, estimate), lookup
+    return _sparse_rows(group.idx.size, DENSE_NS[cost] * index.m, estimate), lookup
 
 
 def _split(queries: list, index: BucketIndex, b_volumes, contains: bool):
@@ -240,38 +218,8 @@ def _pair_values(fn, group: KernelGroup, rows, cols, b) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Public entry points — volume / coverage
+# Public entry points — Eq. (6) coverage and Eq. (7) membership dots
 # ---------------------------------------------------------------------------
-
-
-def sparse_intersection_volume_matrix(
-    queries: Sequence, index: BucketIndex, b_volumes: np.ndarray | None = None
-) -> np.ndarray:
-    """``Vol(B_j ∩ R_i)`` as a dense array, computed only on candidate pairs."""
-    queries = list(queries)
-    positions, dense, pairs = _split(queries, index, b_volumes, contains=False)
-    out = np.zeros((len(queries), index.m))
-    if positions.size:
-        out[positions] = intersection_volume_matrix(
-            dense, index.b_lows, index.b_highs, b_volumes
-        )
-    for idx, rows, cols, vals in pairs:
-        out[idx[rows], cols] = vals
-    return out
-
-
-def sparse_coverage_matrix(
-    queries: Sequence, index: BucketIndex, b_volumes: np.ndarray | None = None
-) -> np.ndarray:
-    """Eq. (8) design matrix via the spatial index (dense ``ndarray`` out).
-
-    Identical values to :func:`~repro.geometry.batch.coverage_matrix` —
-    solvers can consume it unchanged.
-    """
-    if b_volumes is None:
-        b_volumes = np.prod(index.b_highs - index.b_lows, axis=1)
-    b_volumes = np.asarray(b_volumes, dtype=float)
-    return fractions(sparse_intersection_volume_matrix(queries, index, b_volumes), b_volumes)
 
 
 def sparse_coverage_dot(
@@ -297,23 +245,6 @@ def sparse_coverage_dot(
     for idx, rows, cols, vals in pairs:
         frac = fractions(vals, b_volumes[cols])
         out[idx] = np.bincount(rows, weights=frac * weights[cols], minlength=idx.size)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Public entry points — containment (Eq. 7, point-support models)
-# ---------------------------------------------------------------------------
-
-
-def sparse_containment_matrix(queries: Sequence, index: BucketIndex) -> np.ndarray:
-    """Eq. (7) membership matrix via a point index (dense out)."""
-    queries = list(queries)
-    positions, dense, pairs = _split(queries, index, None, contains=True)
-    out = np.zeros((len(queries), index.m))
-    if positions.size:
-        out[positions] = containment_matrix(dense, index.b_lows)
-    for idx, rows, cols, vals in pairs:
-        out[idx[rows], cols] = vals
     return out
 
 

@@ -9,7 +9,8 @@ estimators without an index compare dense-to-dense and pass trivially.
 PtsHist and the discrete arrangement ERM exercise the zero-volume-bucket
 edge case for free: their support is a point set, i.e. every "bucket" has
 zero extent.  Queries placed outside the data region exercise the
-empty-candidate-set path.
+empty-candidate-set path.  Fits build their design matrices dense, so
+they route no row through the index.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from repro.core.registry import estimator_factories
 from repro.geometry import sparse as sparse_mod
 from repro.geometry.ranges import Ball, Box, Halfspace
+from repro.observability import default_registry
 
 TOL = 1e-12
 N_TRAIN = 60
@@ -83,7 +85,7 @@ def test_sparse_and_dense_predictions_agree(name):
     assert diff <= TOL, f"{name}: sparse/dense predictions differ by {diff:.3e}"
 
 
-@pytest.mark.parametrize("name", ["quadhist", "kdhist", "ptshist", "isomer", "stholes"])
+@pytest.mark.parametrize("name", ["quadhist", "kdhist", "ptshist", "isomer", "quicksel"])
 def test_indexed_estimators_actually_carry_an_index(name):
     # Guards against the equivalence test passing vacuously because a fit
     # path silently stopped building its index.
@@ -93,3 +95,20 @@ def test_indexed_estimators_actually_carry_an_index(name):
     est = factory(N_TRAIN)
     est.fit(queries, labels)
     assert _strip_indexes(est), f"{name} no longer builds a bucket index at fit time"
+
+
+@pytest.mark.parametrize("name", sorted(estimator_factories()))
+def test_fits_route_no_row_through_the_index(name):
+    """Design matrices are built by the dense kernels: a fit or an update
+    leaves ``repro_sparse_calls_total`` where it was, even with every
+    routed row forced sparse, so the counter reads prediction rows only."""
+    rng = np.random.default_rng(11)
+    queries, labels = _box_training(rng)
+    more, more_labels = _box_training(rng, n=20)
+    est = estimator_factories()[name](N_TRAIN)
+    calls = default_registry().get("repro_sparse_calls_total")
+    before = calls.series()
+    est.fit(queries, labels)
+    if hasattr(est, "partial_fit"):
+        est.partial_fit(more, more_labels)
+    assert calls.series() == before

@@ -11,7 +11,6 @@ import pytest
 
 import repro.geometry.batch as batch
 from repro.geometry import Ball, Box, Halfspace, unit_box
-from repro.geometry import sparse as sparse_mod
 from repro.geometry.batch import (
     boxes_to_arrays,
     containment_matrix,
@@ -21,11 +20,11 @@ from repro.geometry.batch import (
     intersection_volume_matrix,
 )
 from repro.geometry.index import UniformGridIndex
-from repro.geometry.sparse import sparse_intersection_volume_matrix
 from repro.geometry.volume import (
     box_halfspace_intersection_volume,
     intersection_volume,
 )
+from tests.geometry.sparse_oracle import sparse_pairs
 
 
 def _random_buckets(rng, m, d):
@@ -97,15 +96,8 @@ class TestHalfspaceKernel:
             row = intersection_volume_matrix([query], b_lows, b_highs)
             assert row[0, 0] == scalar
 
-    @pytest.mark.parametrize(
-        "volume_matrix",
-        [intersection_volume_matrix, sparse_intersection_volume_matrix],
-        ids=["dense", "sparse"],
-    )
     @pytest.mark.parametrize("active", [1, 2, 3])
-    def test_empty_and_contained_pairs_take_scalar_branches(
-        self, rng, monkeypatch, active, volume_matrix
-    ):
+    def test_empty_and_contained_pairs_take_scalar_branches(self, rng, active):
         """A bucket wholly inside the halfspace reads its own volume and one
         wholly outside reads 0, bitwise and as the scalar oracle does, with
         1, 2 and 3 of the 3 normal components non-zero."""
@@ -117,13 +109,7 @@ class TestHalfspaceKernel:
         # Boundaries through random points of the domain.
         offsets = (normals * rng.random((30, 3))).sum(axis=1)
         queries = [Halfspace(n, float(t)) for n, t in zip(normals, offsets)]
-        if volume_matrix is sparse_intersection_volume_matrix:
-            monkeypatch.setattr(
-                sparse_mod, "_sparse_rows", lambda n, dense_ns, sparse_ns: np.ones(n, dtype=bool)
-            )
-            matrix = volume_matrix(queries, UniformGridIndex(b_lows, b_highs), volumes)
-        else:
-            matrix = volume_matrix(queries, b_lows, b_highs, volumes)
+        matrix = intersection_volume_matrix(queries, b_lows, b_highs, volumes)
 
         counts = np.zeros(3, dtype=int)
         for i, query in enumerate(queries):
@@ -156,19 +142,14 @@ class TestBallKernel:
         matrix = intersection_volume_matrix(queries, b_lows, b_highs)
         _assert_rows_match(queries, b_lows, b_highs, matrix)
 
-    @pytest.mark.parametrize(
-        "volume_matrix",
-        [intersection_volume_matrix, sparse_intersection_volume_matrix],
-        ids=["dense", "sparse"],
-    )
+    @pytest.mark.parametrize("path", ["dense", "sparse"])
     @pytest.mark.parametrize("d", [2, 3])
-    def test_empty_and_contained_pairs_take_scalar_branches(
-        self, rng, monkeypatch, d, volume_matrix
-    ):
+    def test_empty_and_contained_pairs_take_scalar_branches(self, rng, d, path):
         """A bucket off the ball's bounding box reads 0 and a bucket inside
-        the ball its own volume, bitwise, on both paths: the circular-segment
-        formula cancels on a contained bucket (a 1e-4 bucket inside a
-        radius-0.9 disc read 0.99999999392 of its volume)."""
+        the ball its own volume, bitwise, in the dense matrix and in the
+        sparse path's pair values: the circular-segment formula cancels on
+        a contained bucket (a 1e-4 bucket inside a radius-0.9 disc read
+        0.99999999392 of its volume)."""
         b_lows = rng.random((200, d)) * 0.9
         b_highs = b_lows + 10.0 ** rng.uniform(-5.0, -1.0, size=(200, d))
         b_lows = np.vstack([b_lows, np.full(d, 0.5)])
@@ -179,13 +160,12 @@ class TestBallKernel:
             for center, radius in zip(rng.random((40, d)), rng.uniform(0.05, 0.8, 40))
         ]
         balls.append(Ball(np.full(d, 0.5), 0.9))
-        if volume_matrix is sparse_intersection_volume_matrix:
-            monkeypatch.setattr(
-                sparse_mod, "_sparse_rows", lambda n, dense_ns, sparse_ns: np.ones(n, dtype=bool)
-            )
-            matrix = volume_matrix(balls, UniformGridIndex(b_lows, b_highs), volumes)
-        else:
-            matrix = volume_matrix(balls, b_lows, b_highs, volumes)
+        matrix = intersection_volume_matrix(balls, b_lows, b_highs, volumes)
+        if path == "sparse":
+            rows, pairs = sparse_pairs(balls, UniformGridIndex(b_lows, b_highs), volumes)
+            assert rows.size == len(balls)
+            np.testing.assert_array_equal(pairs, matrix)
+            matrix = pairs
 
         checked = 0
         for i, ball in enumerate(balls):

@@ -1,19 +1,19 @@
 """The sparse/dense cost rule (repro.geometry.sparse).
 
-Each query row goes sparse only when the index's estimate of its lookup
-and pair work undercuts the ``m`` dense entries, and the rows that go
-sparse together save more than a call's fixed cost.  The outcome of
-every row is counted in ``repro_sparse_calls_total{kernel,path}``.
+Each box or ball row goes sparse only when the index's estimate of its
+lookup and pair work undercuts the ``m`` dense entries, and the rows that
+go sparse together save more than a call's fixed cost; halfspace rows
+always run dense.  The outcome of every row is counted in
+``repro_sparse_calls_total{kernel,path}``.
 """
 
 import numpy as np
 
-import repro.geometry.batch as batch
 import repro.geometry.sparse as sparse_mod
-from repro.geometry.batch import coverage_dot
-from repro.geometry.index import UniformGridIndex
+from repro.geometry.batch import containment_matrix, coverage_dot
+from repro.geometry.index import BucketIndex, UniformGridIndex
 from repro.geometry.ranges import Box, Halfspace
-from repro.geometry.sparse import sparse_coverage_dot
+from repro.geometry.sparse import sparse_containment_dot, sparse_coverage_dot
 from repro.observability import default_registry
 
 
@@ -70,26 +70,26 @@ def test_mixed_batch_splits_rows_between_paths():
     assert _calls("dense") - dense_before == 20
 
 
-def test_halfspace_rows_skip_the_estimate_when_the_corner_test_costs_a_dense_row(monkeypatch):
-    """Every sparse halfspace row pays the corner test; when that alone
-    costs a dense row, no row can go sparse, and the rule routes the group
-    dense without evaluating the halfspace kernel for its estimate."""
-    import repro.geometry.batch as batch
-    import repro.geometry.sparse as sparse_mod
-    from repro.geometry.ranges import Halfspace
-
-    index = UniformGridIndex(*_grid_buckets(64))  # 4096 buckets
-    dense_ns = dict(sparse_mod.DENSE_NS, halfspace=sparse_mod.CORNER_NS)
-    monkeypatch.setattr(sparse_mod, "DENSE_NS", dense_ns)
-    evaluated = []
-    inner = batch.halfspace_volume
+def test_halfspace_rows_stay_dense_when_sparse_is_forced(monkeypatch):
+    """A halfspace has no finite bounding box, and its corner test costs
+    more per bucket than a dense entry: its rows run dense even when the
+    rule would send every row sparse, and the corner test never runs."""
     monkeypatch.setattr(
-        batch, "halfspace_volume", lambda *a, **k: evaluated.append(1) or inner(*a, **k)
+        sparse_mod, "_sparse_rows", lambda n, dense_ns, sparse_ns: np.ones(n, dtype=bool)
     )
+
+    def no_corner_test(*args, **kwargs):
+        raise AssertionError("a halfspace row took the corner test")
+
+    monkeypatch.setattr(BucketIndex, "halfspace_candidates", no_corner_test)
+    index = UniformGridIndex(*_grid_buckets(64))  # 4096 buckets
     rng = np.random.default_rng(2)
     queries = [Halfspace(n, float(n @ [0.9, 0.9])) for n in rng.normal(size=(40, 2)) + 1.0]
     calls = default_registry().get("repro_sparse_calls_total")
-    before = calls.value(kernel="halfspace", path="dense")
+    before = {path: calls.value(kernel="halfspace", path=path) for path in ("dense", "sparse")}
     _predict(queries, index)
-    assert calls.value(kernel="halfspace", path="dense") - before == 40
-    assert evaluated == []
+    weights = np.full(index.m, 1.0 / index.m)
+    got = sparse_containment_dot(queries, index, weights)
+    np.testing.assert_array_equal(got, containment_matrix(queries, index.b_lows) @ weights)
+    assert calls.value(kernel="halfspace", path="dense") - before["dense"] == 80
+    assert calls.value(kernel="halfspace", path="sparse") - before["sparse"] == 0

@@ -1,13 +1,15 @@
-"""Sparse coverage kernels agree with the dense oracle (repro.geometry.sparse).
+"""Sparse prediction kernels agree with the dense oracle (repro.geometry.sparse).
 
 The dense path of :mod:`repro.geometry.batch` is the correctness oracle.
-Sparse and dense run the same kernel per pair, so the volume and
-membership matrices must be bitwise equal on mixed box/halfspace/ball
-workloads, and fused dots equal to ``<= 1e-12`` (summation order).  The
-edge cases the index can manufacture are covered: zero-volume buckets,
-queries with empty candidate sets, and both index implementations.  The
-cost rule is patched so every row takes the sparse path even at
-test-sized bucket counts.
+Sparse and dense run the same kernel per pair, so the pair values the
+sparse path evaluates (laid out by ``tests/geometry/sparse_oracle.py``)
+must be bitwise the dense matrix entries, pruned pairs exact zeros, on
+mixed box/halfspace/ball workloads, and fused dots equal to ``<= 1e-12``
+(summation order).  Halfspace rows always run dense.  The edge cases the
+index can manufacture are covered: zero-volume buckets, queries with
+empty candidate sets, and both index implementations.  The cost rule is
+patched so every routed row takes the sparse path even at test-sized
+bucket counts.
 """
 
 import numpy as np
@@ -18,24 +20,20 @@ from repro.geometry.batch import (
     containment_matrix,
     coverage_dot,
     coverage_matrix,
+    fractions,
     intersection_volume_matrix,
 )
 from repro.geometry.index import PackedRTreeIndex, UniformGridIndex
 from repro.geometry.ranges import Ball, Box, Halfspace
-from repro.geometry.sparse import (
-    sparse_containment_dot,
-    sparse_containment_matrix,
-    sparse_coverage_dot,
-    sparse_coverage_matrix,
-    sparse_intersection_volume_matrix,
-)
+from repro.geometry.sparse import sparse_containment_dot, sparse_coverage_dot
+from tests.geometry.sparse_oracle import sparse_pairs
 
 TOL = 1e-12
 
 
 @pytest.fixture(autouse=True)
 def force_sparse(monkeypatch):
-    """Send every row to the sparse path regardless of its cost."""
+    """Send every routed row to the sparse path regardless of its cost."""
     monkeypatch.setattr(
         sparse_mod, "_sparse_rows", lambda n, dense_ns, sparse_ns: np.ones(n, dtype=bool)
     )
@@ -46,6 +44,11 @@ def _buckets(rng, m=120, d=2):
     widths = rng.uniform(0.02, 0.12, size=(m, d))
     highs = np.minimum(lows + widths, 1.0)
     return lows, highs
+
+
+def _routed(queries):
+    """Workload positions of the rows the router can send sparse."""
+    return [i for i, q in enumerate(queries) if not isinstance(q, Halfspace)]
 
 
 def _mixed_queries(rng, n=40, d=2):
@@ -73,8 +76,9 @@ def test_intersection_volumes_match_dense(cls):
     queries = _mixed_queries(rng)
     index = cls(b_lows, b_highs)
     dense = intersection_volume_matrix(queries, b_lows, b_highs)
-    got = sparse_intersection_volume_matrix(queries, index)
-    assert np.array_equal(got, dense)
+    rows, got = sparse_pairs(queries, index)
+    assert np.array_equal(rows, _routed(queries))
+    assert np.array_equal(got, dense[rows])
 
 
 @pytest.mark.parametrize("cls", [UniformGridIndex, PackedRTreeIndex])
@@ -85,7 +89,9 @@ def test_intersection_volumes_bitwise_in_other_dims(cls, d):
     queries = _mixed_queries(rng, d=d)
     index = cls(b_lows, b_highs)
     dense = intersection_volume_matrix(queries, b_lows, b_highs)
-    assert np.array_equal(sparse_intersection_volume_matrix(queries, index), dense)
+    rows, got = sparse_pairs(queries, index)
+    assert np.array_equal(rows, _routed(queries))
+    assert np.array_equal(got, dense[rows])
 
 
 @pytest.mark.parametrize("cls", [UniformGridIndex, PackedRTreeIndex])
@@ -96,8 +102,8 @@ def test_coverage_matrix_matches_dense(cls):
     queries = _mixed_queries(rng)
     index = cls(b_lows, b_highs)
     dense = coverage_matrix(queries, b_lows, b_highs, b_volumes)
-    got = sparse_coverage_matrix(queries, index, b_volumes)
-    assert np.array_equal(got, dense)
+    rows, got = sparse_pairs(queries, index, b_volumes)
+    assert np.array_equal(fractions(got, b_volumes), dense[rows])
 
 
 @pytest.mark.parametrize("cls", [UniformGridIndex, PackedRTreeIndex])
@@ -124,9 +130,10 @@ def test_zero_volume_buckets_contribute_zero():
     queries = _mixed_queries(rng, n=24)
     index = UniformGridIndex(b_lows, b_highs)
     dense = coverage_matrix(queries, b_lows, b_highs, b_volumes)
-    got = sparse_coverage_matrix(queries, index, b_volumes)
+    rows, overlaps = sparse_pairs(queries, index, b_volumes)
+    got = fractions(overlaps, b_volumes)
     assert np.isfinite(got).all()
-    assert np.array_equal(got, dense)
+    assert np.array_equal(got, dense[rows])
     assert np.all(got[:, :10] == 0.0)
     dot = sparse_coverage_dot(queries, index, b_volumes, weights)
     assert np.max(np.abs(dot - dense @ weights)) <= TOL
@@ -140,7 +147,8 @@ def test_empty_candidate_sets_give_zero_rows():
     b_highs = b_lows + 0.02  # confined to the lower-left corner
     index = UniformGridIndex(b_lows, b_highs)
     queries = [Box([0.9, 0.9], [0.99, 0.99]), Ball([0.95, 0.95], 0.02)]
-    got = sparse_intersection_volume_matrix(queries, index)
+    rows, got = sparse_pairs(queries, index)
+    assert np.array_equal(rows, [0, 1])
     assert np.all(got == 0.0)
     dot = sparse_coverage_dot(queries, index, None, np.ones(80) / 80)
     assert np.all(dot == 0.0)
@@ -154,8 +162,9 @@ def test_containment_matches_dense(cls):
     queries = _mixed_queries(rng, n=30)
     index = cls(points, points)
     dense = containment_matrix(queries, points)
-    got = sparse_containment_matrix(queries, index)
-    assert np.array_equal(got, dense)
+    rows, got = sparse_pairs(queries, index, contains=True)
+    assert np.array_equal(rows, _routed(queries))
+    assert np.array_equal(got, dense[rows])
     dot = sparse_containment_dot(queries, index, weights)
     assert np.max(np.abs(dot - dense @ weights)) <= TOL
 
