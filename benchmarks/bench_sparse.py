@@ -12,7 +12,10 @@ two axes that decide the win:
   at fit time and amortised over every predict call),
 * **query extent** — small ranges touch few buckets (sparse wins big),
   wide ranges make the index visit many cells, where the cost rule must
-  send the rows to the dense kernel instead of losing.
+  send the rows to the dense kernel instead of losing.  Each extent runs
+  twice: boxes with uniform centres, and boxes centred at data rows (the
+  paper's default), whose cells hold many times the mean bucket count
+  because the partition's leaves crowd where the data is.
 
 For each cell we time ``predict_many`` with the index attached (the cost
 rule picks each row's path) vs. stripped (``est._index = None`` runs the
@@ -30,8 +33,9 @@ fails.
 A last section measures the per-unit costs the rule's constants in
 :mod:`repro.geometry.sparse` come from: dense kernel ns per entry per
 family and, with every row forced sparse, the fixed ns of a call, the
-lookup's ns per estimated visit or entry, and the remaining ns per
-estimated entry (see :func:`_calibrate`).
+lookup's ns per visit or entry, and the remaining ns per entry (see
+:func:`_calibrate`), each as the median and min-max of nine interleaved
+rounds, so that a re-measure can tell a moved constant from noise.
 
 Results land in ``benchmarks/results/BENCH_sparse.json``::
 
@@ -42,8 +46,10 @@ Results land in ``benchmarks/results/BENCH_sparse.json``::
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +88,9 @@ SMOKE = {
     "alternations": 5,
     "calibration_buckets": 1024,
 }
+#: Interleaved rounds of the calibration: each constant's median and
+#: min-max are taken over them.
+CALIBRATION_ROUNDS = 9
 
 
 def _best_of(repeats: int, fn):
@@ -98,6 +107,16 @@ def _fixed_extent_queries(rng, n: int, extent: float) -> list[Box]:
     """``n`` square boxes of side ``extent`` with uniform centers."""
     lows = rng.uniform(0.0, 1.0 - extent, size=(n, 2))
     return [Box(low, low + extent) for low in lows]
+
+
+def _data_centred_queries(data, rng, n: int, extent: float) -> list[Box]:
+    """``n`` boxes of side ``extent`` centred at data rows, clipped to the
+    unit square: the paper's default centring, where a data-adaptive
+    partition's leaves crowd."""
+    centers = data.sample_rows(n, rng)
+    lows = np.clip(centers - extent / 2, 0.0, 1.0)
+    highs = np.clip(centers + extent / 2, 0.0, 1.0)
+    return [Box(low, high) for low, high in zip(lows, highs)]
 
 
 def _alternating(repeats: int, first, second) -> tuple[list, list, object, object]:
@@ -206,7 +225,10 @@ def _calibrate(config: dict) -> dict:
     Dense: kernel time per (query, bucket) entry.  Sparse, with every row
     forced sparse: the fixed cost of a one-query call; the lookup's cost
     per estimated visit or gathered entry; and the remaining time per
-    estimated entry (pair kernel and scatter).
+    estimated entry (pair kernel and scatter).  Every timed call runs
+    once per round, the rounds interleaving all of them so that host load
+    hits each alike; each constant is derived per round, and its median
+    and min-max over :data:`CALIBRATION_ROUNDS` rounds are reported.
     """
     rng = np.random.default_rng(3)
     side = int(round(np.sqrt(config["calibration_buckets"])))
@@ -227,18 +249,6 @@ def _calibrate(config: dict) -> dict:
     def balls(ext):
         return [Ball(c, ext / 2) for c in centers]
 
-    def timed(fn):
-        return _best_of(3, fn)[0] * 1e9
-
-    dense = {}
-    for kind, make in (("box", boxes), ("ball", balls)):
-        queries = make(0.1)
-        t = timed(lambda: coverage_dot(queries, b_lows, b_highs, volumes, weights))
-        dense[kind] = t / (len(queries) * m)
-    queries = boxes(0.1)  # built before the timed call, as for the kernels above
-    t = timed(lambda: containment_matrix(queries, b_lows) @ weights)
-    dense["contains"] = t / (len(queries) * m)
-
     def bounds(queries):
         if isinstance(queries[0], Box):
             return np.stack([q.lows for q in queries]), np.stack([q.highs for q in queries])
@@ -246,46 +256,93 @@ def _calibrate(config: dict) -> dict:
         r = np.array([q.radius for q in queries])[:, None]
         return c - r, c + r
 
-    pair, visit = {}, []
-    with _ForcedSparse():
-        one = boxes(0.005)[:1]
-        call = timed(lambda: sparse.sparse_coverage_dot(one, index, volumes, weights))
-        for kind, make, idx, fn in (
-            ("box", boxes, index, lambda q, i: sparse.sparse_coverage_dot(q, i, volumes, weights)),
-            ("ball", balls, index, lambda q, i: sparse.sparse_coverage_dot(q, i, volumes, weights)),
-            ("contains", boxes, points, lambda q, i: sparse.sparse_containment_dot(q, i, weights)),
-        ):
-            per_entry = []
-            for ext in (0.02, 0.05, 0.1):
-                queries = make(ext)
-                lows, highs = bounds(queries)
-                visits, entries = idx.lookup_estimate(lows, highs)
-                t_lookup = timed(lambda: idx.candidates_for_boxes(lows, highs))
-                t_call = timed(lambda: fn(queries, idx))
-                visit.append(t_lookup / (visits.sum() + entries.sum()))
-                per_entry.append((t_call - t_lookup - call) / entries.sum())
-            pair[kind] = float(np.median(per_entry))
+    # Every timed call, by name; queries are built outside the timed calls.
+    calls = {}
+    for kind, make in (("box", boxes), ("ball", balls)):
+        queries = make(0.1)
+        calls[f"dense/{kind}"] = partial(coverage_dot, queries, b_lows, b_highs, volumes, weights)
+    queries = boxes(0.1)
+    calls["dense/contains"] = lambda q=queries: containment_matrix(q, b_lows) @ weights
+    calls["call"] = partial(sparse.sparse_coverage_dot, boxes(0.005)[:1], index, volumes, weights)
+    work = {}
+    for kind, make, idx in (
+        ("box", boxes, index), ("ball", balls, index), ("contains", boxes, points)
+    ):
+        for ext in (0.02, 0.05, 0.1):
+            queries = make(ext)
+            lows, highs = bounds(queries)
+            work[kind, ext] = idx.lookup_estimate(lows, highs)
+            calls[f"lookup/{kind}/{ext}"] = partial(idx.candidates_for_boxes, lows, highs)
+            if kind == "contains":
+                calls[f"sparse/{kind}/{ext}"] = partial(
+                    sparse.sparse_containment_dot, queries, idx, weights
+                )
+            else:
+                calls[f"sparse/{kind}/{ext}"] = partial(
+                    sparse.sparse_coverage_dot, queries, idx, volumes, weights
+                )
 
-    def rounded(values: dict) -> dict:
-        return {k: round(v, 2) for k, v in values.items()}
+    times = {name: [] for name in calls}
+    with _ForcedSparse():
+        for _ in range(CALIBRATION_ROUNDS):
+            for name, fn in calls.items():
+                start = time.perf_counter()
+                fn()
+                times[name].append((time.perf_counter() - start) * 1e9)
+    t = {name: np.array(values) for name, values in times.items()}
+
+    # Each constant per round, from that round's timings.
+    constants = {
+        f"dense_ns.{kind}": t[f"dense/{kind}"] / (400 * m) for kind in ("box", "ball", "contains")
+    }
+    visit = []
+    for kind in ("box", "ball", "contains"):
+        per_entry = []
+        for ext in (0.02, 0.05, 0.1):
+            visits, entries = work[kind, ext]
+            lookup = t[f"lookup/{kind}/{ext}"]
+            visit.append(lookup / (visits.sum() + entries.sum()))
+            per_entry.append((t[f"sparse/{kind}/{ext}"] - lookup - t["call"]) / entries.sum())
+        constants[f"pair_ns.{kind}"] = np.median(per_entry, axis=0)
+    constants["visit_ns"] = np.median(visit, axis=0)
+    constants["call_ns"] = t["call"]
+
+    def spread(values) -> dict:
+        return {
+            "median": round(float(np.median(values)), 2),
+            "range": [round(float(np.min(values)), 2), round(float(np.max(values)), 2)],
+        }
+
+    measured = {name: spread(values) for name, values in constants.items()}
+
+    def medians(prefix: str) -> dict:
+        return {
+            name.split(".", 1)[1]: value["median"]
+            for name, value in measured.items()
+            if name.startswith(prefix + ".")
+        }
 
     return {
         "buckets": m,
+        "rounds": CALIBRATION_ROUNDS,
         "constants_in_use": {
             "DENSE_NS": sparse.DENSE_NS,
             "PAIR_NS": sparse.PAIR_NS,
             "VISIT_NS": sparse.VISIT_NS,
             "CALL_NS": sparse.CALL_NS,
         },
-        "dense_ns": rounded(dense),
-        "pair_ns": rounded(pair),
-        "visit_ns": round(float(np.median(visit)), 2),
-        "call_ns": round(call, 1),
+        "dense_ns": medians("dense_ns"),
+        "pair_ns": medians("pair_ns"),
+        "visit_ns": measured["visit_ns"]["median"],
+        "call_ns": measured["call_ns"]["median"],
+        "spread": measured,
     }
 
 
 def run(config: dict) -> dict:
     rng = np.random.default_rng(99)
+    data_rng = np.random.default_rng(3)
+    data = _dataset(config)
     sweep = []
     families = []
     for max_leaves in config["leaf_counts"]:
@@ -298,8 +355,11 @@ def run(config: dict) -> dict:
         print(f"m={m} leaves (requested {max_leaves}), index={index.kind}, "
               f"build {t_build * 1e3:.1f}ms")
 
-        for extent in config["extents"]:
-            queries = _fixed_extent_queries(rng, config["eval_queries"], extent)
+        for extent, centers in itertools.product(config["extents"], ("uniform", "data")):
+            if centers == "uniform":
+                queries = _fixed_extent_queries(rng, config["eval_queries"], extent)
+            else:
+                queries = _data_centred_queries(data, data_rng, config["eval_queries"], extent)
             visits, entries = _lookup_work(index, queries)
 
             est._index = index
@@ -329,6 +389,7 @@ def run(config: dict) -> dict:
                 "index_kind": index.kind,
                 "index_build_seconds": round(t_build, 4),
                 "extent": extent,
+                "centers": centers,
                 "queries": len(queries),
                 "lookup_visits_per_query": round(visits, 1),
                 "lookup_entries_per_query": round(entries, 1),
@@ -343,7 +404,8 @@ def run(config: dict) -> dict:
             }
             sweep.append(point)
             print(
-                f"  extent={extent}: visits={visits:.1f} sparse_share={share:.2f}  "
+                f"  extent={extent} {centers}: visits={visits:.1f} entries={entries:.1f} "
+                f"sparse_share={share:.2f}  "
                 f"sparse {t_sparse:.4f}s vs dense {t_dense:.4f}s (medians of "
                 f"{len(ts)})  speedup {point['speedup']}x "
                 f"[{point['speedup_range'][0]}-{point['speedup_range'][1]}]  "

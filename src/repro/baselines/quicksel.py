@@ -23,26 +23,28 @@ PtsHist (whose weights live on the simplex) stay bounded.
 The equality constraints of real feedback can be inconsistent, so we solve
 the standard penalised form (a ridge-regularised KKT system), equivalent to
 the original for consistent feedback.
+
+The design build, prediction and persistence (under ``kernel_*`` keys)
+come from :class:`~repro.core.quadhist.WeightedBoxes`, the histogram
+learners' Eq. (6) model; signed weights leave QuickSel no ``distribution``.
 """
 
 from __future__ import annotations
 
-from typing import ClassVar, Dict, Sequence
+from typing import ClassVar
 
 import numpy as np
 
 from repro.core.config import QuickSelConfig
-from repro.core.estimator import SelectivityEstimator
+from repro.core.quadhist import WeightedBoxes
 from repro.core.workload import TrainingSet
-from repro.geometry.batch import coverage_dot, intersection_volume_matrix
-from repro.geometry.index import BucketIndex, build_bucket_index
-from repro.geometry.sparse import sparse_coverage_dot
+from repro.geometry.batch import intersection_volume_matrix
 from repro.geometry.ranges import Box, Range, unit_box
 
 __all__ = ["QuickSel"]
 
 
-class QuickSel(SelectivityEstimator):
+class QuickSel(WeightedBoxes):
     """QuickSel: uniform-mixture model fitted by a variance-minimising QP.
 
     Parameters
@@ -57,6 +59,7 @@ class QuickSel(SelectivityEstimator):
     """
 
     Config: ClassVar = QuickSelConfig
+    _state_prefix = "kernel"
 
     def __init__(
         self,
@@ -72,45 +75,22 @@ class QuickSel(SelectivityEstimator):
         self.constraint_weight = float(constraint_weight)
         self.ridge = float(ridge)
         self.domain = domain
-        self._kernel_lows: np.ndarray | None = None
-        self._kernel_highs: np.ndarray | None = None
-        self._kernel_volumes: np.ndarray | None = None
-        self._index: BucketIndex | None = None
-        self._weights: np.ndarray | None = None
 
     def _fit(self, training: TrainingSet) -> None:
         if not all(isinstance(q, Box) for q in training.queries):
             raise TypeError("QuickSel supports orthogonal-range (Box) queries only")
         domain = self.domain if self.domain is not None else unit_box(training.dim)
         kernels = [domain] + [q for q in training.queries if q.volume() > 0.0]
-        self._kernel_lows = np.stack([k.lows for k in kernels])
-        self._kernel_highs = np.stack([k.highs for k in kernels])
-        self._kernel_volumes = np.prod(self._kernel_highs - self._kernel_lows, axis=1)
-        self._index = build_bucket_index(self._kernel_lows, self._kernel_highs)
-
-        variance = self._variance_matrix()
-        design = self._coverage_matrix(training.queries)
-        self._weights = self._solve_qp(variance, design, training.selectivities)
-
-    def _variance_matrix(self) -> np.ndarray:
-        """``V_{jk} = Vol(G_j ∩ G_k) / (Vol(G_j) Vol(G_k))`` for all pairs."""
-        lows = self._kernel_lows
-        highs = self._kernel_highs
-        m = lows.shape[0]
-        # Pairwise interval overlaps, vectorised: (m, m, d).
-        pair_lows = np.maximum(lows[:, None, :], lows[None, :, :])
-        pair_highs = np.minimum(highs[:, None, :], highs[None, :, :])
-        widths = np.maximum(pair_highs - pair_lows, 0.0)
-        overlap = np.prod(widths, axis=2)
-        denom = self._kernel_volumes[:, None] * self._kernel_volumes[None, :]
-        return overlap / denom
-
-    def _coverage_matrix(self, queries: Sequence[Range]) -> np.ndarray:
-        """``Vol(G_j ∩ R_i) / Vol(G_j)`` for a whole workload at once."""
-        overlaps = intersection_volume_matrix(
-            queries, self._kernel_lows, self._kernel_highs, self._kernel_volumes
+        self._set_buckets(
+            np.stack([k.lows for k in kernels]), np.stack([k.highs for k in kernels])
         )
-        return np.clip(overlaps / self._kernel_volumes[None, :], 0.0, 1.0)
+        # V_jk = Vol(G_j ∩ G_k) / (Vol(G_j) Vol(G_k)): the kernels as queries.
+        volumes = self._volumes
+        overlaps = intersection_volume_matrix(kernels, self._lows, self._highs, volumes)
+        variance = overlaps / (volumes[:, None] * volumes[None, :])
+        self._weights = self._solve_qp(
+            variance, self._design(training.queries), training.selectivities
+        )
 
     def _solve_qp(self, variance: np.ndarray, design: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Penalised equality-constrained QP via its KKT linear system.
@@ -134,41 +114,7 @@ class QuickSel(SelectivityEstimator):
             solution, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
         return solution[:m]
 
-    def _predict_batch(self, queries: Sequence[Range]) -> np.ndarray:
-        # Raw mixture estimates; predict and predict_many apply the [0, 1]
-        # clip.  (All kernels have positive volume, so coverage_dot's
-        # zero-volume guard never fires.)
-        if self._index is not None:
-            return sparse_coverage_dot(
-                queries, self._index, self._kernel_volumes, self._weights
-            )
-        return coverage_dot(
-            queries, self._kernel_lows, self._kernel_highs, self._kernel_volumes, self._weights
-        )
-
     def raw_predict(self, query: Range) -> float:
         """Unclipped estimate — may be negative or exceed 1 (by design)."""
         self._check_fitted()
         return self._predict_one(query)
-
-    @property
-    def model_size(self) -> int:
-        self._check_fitted()
-        return int(self._weights.shape[0])
-
-    def _state_dict(self) -> Dict[str, object]:
-        return {
-            "kernel_lows": self._kernel_lows,
-            "kernel_highs": self._kernel_highs,
-            "kernel_volumes": self._kernel_volumes,
-            "weights": self._weights,
-        }
-
-    def _load_state_dict(self, state: Dict[str, object]) -> None:
-        self._kernel_lows = np.asarray(state["kernel_lows"], dtype=float)
-        self._kernel_highs = np.asarray(state["kernel_highs"], dtype=float)
-        self._kernel_volumes = np.asarray(state["kernel_volumes"], dtype=float)
-        self._weights = np.asarray(state["weights"], dtype=float)
-        # Rebuilt deterministically from the persisted kernel arrays; the
-        # index itself is never serialised.
-        self._index = build_bucket_index(self._kernel_lows, self._kernel_highs)

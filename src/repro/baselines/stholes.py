@@ -232,12 +232,7 @@ class STHoles(SelectivityEstimator):
         if warm_start:
             w0 = np.zeros(m_new)
             w0[reused] = old_weights[origin[reused]]
-            total = float(w0.sum())
-            w0 = w0 / total if total > 0.0 else np.full(m_new, 1.0 / m_new)
-        weights, self.solve_report_ = solve_weights(
-            design, combined.selectivities, warm_start=w0
-        )
-        self._weights = weights
+        self._solve(design, combined.selectivities, w0)
         self._history = combined
         self.update_report_ = UpdateReport(
             rows_appended=n_new,
@@ -417,8 +412,30 @@ class STHoles(SelectivityEstimator):
     def _estimate_weights(self, training: TrainingSet) -> None:
         self._flatten()
         self._overlap_cache = self._box_overlap_matrix(training.queries)
-        design = self._fractions_from_overlaps(self._overlap_cache)
-        self._weights, self.solve_report_ = solve_weights(design, training.selectivities)
+        self._solve(self._fractions_from_overlaps(self._overlap_cache), training.selectivities)
+
+    def _solve(self, design: np.ndarray, selectivities: np.ndarray, warm_start=None) -> None:
+        """Eq. (8) over the regions with positive volume; the rest weigh 0.
+
+        A region its children cover has an all-zero design column, so a
+        weight there would drop out of every prediction: the histogram
+        would hold less than its whole mass.  ``warm_start`` (previous
+        weights in the current column order) is renormalised over the
+        solved regions.
+        """
+        live = self._region_volumes > _MIN_VOLUME
+        if warm_start is not None:
+            warm_start = warm_start[live]
+            total = float(warm_start.sum())
+            if total > 0.0:
+                warm_start = warm_start / total
+            else:
+                warm_start = np.full(warm_start.size, 1.0 / warm_start.size)
+        weights, self.solve_report_ = solve_weights(
+            design[:, live], selectivities, warm_start=warm_start
+        )
+        self._weights = np.zeros(live.size)
+        self._weights[live] = weights
 
     def _box_overlap_matrix(self, queries: Sequence[Range]) -> np.ndarray:
         """``Vol(box_j ∩ R_i)`` per (query, bucket box) — the cacheable part."""

@@ -25,10 +25,13 @@ The partition is computed one tree level at a time over leaf arrays
 (:mod:`repro.core.incremental`); its leaves are bitwise those of the
 sequential one-query descent, which the tests keep as the oracle.
 
-:class:`BucketHistogram`, QuadHist's base, is shared with the ISOMER
-baseline and the arrangement ERM's histogram mode.  It looks the coverage
-kernels up by this module's names, which ``benchmarks/e2e/tracer.py``
-patches to time them.
+:class:`WeightedBoxes` is the one bucket model, Eq. (6) over weighted
+boxes; QuickSel's overlapping kernels with signed weights use it as it
+is.  :class:`BucketHistogram`, QuadHist's base, adds only the
+``distribution`` view, for the disjoint buckets of QuadHist, KdHist,
+ISOMER and the arrangement ERM's histogram mode.  The base looks the
+coverage kernels up by this module's names, which
+``benchmarks/e2e/tracer.py`` patches to time them.
 """
 
 from __future__ import annotations
@@ -49,20 +52,20 @@ from repro.geometry.ranges import Box, Range
 from repro.observability.tracing import span
 from repro.solvers.simplex_ls import SOLVERS, SolveReport
 
-__all__ = ["BucketHistogram", "QuadHist"]
+__all__ = ["WeightedBoxes", "BucketHistogram", "QuadHist"]
 
 
-class BucketHistogram(SelectivityEstimator):
-    """A histogram over disjoint box buckets (the paper's Eq. 6).
+class WeightedBoxes(SelectivityEstimator):
+    """Weighted box kernels: the paper's Eq. (6) sum.
 
-    A subclass designs the buckets, hands their boxes to
-    :meth:`_set_buckets` and sets ``_weights``.  This base builds the
-    Eq. (8) design matrix with the dense kernel, predicts
-    ``Σ_j w_j · Vol(B_j ∩ R)/Vol(B_j)`` through the bucket index (the
-    dense kernel when ``_index`` is None), views the model as a
-    ``HistogramDistribution``, and persists it as
-    ``{prefix}_lows``, ``{prefix}_highs``, ``{prefix}_volumes`` and
-    ``weights``, ``prefix`` being the class's ``_state_prefix``.
+    A subclass places the boxes, hands them to :meth:`_set_buckets` and
+    sets ``_weights``.  This base builds the Eq. (8) design matrix with
+    the dense kernel, predicts ``Σ_j w_j · Vol(B_j ∩ R)/Vol(B_j)``
+    through the bucket index (the dense kernel when ``_index`` is None),
+    and persists the model as ``{prefix}_lows``, ``{prefix}_highs``,
+    ``{prefix}_volumes`` and ``weights``, ``prefix`` being the class's
+    ``_state_prefix``.  The boxes may overlap and the weights may be
+    signed, so the model need not be a distribution.
     """
 
     #: Key prefix of the persisted bucket arrays.
@@ -98,20 +101,6 @@ class BucketHistogram(SelectivityEstimator):
         self._check_fitted()
         return int(self._weights.shape[0])
 
-    @property
-    def distribution(self) -> HistogramDistribution:
-        """The learned histogram distribution (a valid member of 𝒟): a
-        view over the arrays that predict, built on each access."""
-        self._check_fitted()
-        return HistogramDistribution.from_state(
-            {
-                "lows": self._lows,
-                "highs": self._highs,
-                "volumes": self._volumes,
-                "weights": self._weights,
-            }
-        )
-
     def _state_dict(self) -> Dict[str, object]:
         prefix = self._state_prefix
         return {
@@ -133,6 +122,25 @@ class BucketHistogram(SelectivityEstimator):
         # Rebuilt deterministically from the persisted bucket arrays; the
         # index itself is never serialised.
         self._index = build_bucket_index(self._lows, self._highs)
+
+
+class BucketHistogram(WeightedBoxes):
+    """A histogram over disjoint box buckets with simplex weights, which
+    :attr:`distribution` views as a ``HistogramDistribution``."""
+
+    @property
+    def distribution(self) -> HistogramDistribution:
+        """The learned histogram distribution (a valid member of 𝒟): a
+        view over the arrays that predict, built on each access."""
+        self._check_fitted()
+        return HistogramDistribution.from_state(
+            {
+                "lows": self._lows,
+                "highs": self._highs,
+                "volumes": self._volumes,
+                "weights": self._weights,
+            }
+        )
 
 
 class QuadHist(IncrementalTreeHistogram, BucketHistogram):

@@ -31,9 +31,10 @@ Both expose the same query API:
 * :meth:`~BucketIndex.candidates_for_boxes` — CSR ``(indptr, indices)``
   candidate sets for a batch of query boxes, fully vectorised (no Python
   loop over queries), ids strictly ascending within each row;
-* :meth:`~BucketIndex.lookup_estimate` — the O(n·d) estimate of what
-  that lookup would cost per query (cells or nodes visited, bucket
-  entries gathered), which the sparse/dense rule reads before any lookup;
+* :meth:`~BucketIndex.lookup_estimate` — what that lookup would cost
+  per query (cells or nodes visited, bucket entries gathered), which the
+  sparse/dense rule reads before any lookup: the grid counts its entries
+  exactly, the R-tree estimates them;
 * :meth:`~BucketIndex.halfspace_candidates` — boolean keep-mask per
   (halfspace, bucket) from the corner-support test ``max_{x∈B} a·x ≥ b``
   (no spatial traversal needed, just cached centers/half-widths).  No
@@ -56,6 +57,8 @@ serialised itself.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.geometry.batch import CHUNK_ELEMENTS
 
 __all__ = [
     "BucketIndex",
@@ -148,7 +151,7 @@ class BucketIndex:
         """Per query box: ``(visits, entries)`` the lookup would touch.
 
         ``visits`` counts grid cells or tree nodes, ``entries`` the bucket
-        ids gathered before deduplication.  O(n·d); no lookup runs.
+        ids gathered before deduplication.  No lookup runs.
         """
         raise NotImplementedError
 
@@ -238,18 +241,40 @@ class UniformGridIndex(BucketIndex):
         self.occupancy = owners.size / max(1, self.m)
         order = np.argsort(cells, kind="stable")
         self.cell_buckets = owners[order]
+        self.cell_lengths = np.bincount(cells, minlength=self.n_cells)
         self.cell_indptr = np.zeros(self.n_cells + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(cells, minlength=self.n_cells), out=self.cell_indptr[1:]
-        )
+        np.cumsum(self.cell_lengths, out=self.cell_indptr[1:])
+        # Summed-area table of the list lengths, zero-padded in front on
+        # every axis: a cell range's entries from its 2^d corners.  Kept
+        # when some box can visit more cells than that, and when it fits a
+        # kernel temporary's budget; its padding grows as ((r + 1)/r)^d.
+        shape = tuple(self.res + 1)
+        self._table = None
+        if 1 << self.dim < self.n_cells and np.prod(shape) <= CHUNK_ELEMENTS:
+            table = np.zeros(shape, dtype=np.int64)
+            table[(slice(1, None),) * self.dim] = self.cell_lengths.reshape(tuple(self.res))
+            for axis in range(self.dim):
+                np.cumsum(table, axis=axis, out=table)
+            self._table = table.ravel()
+            self._table_strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+            upper = (np.arange(1 << self.dim)[:, None] >> np.arange(self.dim) & 1).astype(bool)
+            # A corner taking the lower end on k axes enters with sign (-1)^k.
+            self._corners = upper, 1 - 2 * ((self.dim - upper.sum(axis=1)) % 2)
 
     def lookup_estimate(
         self, q_lows: np.ndarray, q_highs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         c0, c1, empty = self._cell_ranges(q_lows, q_highs)
         visits = np.where(empty, 0, np.prod(c1 - c0 + 1, axis=1))
-        # Entries per visited cell: the mean cell list length.
-        return visits, visits * (self.cell_buckets.size / self.n_cells)
+        # Entries: the visited cells' list lengths, read from the table's
+        # 2^d corners per box, or summed cell by cell where that is less.
+        if self._table is not None and (visits.size << self.dim) < visits.sum():
+            upper, signs = self._corners
+            corners = np.where(upper, (c1 + 1)[:, None], c0[:, None])
+            entries = self._table[corners @ self._table_strides] @ signs
+            return visits, np.where(empty, 0, entries)
+        owners, cells = self._expand_cells(c0, c1, empty)
+        return visits, np.bincount(owners, self.cell_lengths[cells], minlength=visits.size)
 
     def candidates_for_boxes(
         self, q_lows: np.ndarray, q_highs: np.ndarray

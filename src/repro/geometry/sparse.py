@@ -28,9 +28,9 @@ one only in summation order.
 
 Which rows run sparse is one cost comparison per query row, made before
 any lookup.  Dense work is ``m`` kernel entries.  Sparse work is the
-index's O(n·d) estimate of the cells it would visit and the bucket
-entries it would gather (:meth:`~repro.geometry.index.BucketIndex
-.lookup_estimate`), each gathered entry then evaluated as a pair.  A call
+cells the index would visit and the bucket entries it would gather (the
+grid counts them exactly, the R-tree estimates them: :meth:`~repro.geometry
+.index.BucketIndex.lookup_estimate`), each then evaluated as a pair.  A call
 pays a fixed cost on top, so rows go sparse only when their summed saving
 beats it.  Box and ball rows are routed; halfspaces (which have no finite
 bounding box) and range families without a kernel (unions, semi-algebraic

@@ -33,11 +33,13 @@ from repro.robustness.buffer import FeedbackBuffer
 from repro.robustness.deadline import Deadline
 from repro.robustness.chaos import ChaosConfig, ChaosMonkey, chaos
 from repro.robustness.errors import (
+    ContentTooLargeError,
     DataValidationError,
     DeadlineExceededError,
     ModelUnavailableError,
     OverloadedError,
     ReproError,
+    RequestTimeoutError,
     SolverConvergenceError,
     TrainingTimeoutError,
     WorkerSupervisionError,
@@ -56,6 +58,8 @@ __all__ = [
     "ModelUnavailableError",
     "OverloadedError",
     "DeadlineExceededError",
+    "ContentTooLargeError",
+    "RequestTimeoutError",
     "WorkerSupervisionError",
     "SANITIZE_POLICIES",
     "SanitizationReport",

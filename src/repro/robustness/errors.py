@@ -14,6 +14,9 @@ class                          meaning                                 HTTP
 :class:`SolverConvergenceError` a solve produced no valid simplex      500
                                vector (individual rung failure; the
                                fallback ladder usually absorbs these)
+:class:`ContentTooLargeError`  a request declared a body over the      413
+                               server's cap
+:class:`RequestTimeoutError`   a request body stopped arriving         408
 =============================  ======================================  ====
 
 Each class also subclasses the builtin exception it historically replaced
@@ -34,6 +37,8 @@ __all__ = [
     "ArtifactError",
     "OverloadedError",
     "DeadlineExceededError",
+    "ContentTooLargeError",
+    "RequestTimeoutError",
     "WorkerSupervisionError",
 ]
 
@@ -123,6 +128,19 @@ class DeadlineExceededError(ReproError, TimeoutError):
     start)."""
 
     http_status = 504
+
+
+class ContentTooLargeError(ReproError, ValueError):
+    """A request declared a body larger than the server reads; it is
+    refused before any byte of the body is read."""
+
+    http_status = 413
+
+
+class RequestTimeoutError(ReproError, TimeoutError):
+    """A request's body stopped arriving before it was complete."""
+
+    http_status = 408
 
 
 class WorkerSupervisionError(ReproError, RuntimeError):

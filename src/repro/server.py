@@ -124,10 +124,12 @@ from repro.robustness import CircuitBreaker, FeedbackBuffer
 from repro.robustness.chaos import active as _active_chaos
 from repro.robustness.deadline import Deadline
 from repro.robustness.errors import (
+    ContentTooLargeError,
     DataValidationError,
     ModelUnavailableError,
     PersistenceError,
     ReproError,
+    RequestTimeoutError,
     SolverConvergenceError,
     TrainingTimeoutError,
 )
@@ -1285,6 +1287,12 @@ _EXPOSITION_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: on a connection it means to reuse.
 IDLE_TIMEOUT_S = 30.0
 
+#: Largest request body a worker reads, in bytes (a 256-query
+#: ``/v1/predict`` body is ~29 KB).  A larger declared ``Content-Length``
+#: gets 413 before any byte of the body is read; a body that stops
+#: arriving for :data:`IDLE_TIMEOUT_S` gets 408.  Both close the connection.
+MAX_BODY_BYTES = 16 << 20
+
 #: Bound, in seconds, on the staged close of a connection: after the last
 #: response the server reads and discards input until the client's EOF
 #: (:meth:`_Server.shutdown_request`).
@@ -1404,7 +1412,9 @@ def _make_handler(
     request declared a body the handler did not read in full, whose bytes
     would otherwise be parsed as the next request line, and while the
     worker drains, which hands its clients back to the shared listen
-    queue.  A connection idle for :data:`IDLE_TIMEOUT_S` is closed too.
+    queue.  A connection idle for :data:`IDLE_TIMEOUT_S` is closed too, a
+    body over :data:`MAX_BODY_BYTES` is refused unread (413), and one that
+    stops arriving for :data:`IDLE_TIMEOUT_S` gets 408.
     """
     registry = service.registry
     http_requests = registry.counter(
@@ -1502,7 +1512,16 @@ def _make_handler(
                 raise DataValidationError(f"bad Content-Length header: {exc}") from exc
             if length < 0:
                 raise DataValidationError(f"bad Content-Length header: {length}")
-            raw = self.rfile.read(length)
+            if length > MAX_BODY_BYTES:
+                raise ContentTooLargeError(
+                    f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
+                )
+            try:
+                raw = self.rfile.read(length)
+            except TimeoutError as exc:
+                raise RequestTimeoutError(
+                    f"request body incomplete after {self.timeout} s without data"
+                ) from exc
             self._unread_body = len(raw) < length
             raw = raw or b"{}"
             try:

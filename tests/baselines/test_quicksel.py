@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import QuickSel, UniformEstimator
+from repro.core.quadhist import BucketHistogram, WeightedBoxes
 from repro.geometry import Ball, Box, unit_box
 
 
@@ -47,6 +48,16 @@ class TestTraining:
     def test_rejects_non_box_queries(self):
         with pytest.raises(TypeError):
             QuickSel().fit([Ball([0.5, 0.5], 0.2)], [0.2])
+
+    def test_is_the_bucket_model_without_a_distribution(self):
+        """QuickSel's kernels are the shared bucket model's boxes; its
+        signed weights make it no distribution, so it has no view of one."""
+        assert issubclass(QuickSel, WeightedBoxes)
+        assert not issubclass(QuickSel, BucketHistogram)
+        assert not hasattr(QuickSel, "distribution")
+        shared = {"_set_buckets", "_design", "_predict_batch", "model_size",
+                  "_state_dict", "_load_state_dict"}
+        assert not shared & set(vars(QuickSel))
 
     def test_public_predictions_clipped(self, box_workload, rng):
         queries, labels = box_workload

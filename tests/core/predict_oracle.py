@@ -24,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.baselines.quicksel import QuickSel
 from repro.baselines.stholes import _MIN_VOLUME, STHoles
 from repro.geometry.ranges import Box, Range
 from repro.geometry.volume import intersection_volume
@@ -56,11 +55,7 @@ def raw_predictions(est, queries: Sequence[Range]) -> np.ndarray:
     """``est``'s raw (unclamped) estimates, one pair at a time."""
     if isinstance(est, STHoles):
         return np.array([_region_prediction(est, q) for q in queries])
-    if isinstance(est, QuickSel):
-        lows, highs = est._kernel_lows, est._kernel_highs
-    else:
-        lows, highs = est._lows, est._highs
-    return np.array([_box_prediction(lows, highs, est._weights, q) for q in queries])
+    return np.array([_box_prediction(est._lows, est._highs, est._weights, q) for q in queries])
 
 
 def child_loop_fractions(est: STHoles, box_overlaps: np.ndarray) -> np.ndarray:

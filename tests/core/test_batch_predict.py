@@ -127,9 +127,11 @@ class TestBatchScalarEquivalence:
         )
 
 
-@pytest.mark.parametrize("name", ["arrangement-histogram", "isomer", "kdhist", "quadhist"])
+@pytest.mark.parametrize(
+    "name", ["arrangement-histogram", "isomer", "kdhist", "quadhist", "quicksel"]
+)
 def test_bucket_histograms_resolve_kernels_in_quadhist(fitted, name, monkeypatch):
-    """The bucket histograms look both coverage kernels up in
+    """The bucket-model learners look both coverage kernels up in
     ``repro.core.quadhist`` at call time, for ``predict`` as for
     ``predict_many``: the end-to-end tracer times them there."""
     calls = []

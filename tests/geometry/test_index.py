@@ -123,6 +123,29 @@ def test_lookup_estimate_scales_with_query_extent(cls):
     assert visits[2] == 0 and entries[2] == 0
 
 
+@pytest.mark.parametrize("d, m", [(2, 4000), (8, 6000)])
+@pytest.mark.parametrize("extent", [0.001, 0.5])
+def test_grid_estimate_counts_the_entries_the_lookup_gathers(d, m, extent):
+    # Buckets crowd one corner, as a data-adaptive partition's leaves
+    # crowd the data: a cell's list length is far from the mean there.
+    # Narrow boxes are summed cell by cell, wide ones from the summed-area
+    # table's corners; both must give the lookup's own count.
+    rng = np.random.default_rng(d)
+    b_lows = rng.beta(0.5, 3.0, size=(m, d)) * 0.9
+    b_highs = b_lows + rng.uniform(0.001, 0.05, size=(m, d))
+    index = UniformGridIndex(b_lows, b_highs)
+    assert index._table is not None
+    q_lows = rng.beta(0.5, 3.0, size=(60, d)) * 0.9
+    q_highs = q_lows + extent
+    q_lows[0], q_highs[0] = 5.0, 6.0  # disjoint
+    q_lows[1, 0] = np.nan  # non-finite
+    _, entries = index.lookup_estimate(q_lows, q_highs)
+    owners, cells = index._expand_cells(*index._cell_ranges(q_lows, q_highs))
+    lengths = np.diff(index.cell_indptr)[cells]
+    np.testing.assert_array_equal(entries, np.bincount(owners, weights=lengths, minlength=60))
+    assert entries[0] == entries[1] == 0
+
+
 def test_build_selects_grid_for_uniform_buckets():
     rng = np.random.default_rng(1)
     b_lows, b_highs = _random_buckets(rng, 256, 2)

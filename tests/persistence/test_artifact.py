@@ -77,12 +77,13 @@ def test_roundtrip_bitwise(name, workload, tmp_path):
         ("kdhist", {}, "leaf"),
         ("isomer", {}, "bucket"),
         ("arrangement", {"mode": "histogram", "max_cells": 20_000}, "cell"),
+        ("quicksel", {}, "kernel"),
     ],
-    ids=["quadhist", "kdhist", "isomer", "arrangement-histogram"],
+    ids=["quadhist", "kdhist", "isomer", "arrangement-histogram", "quicksel"],
 )
 def test_histogram_payload_stores_buckets_once(name, overrides, prefix, workload, tmp_path):
-    """The histogram learners persist their bucket arrays and weights
-    once, under the names artifacts have always used, with no nested
+    """The bucket-model learners persist their boxes and weights once,
+    under the names artifacts have always used, with no nested
     ``distribution.`` copy of them."""
     train_q, train_s, _, _ = workload
     estimator = make_estimator(name, train_size=60, **overrides)

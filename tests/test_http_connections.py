@@ -299,6 +299,45 @@ def test_idle_connection_is_closed(served, monkeypatch):
         server.server_close()
 
 
+def test_oversize_body_is_refused_before_it_is_read(served):
+    """A declared body over MAX_BODY_BYTES gets 413 from the request
+    head alone, and the connection closes: the client sends no body."""
+    length = server_module.MAX_BODY_BYTES + 1
+    with socket.create_connection(served.address, timeout=5.0) as sock:
+        sock.sendall(
+            b"POST /v1/estimate HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n" % length
+        )
+        status, body = _read_response(sock)
+        assert status == 413, body
+        assert json.loads(body)["type"] == "ContentTooLargeError"
+        assert sock.recv(1) == b""
+
+
+def test_stalled_body_gets_408_and_a_closed_connection(served, monkeypatch):
+    """A body that stops arriving is answered 408, not 500, once the
+    connection's read timeout passes, and the connection closes."""
+    monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.3)
+    monkeypatch.setattr(server_module, "CLOSE_LINGER_S", 0.2)
+    server = serve(served.service, port=0)
+    try:
+        with socket.create_connection(server.server_address[:2], timeout=5.0) as sock:
+            sock.sendall(
+                b"POST /v1/estimate HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\nContent-Length: 1000\r\n\r\n"
+                b'{"query": '
+            )
+            start = time.perf_counter()
+            status, body = _read_response(sock)
+            assert status == 408, body
+            assert json.loads(body)["type"] == "RequestTimeoutError"
+            assert time.perf_counter() - start < 3.0
+            assert sock.recv(1) == b""
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_a_held_read_does_not_hold_another(power2d_box_workload):
     """Each read makes its own ``estimate_many`` call: while one estimate
     is held inside its call, an estimate on another connection answers
