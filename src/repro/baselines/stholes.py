@@ -42,7 +42,6 @@ that one array drives the region subtraction and persistence, and
 
 from __future__ import annotations
 
-import time
 from typing import ClassVar, Dict, Sequence
 
 import numpy as np
@@ -50,7 +49,7 @@ import numpy as np
 from repro.core._solve import solve_weights
 from repro.core.config import STHolesConfig
 from repro.core.estimator import SelectivityEstimator
-from repro.core.incremental import UpdateReport, assemble_design
+from repro.core.incremental import UpdateReport, absorb
 from repro.core.workload import TrainingSet
 from repro.geometry.batch import intersection_volume_matrix
 from repro.geometry.ranges import Box, Range, unit_box
@@ -117,7 +116,7 @@ class STHoles(SelectivityEstimator):
         #: holes, merging only removes buckets), so surviving columns stay
         #: valid across updates; the region subtraction is re-derived from
         #: it each solve.
-        self._overlap_cache: np.ndarray | None = None
+        self._design_cache: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Training
@@ -130,12 +129,7 @@ class STHoles(SelectivityEstimator):
         self._root = _Bucket(domain, parent=None, frequency=1.0)
         self._count = 1
         self._history = training
-        for sample in training:
-            if sample.query.volume() <= _MIN_VOLUME:
-                continue
-            self._drill(self._root, sample.query, sample.selectivity)
-            if self._count > self.max_buckets:
-                self._merge_down_to_budget()
+        self._grow(training)
         self._estimate_weights(training)
 
     def partial_fit(
@@ -144,7 +138,8 @@ class STHoles(SelectivityEstimator):
         selectivities: Sequence[float],
         warm_start: bool = False,
     ) -> "STHoles":
-        """Incrementally absorb new query feedback.
+        """Incrementally absorb new query feedback (see
+        :func:`~repro.core.incremental.absorb`).
 
         STHoles is *defined* by one-sample-at-a-time drilling, so the
         structure update is naturally incremental: the new batch drills
@@ -159,95 +154,35 @@ class STHoles(SelectivityEstimator):
         Calling ``partial_fit`` on an unfitted estimator is equivalent
         to ``fit``.
         """
-        new = TrainingSet(queries, selectivities)
-        if not self._fitted:
-            self.fit(queries, selectivities)
-            return self
-        if self._history is None or self._overlap_cache is None:
-            raise RuntimeError(
-                "partial_fit needs the feedback history and overlap cache, "
-                "which persisted artifacts do not carry; refit from scratch "
-                "instead"
-            )
-        if not all(isinstance(q, Box) for q in new.queries):
-            raise TypeError("STHoles supports orthogonal-range (Box) queries only")
-        if new.dim != self._history.dim:
-            raise ValueError("partial_fit dimension mismatch with earlier feedback")
-        started = time.perf_counter()
-        combined = TrainingSet(
-            list(self._history.queries) + list(new.queries),
-            np.concatenate([self._history.selectivities, new.selectivities]),
-        )
-        old_buckets = self._buckets
-        old_col = {id(b): i for i, b in enumerate(old_buckets)}
-        old_weights = self._weights
-        cached = self._overlap_cache
-        n_new = len(new)
-        n_old = len(combined) - n_new
+        return absorb(self, queries, selectivities, warm_start)
 
-        with span("fit/partition", incremental=True) as partition_span:
-            for sample in new:
+    def _grow(self, training: TrainingSet, **span_attrs) -> None:
+        """Drill each sample into the tree, merging down to the budget
+        whenever it is exceeded, then lay the tree out."""
+        with span("fit/partition", **span_attrs) as partition_span:
+            for sample in training:
                 if sample.query.volume() <= _MIN_VOLUME:
                     continue
                 self._drill(self._root, sample.query, sample.selectivity)
                 if self._count > self.max_buckets:
                     self._merge_down_to_budget()
             partition_span.annotate(buckets=self._count)
-
-        # New holes interleave in pre-order, so the columns move.
         self._flatten()
-        m_new = len(self._buckets)
-        reused = np.fromiter(
-            (id(b) in old_col for b in self._buckets), dtype=bool, count=m_new
-        )
-        origin = np.fromiter(
-            (old_col.get(id(b), -1) for b in self._buckets), dtype=np.int64, count=m_new
-        )
-        usable_cache = cached.shape == (n_old, len(old_buckets))
-        with span(
-            "fit/design-matrix",
-            rows=n_new,
-            buckets=m_new,
-            incremental=usable_cache,
-        ):
-            if usable_cache:
-                fresh = ~reused
-                n_fresh = int(fresh.sum())
-                if n_fresh and n_old:
-                    fresh_block = intersection_volume_matrix(
-                        combined.queries[:n_old], self._box_lows[fresh], self._box_highs[fresh]
-                    )
-                else:
-                    fresh_block = np.zeros((n_old, n_fresh))
-                if n_new:
-                    new_rows = self._box_overlap_matrix(new.queries)
-                else:
-                    new_rows = np.zeros((0, m_new))
-                overlaps = assemble_design(cached, reused, origin, fresh_block, new_rows)
-            else:
-                overlaps = self._box_overlap_matrix(combined.queries)
-            self._overlap_cache = overlaps
-            design = self._fractions_from_overlaps(overlaps)
-        w0 = None
-        if warm_start:
-            w0 = np.zeros(m_new)
-            w0[reused] = old_weights[origin[reused]]
-        self._solve(design, combined.selectivities, w0)
-        self._history = combined
-        self.update_report_ = UpdateReport(
-            rows_appended=n_new,
-            rows_total=len(combined),
-            buckets_before=len(old_buckets),
-            buckets_after=m_new,
-            columns_reused=int(reused.sum()),
-            columns_recomputed=int((~reused).sum()),
-            warm_started=warm_start,
-            full_rebuild=not usable_cache,
-            seconds=time.perf_counter() - started,
-            residual=self.solve_report_.residual,
-            rung=self.solve_report_.rung,
-        )
-        return self
+
+    def _refine_buckets(self, new: TrainingSet) -> tuple:
+        """Grow the tree with ``new``; a surviving bucket's origin is its
+        old row, a new hole's is ``-1``.  The warm start keeps the
+        surviving buckets' weights."""
+        if not all(isinstance(q, Box) for q in new.queries):
+            raise TypeError("STHoles supports orthogonal-range (Box) queries only")
+        old_buckets, old_weights = self._buckets, self._weights
+        self._grow(new, incremental=True)
+        # New holes interleave in pre-order, so the columns move.  The map
+        # is keyed by id(), and ``old_buckets`` keeps a merged-away bucket
+        # alive until it is built, so no new hole can reuse that id.
+        old_row = {id(b): i for i, b in enumerate(old_buckets)}
+        origin = np.array([old_row.get(id(b), -1) for b in self._buckets], dtype=np.int64)
+        return origin, lambda reused: np.where(reused, old_weights[origin], 0.0)
 
     def _drill(self, bucket: _Bucket, query: Box, selectivity: float) -> None:
         """Top-down drilling: children first, then this bucket's region."""
@@ -409,20 +344,24 @@ class STHoles(SelectivityEstimator):
         self._box_highs = np.stack([b.box.highs for b in self._buckets])
         self._region_volumes = np.array([b.region_volume() for b in self._buckets])
 
-    def _estimate_weights(self, training: TrainingSet) -> None:
-        self._flatten()
-        self._overlap_cache = self._box_overlap_matrix(training.queries)
-        self._solve(self._fractions_from_overlaps(self._overlap_cache), training.selectivities)
-
-    def _solve(self, design: np.ndarray, selectivities: np.ndarray, warm_start=None) -> None:
+    def _estimate_weights(
+        self,
+        training: TrainingSet,
+        warm_start: np.ndarray | None = None,
+        design: np.ndarray | None = None,
+    ) -> None:
         """Eq. (8) over the regions with positive volume; the rest weigh 0.
 
-        A region its children cover has an all-zero design column, so a
-        weight there would drop out of every prediction: the histogram
-        would hold less than its whole mass.  ``warm_start`` (previous
-        weights in the current column order) is renormalised over the
-        solved regions.
+        ``design`` holds the raw box overlaps and becomes the cached
+        matrix; ``None`` builds it over ``training``.  A region its
+        children cover has an all-zero design column, so a weight there
+        would drop out of every prediction: the histogram would hold less
+        than its whole mass.  ``warm_start`` (previous weights in the
+        current column order) is renormalised over the solved regions.
         """
+        if design is None:
+            design = self._columns(training.queries)
+        self._design_cache = design
         live = self._region_volumes > _MIN_VOLUME
         if warm_start is not None:
             warm_start = warm_start[live]
@@ -432,14 +371,19 @@ class STHoles(SelectivityEstimator):
             else:
                 warm_start = np.full(warm_start.size, 1.0 / warm_start.size)
         weights, self.solve_report_ = solve_weights(
-            design[:, live], selectivities, warm_start=warm_start
+            self._fractions_from_overlaps(design)[:, live],
+            training.selectivities,
+            warm_start=warm_start,
         )
         self._weights = np.zeros(live.size)
         self._weights[live] = weights
 
-    def _box_overlap_matrix(self, queries: Sequence[Range]) -> np.ndarray:
-        """``Vol(box_j ∩ R_i)`` per (query, bucket box) — the cacheable part."""
-        return intersection_volume_matrix(queries, self._box_lows, self._box_highs)
+    def _columns(self, queries: Sequence[Range], columns=slice(None)) -> np.ndarray:
+        """``Vol(box_j ∩ R_i)`` for the bucket boxes ``columns`` (all by
+        default) — the cacheable part of the design."""
+        return intersection_volume_matrix(
+            queries, self._box_lows[columns], self._box_highs[columns]
+        )
 
     def _fractions_from_overlaps(self, box_overlaps: np.ndarray) -> np.ndarray:
         """Region subtraction + normalisation, from raw box overlaps.
@@ -460,7 +404,7 @@ class STHoles(SelectivityEstimator):
         return np.clip(fractions, 0.0, 1.0)
 
     def _predict_batch(self, queries: Sequence[Range]) -> np.ndarray:
-        return self._fractions_from_overlaps(self._box_overlap_matrix(queries)) @ self._weights
+        return self._fractions_from_overlaps(self._columns(queries)) @ self._weights
 
     @property
     def model_size(self) -> int:
@@ -515,4 +459,4 @@ class STHoles(SelectivityEstimator):
         self._parents = parents
         self._count = len(buckets)
         # A restored model keeps its constructor's empty history and
-        # overlap cache: it cannot partial_fit.
+        # design cache: it cannot partial_fit.

@@ -25,9 +25,12 @@ This module holds the shared machinery:
 * :func:`split_warm_start` — remap the previous weight vector onto the
   refined partition (children of a split leaf inherit the parent weight
   by volume share) so the solver can resume instead of starting cold.
+* :func:`absorb` — the one ``partial_fit`` of QuadHist, KdHist, PtsHist
+  and STHoles; each learner supplies only its bucket refinement, its
+  column kernel, its warm-start remap and its solve.
 * :class:`IncrementalTreeHistogram` — the level-synchronous partition,
-  the cold solve, and ``partial_fit``, mixed into QuadHist (and so into
-  KdHist, which is QuadHist with a binary split) on top of the
+  the cold solve, and the ``partial_fit`` hooks, mixed into QuadHist (and
+  so into KdHist, which is QuadHist with a binary split) on top of the
   :class:`~repro.core.quadhist.BucketHistogram` that holds the leaves.
 
 The ``warm_start=False`` default keeps ``partial_fit`` numerically
@@ -56,6 +59,7 @@ __all__ = [
     "UpdateReport",
     "assemble_design",
     "split_warm_start",
+    "absorb",
     "IncrementalTreeHistogram",
 ]
 
@@ -122,7 +126,7 @@ def assemble_design(
         here.
     fresh_block:
         ``(n_old, n_fresh)`` — recomputed columns for the non-reused
-        buckets, in new-column order.
+        buckets, in new-column order; unread when every column is reused.
     new_rows:
         ``(n_new, m_new)`` — design rows for the appended feedback
         queries against the full new bucket set.
@@ -135,8 +139,6 @@ def assemble_design(
     fresh = ~reused
     if fresh.any():
         top[:, fresh] = fresh_block
-    if new_rows.shape[0] == 0:
-        return top
     return np.concatenate([top, new_rows], axis=0)
 
 
@@ -167,6 +169,83 @@ def split_warm_start(
     if total <= 0.0:
         return np.full(m_new, 1.0 / m_new)
     return w0 / total
+
+
+def absorb(model, queries: Sequence[Range], selectivities: Sequence[float], warm_start: bool):
+    """The one ``partial_fit``: absorb a feedback batch into ``model``.
+
+    An unfitted model is fit.  Otherwise the learner refines its buckets
+    with the batch, the cached design matrix keeps the columns of the
+    unchanged buckets and gains recomputed columns for the rest plus the
+    batch's rows, and the weights are re-solved on it: cold, or with
+    ``warm_start`` from the previous weights remapped onto the new
+    buckets.  A cache that does not match the history (one replaced
+    out-of-band) is rebuilt in full.  Returns ``model``.
+
+    The learner supplies, besides ``fit``, ``model_size``, ``_history``,
+    ``_design_cache`` and ``solve_report_``:
+
+    * ``_refine_buckets(new)`` → ``(origin, remap)``: refine the buckets
+      with ``new``; ``origin`` gives each new bucket's old column (``-1``
+      for none), and ``remap(reused)`` the warm start;
+    * ``_columns(queries, columns)``: raw design columns ``columns`` (all
+      by default) for ``queries``;
+    * ``_estimate_weights(training, warm_start, design)``: install
+      ``design`` as the cache and solve Eq. (8) over ``training``.
+    """
+    if not model._fitted:
+        return model.fit(queries, selectivities)
+    new = TrainingSet(queries, selectivities)
+    history = model._history
+    if history is None:
+        raise RuntimeError(
+            "partial_fit needs the feedback history, which persisted "
+            "artifacts do not carry; refit from scratch instead"
+        )
+    if new.dim != history.dim:
+        raise ValueError("partial_fit dimension mismatch with earlier feedback")
+    started = time.perf_counter()
+    combined = TrainingSet(
+        list(history.queries) + list(new.queries),
+        np.concatenate([history.selectivities, new.selectivities]),
+    )
+    cached, m_old = model._design_cache, model.model_size
+    origin, remap = model._refine_buckets(new)
+    # A bucket keeps its old column when no other bucket came from it
+    # (``counts[-1]`` is read for new buckets, and ignored).
+    counts = np.bincount(origin[origin >= 0], minlength=m_old)
+    reused = (origin >= 0) & (counts[origin] == 1)
+    fresh = ~reused
+    n_fresh = int(fresh.sum())
+    usable_cache = cached is not None and cached.shape == (len(history), m_old)
+    with span(
+        "fit/design-matrix", rows=len(new) if usable_cache else len(combined),
+        buckets=origin.size, incremental=usable_cache, fresh_columns=n_fresh,
+    ):
+        if usable_cache:
+            fresh_block = model._columns(history.queries, fresh) if n_fresh else None
+            design = assemble_design(
+                cached, reused, origin, fresh_block, model._columns(new.queries)
+            )
+        else:
+            design = model._columns(combined.queries)
+    model._estimate_weights(combined, remap(reused) if warm_start else None, design)
+    model._history = combined
+    report = model.solve_report_
+    model.update_report_ = UpdateReport(
+        rows_appended=len(new),
+        rows_total=len(combined),
+        buckets_before=m_old,
+        buckets_after=origin.size,
+        columns_reused=origin.size - n_fresh,
+        columns_recomputed=n_fresh,
+        warm_started=warm_start,
+        full_rebuild=not usable_cache,
+        seconds=time.perf_counter() - started,
+        residual=report.residual,
+        rung=report.rung,
+    )
+    return model
 
 
 def _exceeds(queries, densities, tau: float, lows, highs) -> np.ndarray:
@@ -347,13 +426,29 @@ class IncrementalTreeHistogram:
             warm_start=warm_start,
         )
 
+    def _refine_buckets(self, new: TrainingSet) -> tuple:
+        """Refine the current leaves with ``new`` only (see :func:`absorb`).
+        The warm start shares a split leaf's weight among its children by
+        volume, from the volumes before the refinement."""
+        old_weights, old_volumes = self._weights, self._volumes
+        origin = self._refine(new, self._lows, self._highs, self._leaf_depths, incremental=True)
+        return origin, lambda reused: split_warm_start(
+            old_weights, reused, origin, self._volumes, old_volumes
+        )
+
+    def _columns(self, queries: Sequence[Range], columns=slice(None)) -> np.ndarray:
+        """Design columns ``columns`` (all by default) for ``queries``."""
+        return batch.coverage_matrix(
+            queries, self._lows[columns], self._highs[columns], self._volumes[columns]
+        )
+
     def partial_fit(
         self,
         queries: Sequence[Range],
         selectivities: Sequence[float],
         warm_start: bool = False,
     ):
-        """Incrementally absorb new query feedback.
+        """Incrementally absorb new query feedback (see :func:`absorb`).
 
         Bucket design is naturally incremental (Algorithm 1 processes
         queries one at a time, and by Lemma A.4 the final partition does
@@ -380,91 +475,4 @@ class IncrementalTreeHistogram:
         Calling ``partial_fit`` on an unfitted estimator is equivalent
         to ``fit``.
         """
-        new = TrainingSet(queries, selectivities)
-        if not self._fitted:
-            self.fit(queries, selectivities)
-            return self
-        if self._leaf_depths is None or self._history is None:
-            raise RuntimeError(
-                "partial_fit needs the partition tree and feedback history, "
-                "which persisted artifacts do not carry; refit from scratch "
-                "instead"
-            )
-        if new.dim != self._history.dim:
-            raise ValueError("partial_fit dimension mismatch with earlier feedback")
-        combined = TrainingSet(
-            list(self._history.queries) + list(new.queries),
-            np.concatenate([self._history.selectivities, new.selectivities]),
-        )
-        self._history = combined
-        self._absorb_incremental(new, combined, warm_start=warm_start)
-        return self
-
-    def _absorb_incremental(
-        self, new: TrainingSet, combined: TrainingSet, warm_start: bool
-    ) -> None:
-        started = time.perf_counter()
-        old_volumes = self._volumes
-        old_weights = self._weights
-        cached = self._design_cache
-        m_old = old_volumes.shape[0]
-        n_new = len(new)
-        n_old = len(combined) - n_new
-
-        # Refine with the new batch only; each leaf records the old column
-        # it lies in.  A split leaf leaves at least two children behind.
-        origin = self._refine(new, self._lows, self._highs, self._leaf_depths, incremental=True)
-        m_new = origin.size
-        reused = np.bincount(origin, minlength=m_old)[origin] == 1
-
-        usable_cache = cached is not None and cached.shape == (n_old, m_old)
-        w0 = (
-            split_warm_start(old_weights, reused, origin, self._volumes, old_volumes)
-            if warm_start
-            else None
-        )
-        if usable_cache:
-            fresh = ~reused
-            n_fresh = int(fresh.sum())
-            with span(
-                "fit/design-matrix",
-                rows=n_new,
-                buckets=m_new,
-                incremental=True,
-                fresh_columns=n_fresh,
-            ):
-                if n_fresh and n_old:
-                    fresh_block = batch.coverage_matrix(
-                        combined.queries[:n_old],
-                        self._lows[fresh],
-                        self._highs[fresh],
-                        self._volumes[fresh],
-                    )
-                else:
-                    fresh_block = np.zeros((n_old, n_fresh))
-                if n_new:
-                    new_rows = batch.coverage_matrix(
-                        new.queries, self._lows, self._highs, self._volumes
-                    )
-                else:
-                    new_rows = np.zeros((0, m_new))
-                design = assemble_design(cached, reused, origin, fresh_block, new_rows)
-            self._estimate_weights(combined, w0, design)
-        else:
-            # No usable cached rows (e.g. history replaced out-of-band):
-            # rebuild the matrix, but the warm start still applies.
-            self._estimate_weights(combined, warm_start=w0)
-        report = self.solve_report_
-        self.update_report_ = UpdateReport(
-            rows_appended=n_new,
-            rows_total=len(combined),
-            buckets_before=m_old,
-            buckets_after=m_new,
-            columns_reused=int(reused.sum()),
-            columns_recomputed=int((~reused).sum()),
-            warm_started=warm_start,
-            full_rebuild=not usable_cache,
-            seconds=time.perf_counter() - started,
-            residual=report.residual if report is not None else float("nan"),
-            rung=report.rung if report is not None else "",
-        )
+        return absorb(self, queries, selectivities, warm_start)

@@ -17,14 +17,13 @@ squares (Eq. 8) on the 0/1 membership design matrix (Eq. 7).
 
 from __future__ import annotations
 
-import time
 from typing import ClassVar, Dict, Sequence
 
 import numpy as np
 
 from repro.core.config import PtsHistConfig
 from repro.core.estimator import SelectivityEstimator
-from repro.core.incremental import UpdateReport
+from repro.core.incremental import UpdateReport, absorb
 from repro.core.workload import TrainingSet
 from repro.distributions.discrete import DiscreteDistribution
 from repro.geometry.batch import containment_matrix
@@ -120,7 +119,8 @@ class PtsHist(SelectivityEstimator):
         selectivities: Sequence[float],
         warm_start: bool = False,
     ) -> "PtsHist":
-        """Incrementally absorb new query feedback.
+        """Incrementally absorb new query feedback (see
+        :func:`~repro.core.incremental.absorb`).
 
         The point support is frozen at the initial fit (it was sampled
         from the first training workload), so an update only appends the
@@ -134,59 +134,35 @@ class PtsHist(SelectivityEstimator):
         Calling ``partial_fit`` on an unfitted estimator is equivalent
         to ``fit``.
         """
-        new = TrainingSet(queries, selectivities)
-        if not self._fitted:
-            self.fit(queries, selectivities)
-            return self
-        if self._history is None or self._design_cache is None:
-            raise RuntimeError(
-                "partial_fit needs the feedback history and design cache, "
-                "which persisted artifacts do not carry; refit from scratch "
-                "instead"
-            )
-        if new.dim != self._history.dim:
-            raise ValueError("partial_fit dimension mismatch with earlier feedback")
-        started = time.perf_counter()
-        combined = TrainingSet(
-            list(self._history.queries) + list(new.queries),
-            np.concatenate([self._history.selectivities, new.selectivities]),
-        )
-        points = self._distribution.points
-        with span(
-            "fit/design-matrix", rows=len(new), buckets=self._distribution.size,
-            incremental=True,
-        ):
-            new_rows = containment_matrix(new.queries, points)
-        design = np.concatenate([self._design_cache, new_rows], axis=0)
-        w0 = self._distribution.weights if warm_start else None
+        return absorb(self, queries, selectivities, warm_start)
+
+    def _refine_buckets(self, new: TrainingSet) -> tuple:
+        """The support is frozen: each point keeps its column, and the
+        warm start is the current weights."""
+        weights = self._distribution.weights
+        return np.arange(self._distribution.size), lambda reused: weights
+
+    def _columns(self, queries: Sequence[Range], columns=slice(None)) -> np.ndarray:
+        """Membership columns ``columns`` (all by default) for ``queries``."""
+        return containment_matrix(queries, self._distribution.points[columns])
+
+    def _estimate_weights(
+        self, training: TrainingSet, warm_start: np.ndarray | None, design: np.ndarray
+    ) -> None:
+        """Eq. (8) on the frozen support; ``design`` becomes the cached
+        design matrix."""
         weights, self.solve_report_ = solve_weights(
             design,
-            combined.selectivities,
+            training.selectivities,
             objective=self.objective,
             solver=self.solver,
-            warm_start=w0,
+            warm_start=warm_start,
         )
-        self._history = combined
         self._design_cache = design
-        size = self._distribution.size
         index = self._distribution._index
-        self._distribution = DiscreteDistribution(points, weights)
+        self._distribution = DiscreteDistribution(self._distribution.points, weights)
         # The support is frozen, so its index carries over.
         self._distribution._index = index
-        self.update_report_ = UpdateReport(
-            rows_appended=len(new),
-            rows_total=len(combined),
-            buckets_before=size,
-            buckets_after=size,
-            columns_reused=size,
-            columns_recomputed=0,
-            warm_started=warm_start,
-            full_rebuild=False,
-            seconds=time.perf_counter() - started,
-            residual=self.solve_report_.residual,
-            rung=self.solve_report_.rung,
-        )
-        return self
 
     def _predict_one(self, query: Range) -> float:
         return self._distribution.selectivity(query)

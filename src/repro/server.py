@@ -1289,8 +1289,9 @@ IDLE_TIMEOUT_S = 30.0
 
 #: Largest request body a worker reads, in bytes (a 256-query
 #: ``/v1/predict`` body is ~29 KB).  A larger declared ``Content-Length``
-#: gets 413 before any byte of the body is read; a body that stops
-#: arriving for :data:`IDLE_TIMEOUT_S` gets 408.  Both close the connection.
+#: gets 413 before any byte of the body is read; a body not in full within
+#: :data:`IDLE_TIMEOUT_S` of the start of its read gets 408.  Both close
+#: the connection.
 MAX_BODY_BYTES = 16 << 20
 
 #: Bound, in seconds, on the staged close of a connection: after the last
@@ -1413,8 +1414,8 @@ def _make_handler(
     would otherwise be parsed as the next request line, and while the
     worker drains, which hands its clients back to the shared listen
     queue.  A connection idle for :data:`IDLE_TIMEOUT_S` is closed too, a
-    body over :data:`MAX_BODY_BYTES` is refused unread (413), and one that
-    stops arriving for :data:`IDLE_TIMEOUT_S` gets 408.
+    body over :data:`MAX_BODY_BYTES` is refused unread (413), and one not
+    in full within :data:`IDLE_TIMEOUT_S` of the start of its read gets 408.
     """
     registry = service.registry
     http_requests = registry.counter(
@@ -1516,12 +1517,28 @@ def _make_handler(
                 raise ContentTooLargeError(
                     f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
                 )
+            # The whole body must arrive within ``timeout`` of this read's
+            # start, not merely some byte within ``timeout`` of the last.
+            deadline = time.monotonic() + self.timeout
+            pieces, left = [], length
             try:
-                raw = self.rfile.read(length)
+                while left:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0.0:
+                        raise TimeoutError
+                    self.connection.settimeout(remaining)
+                    piece = self.rfile.read1(left)
+                    if not piece:
+                        break
+                    pieces.append(piece)
+                    left -= len(piece)
             except TimeoutError as exc:
                 raise RequestTimeoutError(
-                    f"request body incomplete after {self.timeout} s without data"
+                    f"request body incomplete after {self.timeout} s"
                 ) from exc
+            finally:
+                self.connection.settimeout(self.timeout)
+            raw = b"".join(pieces)
             self._unread_body = len(raw) < length
             raw = raw or b"{}"
             try:

@@ -86,7 +86,7 @@ class TestDeterminism:
         est = STHoles(max_buckets=200).fit(train_q, train_s)
         assert max(len(b.children) for b in est._root.walk()) > 1
         assert est._parents.max() > 0  # holes inside holes
-        overlaps = est._box_overlap_matrix(list(train_q) + list(test_q))
+        overlaps = est._columns(list(train_q) + list(test_q))
         expected = child_loop_fractions(est, overlaps)
         assert est._fractions_from_overlaps(overlaps).tobytes() == expected.tobytes()
 

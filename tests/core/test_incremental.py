@@ -15,6 +15,8 @@ import pytest
 from repro.baselines.stholes import STHoles
 from repro.core import KdHist, PtsHist, QuadHist
 from repro.core.incremental import assemble_design, split_warm_start
+from repro.core.workload import TrainingSet
+from repro.geometry.ranges import Ball, Box
 from repro.solvers.simplex_ls import fit_simplex_weights
 
 K_BATCHES = 3
@@ -113,6 +115,68 @@ class TestRegistryWideEquivalence:
         restored = load_model(path)
         with pytest.raises(RuntimeError):
             restored.partial_fit(train_q[60:80], train_s[60:80])
+
+
+def _weights(est) -> np.ndarray:
+    return est.distribution.weights if isinstance(est, PtsHist) else est._weights
+
+
+def _state(est, queries) -> tuple:
+    """What a refused update must leave as it was."""
+    return (
+        len(est._history),
+        _weights(est).tobytes(),
+        est.model_size,
+        est.predict_many(queries).tobytes(),
+    )
+
+
+class TestPartialFitContract:
+    """The one update path's contract, for every learner with a
+    ``partial_fit``."""
+
+    @pytest.mark.parametrize("name", sorted(ALL))
+    def test_batch_of_another_dimension_changes_nothing(self, name, power2d_box_workload):
+        train_q, train_s, test_q, _ = power2d_box_workload
+        est = ALL[name]().fit(train_q[:60], train_s[:60])
+        before = _state(est, test_q)
+        with pytest.raises(ValueError):
+            est.partial_fit([Box([0.1], [0.5])], [0.2])
+        assert _state(est, test_q) == before
+
+    def test_non_box_batch_to_stholes_changes_nothing(self, power2d_box_workload):
+        train_q, train_s, test_q, _ = power2d_box_workload
+        est = ALL["stholes"]().fit(train_q[:60], train_s[:60])
+        before = _state(est, test_q)
+        with pytest.raises(TypeError):
+            est.partial_fit([train_q[60], Ball([0.5, 0.5], 0.2)], [train_s[60], 0.2])
+        assert _state(est, test_q) == before
+
+    @pytest.mark.parametrize("rows", [1, 40])
+    @pytest.mark.parametrize("name", sorted(ALL))
+    def test_update_report_counts(self, name, rows, power2d_box_workload):
+        train_q, train_s, _, _ = power2d_box_workload
+        est = ALL[name]().fit(train_q[:60], train_s[:60])
+        size_before = est.model_size
+        est.partial_fit(train_q[60 : 60 + rows], train_s[60 : 60 + rows])
+        report = est.update_report_
+        assert report.buckets_before == size_before
+        assert report.buckets_after == est.model_size
+        assert report.rows_appended == rows
+        assert report.rows_total == len(est._history) == est._design_cache.shape[0] == 60 + rows
+        assert report.full_rebuild is False
+
+    @pytest.mark.parametrize("name", sorted(ALL))
+    def test_history_replaced_out_of_band_rebuilds_the_cache(self, name, power2d_box_workload):
+        """A cache that no longer matches the history is rebuilt in full
+        over the union, not appended to."""
+        train_q, train_s, _, _ = power2d_box_workload
+        est = ALL[name]().fit(train_q[:60], train_s[:60])
+        est._history = TrainingSet(train_q[:30], train_s[:30])
+        est.partial_fit(train_q[60:70], train_s[60:70])
+        assert est.update_report_.full_rebuild is True
+        assert est._design_cache.shape[0] == len(est._history) == 40
+        assert est.update_report_.rows_total == 40
 
 
 @pytest.mark.xfail(

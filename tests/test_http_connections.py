@@ -4,6 +4,7 @@ responses that must close their connection."""
 import contextlib
 import http.client
 import json
+import select
 import socket
 import statistics
 import threading
@@ -333,6 +334,66 @@ def test_stalled_body_gets_408_and_a_closed_connection(served, monkeypatch):
             assert json.loads(body)["type"] == "RequestTimeoutError"
             assert time.perf_counter() - start < 3.0
             assert sock.recv(1) == b""
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _estimate_head(length: int) -> bytes:
+    return (
+        b"POST /v1/estimate HTTP/1.1\r\nHost: test\r\n"
+        b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n" % length
+    )
+
+
+def test_dripped_body_gets_408_within_the_budget(served, monkeypatch):
+    """The whole body must arrive within IDLE_TIMEOUT_S of the start of
+    its read: a body that keeps trickling in, a byte well inside the
+    timeout at a time, is answered 408 once the budget is spent, and the
+    connection closes."""
+    budget = 0.5
+    monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", budget)
+    monkeypatch.setattr(server_module, "CLOSE_LINGER_S", 0.2)
+    server = serve(served.service, port=0)
+    body = _estimate_body(served.feedback[0][0])
+    assert len(body) * 0.1 > 4 * budget  # dripped in full, it would take far longer
+    try:
+        with socket.create_connection(server.server_address[:2], timeout=5.0) as sock:
+            sock.sendall(_estimate_head(len(body)))
+            start = time.perf_counter()
+            for byte in body:
+                if select.select([sock], [], [], 0.1)[0]:
+                    break  # the answer came while the body was arriving
+                sock.sendall(bytes([byte]))
+            status, answer = _read_response(sock)
+            elapsed = time.perf_counter() - start
+            assert status == 408, answer
+            assert json.loads(answer)["type"] == "RequestTimeoutError"
+            assert elapsed < 2 * budget
+            assert sock.recv(1) == b""
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_body_in_two_parts_inside_the_budget_is_served(served, monkeypatch):
+    """A body whose parts all arrive within IDLE_TIMEOUT_S is read in
+    full and answered 200, and the connection stays open."""
+    monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.5)
+    server = serve(served.service, port=0)
+    query = served.feedback[0][0]
+    body = _estimate_body(query)
+    try:
+        with socket.create_connection(server.server_address[:2], timeout=5.0) as sock:
+            sock.sendall(_estimate_head(len(body)) + body[:10])
+            time.sleep(0.2)
+            sock.sendall(body[10:])
+            status, answer = _read_response(sock)
+            assert status == 200, answer
+            assert json.loads(answer)["selectivity"] == served.service.estimate_many([query])[0]
+            sock.sendall(b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n")
+            status, _ = _read_response(sock)
+            assert status == 200
     finally:
         server.shutdown()
         server.server_close()
